@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "sph/half_warp.hpp"
+#include "sph/states.hpp"
+#include "util/periodic.hpp"
 #include "xsycl/atomic.hpp"
 
 namespace hacc::gravity {
@@ -21,12 +23,6 @@ struct GravityTraits {
   using State = GravState;
   struct Accum {
     float fx = 0.f, fy = 0.f, fz = 0.f;
-    Accum& operator+=(const Accum& o) {
-      fx += o.fx;
-      fy += o.fy;
-      fz += o.fz;
-      return *this;
-    }
   };
   static constexpr int kAccumWords = 3;
 
@@ -41,18 +37,20 @@ struct GravityTraits {
     return {arrays.x[i], arrays.y[i], arrays.z[i], arrays.mass[i], i, 1};
   }
 
-  Accum interact(const State& own, const State& other) const {
-    float dx = own.px - other.px;
-    float dy = own.py - other.py;
-    float dz = own.pz - other.pz;
-    dx -= box * std::round(dx / box);
-    dy -= box * std::round(dy / box);
-    dz -= box * std::round(dz / box);
-    const float r2 = dx * dx + dy * dy + dz * dz;
-    if (r2 >= rcut2 || r2 <= 0.f) return {};
+  // Zero outside 0 < r² < r_cut².
+  bool reaches(const State& own, const State& other) const {
+    const float r2 = norm2(sph::separation(own, other, box));
+    return !(r2 >= rcut2 || r2 <= 0.f);
+  }
+
+  // Only called for pairs that reach.
+  void accumulate(Accum& a, const State& own, const State& other) const {
+    const util::Vec3<float> d = sph::separation(own, other, box);
     // Newton minus the polynomial grid profile: attractive toward `other`.
-    const float f = G * other.mass * poly->short_profile(r2, eps2);
-    return {-f * dx, -f * dy, -f * dz};
+    const float f = G * other.mass * poly->short_profile(norm2(d), eps2);
+    a.fx += -f * d.x;
+    a.fy += -f * d.y;
+    a.fz += -f * d.z;
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
@@ -91,9 +89,9 @@ void reference_pp_short(const GravityArrays& arrays, const PolyShortForce& poly,
       double dx = double(arrays.x[i]) - arrays.x[j];
       double dy = double(arrays.y[i]) - arrays.y[j];
       double dz = double(arrays.z[i]) - arrays.z[j];
-      dx -= box * std::round(dx / box);
-      dy -= box * std::round(dy / box);
-      dz -= box * std::round(dz / box);
+      dx = util::min_image(dx, double(box));
+      dy = util::min_image(dy, double(box));
+      dz = util::min_image(dz, double(box));
       const double r2 = dx * dx + dy * dy + dz * dz;
       if (r2 >= rcut2 || r2 <= 0.0) continue;
       const double f =

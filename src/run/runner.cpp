@@ -131,7 +131,7 @@ void ScenarioRunner::start_from_checkpoint_or_ics() {
   }
   // Outputs the run already passed (restart) fire nothing.
   while (next_output_ < outputs_a_.size() &&
-         outputs_a_[next_output_] <= solver_.scale_factor()) {
+         reached(solver_.scale_factor(), outputs_a_[next_output_])) {
     ++next_output_;
   }
 }
@@ -497,7 +497,7 @@ RunResult ScenarioRunner::run() {
     }
 
     while (next_output_ < outputs_a_.size() &&
-           solver_.scale_factor() >= outputs_a_[next_output_]) {
+           reached(solver_.scale_factor(), outputs_a_[next_output_])) {
       run_diagnostics(stats.step);
       ++next_output_;
     }

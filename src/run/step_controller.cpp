@@ -38,9 +38,7 @@ StepController::StepController(const core::SimConfig& sim,
 
 bool StepController::done(double a, int steps_taken) const {
   if (opt_.mode == StepMode::kFixed) return steps_taken >= n_steps_;
-  // One part in 10^12 absorbs the float accumulation of a += da over the
-  // run; anything closer than that to a_final is "arrived".
-  return a >= a_final_ * (1.0 - 1e-12);
+  return reached(a, a_final_);
 }
 
 double StepController::next_da(double a, double fixed_da, double max_velocity,

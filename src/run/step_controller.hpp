@@ -30,6 +30,13 @@ const char* to_string(StepMode mode);
 /// names — the util::Config wiring used by hacc_run and the examples.
 bool parse_step_mode(const std::string& name, StepMode& out);
 
+/// True once a run at scale factor `a` has arrived at `target`.  One part in
+/// 10^12 absorbs the rounding of a += da: fixed-mode steps can sum to just
+/// below a_final (14 steps from z = 200 end a few ulps short of 1/11, the
+/// a of z = 10).  StepController::done() and the runner's output triggers
+/// share it.
+inline bool reached(double a, double target) { return a >= target * (1.0 - 1e-12); }
+
 /// Knobs of the adaptive limiter (ignored in fixed mode except `mode`).
 struct StepControllerOptions {
   StepMode mode = StepMode::kFixed;

@@ -10,6 +10,7 @@
 #include "sph/energy.hpp"
 #include "sph/extras.hpp"
 #include "sph/pipeline.hpp"
+#include "util/periodic.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -130,9 +131,9 @@ bool ShardEngine::reshard_needed(std::span<const util::Vec3d> pos) const {
     double dx = pos[i].x - ref_pos_[i].x;
     double dy = pos[i].y - ref_pos_[i].y;
     double dz = pos[i].z - ref_pos_[i].z;
-    dx -= box * std::round(dx / box);
-    dy -= box * std::round(dy / box);
-    dz -= box * std::round(dz / box);
+    dx = util::min_image(dx, box);
+    dy = util::min_image(dy, box);
+    dz = util::min_image(dz, box);
     if (dx * dx + dy * dy + dz * dz > thresh2) return true;
   }
   return false;
@@ -557,9 +558,9 @@ void ShardEngine::run_pp(const PpParams& pp, std::span<float> ax,
                      s.ly[static_cast<std::size_t>(j)];
           float dz = s.lz[static_cast<std::size_t>(i)] -
                      s.lz[static_cast<std::size_t>(j)];
-          dx -= box * std::round(dx / box);
-          dy -= box * std::round(dy / box);
-          dz -= box * std::round(dz / box);
+          dx = util::min_image(dx, box);
+          dy = util::min_image(dy, box);
+          dz = util::min_image(dz, box);
           const float r2 = dx * dx + dy * dy + dz * dz;
           if (r2 >= rcut2 || r2 <= 0.f) return;
           const float prof = pp.poly->short_profile(r2, eps2);

@@ -14,13 +14,6 @@ struct AccelerationTraits {
   struct Accum {
     float fx = 0.f, fy = 0.f, fz = 0.f;
     float vsig = 0.f;
-    Accum& operator+=(const Accum& o) {
-      fx += o.fx;
-      fy += o.fy;
-      fz += o.fz;
-      vsig = std::max(vsig, o.vsig);  // signal velocity combines by max
-      return *this;
-    }
   };
   static constexpr int kAccumWords = 4;
 
@@ -34,9 +27,16 @@ struct AccelerationTraits {
 
   State load(std::int32_t i) const { return load_hydro_state(*p, i); }
 
-  Accum interact(const State& own, const State& other) const {
+  bool reaches(const State& own, const State& other) const {
+    return reaches_pair_support(own, other, box);
+  }
+
+  void accumulate(Accum& a, const State& own, const State& other) const {
     const auto term = accel_term(to_side(own), to_side(other), box, visc);
-    return {term.accel.x, term.accel.y, term.accel.z, term.vsig};
+    a.fx += term.accel.x;
+    a.fy += term.accel.y;
+    a.fz += term.accel.z;
+    a.vsig = std::max(a.vsig, term.vsig);  // signal velocity combines by max
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {

@@ -14,57 +14,9 @@ using core::crk_idx::kA;
 using core::crk_idx::kB;
 using core::crk_idx::kdA;
 
-// Flattens CrkMoments into the 40-float per-particle layout of mom_idx.
-void flatten_moments(const CrkMoments<float>& m, float out[core::mom_idx::kCount]) {
-  namespace mi = core::mom_idx;
-  out[mi::kM0] = m.m0;
-  for (int a = 0; a < 3; ++a) out[mi::kM1 + a] = m.m1[a];
-  out[mi::m2(0)] = m.m2.xx;
-  out[mi::m2(1)] = m.m2.xy;
-  out[mi::m2(2)] = m.m2.xz;
-  out[mi::m2(3)] = m.m2.yy;
-  out[mi::m2(4)] = m.m2.yz;
-  out[mi::m2(5)] = m.m2.zz;
-  for (int g = 0; g < 3; ++g) out[mi::kDM0 + g] = m.dm0[g];
-  for (int a = 0; a < 3; ++a) {
-    for (int g = 0; g < 3; ++g) out[mi::dm1(a, g)] = m.dm1[a][g];
-  }
-  for (int c = 0; c < 6; ++c) {
-    for (int g = 0; g < 3; ++g) out[mi::dm2(c, g)] = m.dm2[c][g];
-  }
-}
-
-// Loads the flat layout into double-precision moments for the solve.
-CrkMoments<double> unflatten_moments(const float* in) {
-  namespace mi = core::mom_idx;
-  CrkMoments<double> m;
-  m.m0 = in[mi::kM0];
-  for (int a = 0; a < 3; ++a) m.m1[a] = in[mi::kM1 + a];
-  m.m2.xx = in[mi::m2(0)];
-  m.m2.xy = in[mi::m2(1)];
-  m.m2.xz = in[mi::m2(2)];
-  m.m2.yy = in[mi::m2(3)];
-  m.m2.yz = in[mi::m2(4)];
-  m.m2.zz = in[mi::m2(5)];
-  for (int g = 0; g < 3; ++g) m.dm0[g] = in[mi::kDM0 + g];
-  for (int a = 0; a < 3; ++a) {
-    for (int g = 0; g < 3; ++g) m.dm1[a][g] = in[mi::dm1(a, g)];
-  }
-  for (int c = 0; c < 6; ++c) {
-    for (int g = 0; g < 3; ++g) m.dm2[c][g] = in[mi::dm2(c, g)];
-  }
-  return m;
-}
-
 struct CorrectionsTraits {
   using State = CorState;
-  struct Accum {
-    float m[core::mom_idx::kCount] = {};
-    Accum& operator+=(const Accum& o) {
-      for (int k = 0; k < core::mom_idx::kCount; ++k) m[k] += o.m[k];
-      return *this;
-    }
-  };
+  using Accum = CrkMoments<float>;  // the flat mom_idx block commit() adds
   static constexpr int kAccumWords = core::mom_idx::kCount;
 
   const core::ParticleSet* p;
@@ -73,19 +25,19 @@ struct CorrectionsTraits {
 
   State load(std::int32_t i) const { return load_cor_state(*p, i); }
 
-  Accum interact(const State& own, const State& other) const {
-    CrkMoments<float> m;
-    corrections_term(m, to_side(own), to_side(other), box);
-    Accum a;
-    flatten_moments(m, a.m);
-    return a;
+  bool reaches(const State& own, const State& other) const {
+    return reaches_own_support(own, other, box);
+  }
+
+  void accumulate(Accum& a, const State& own, const State& other) const {
+    corrections_term(a, to_side(own), to_side(other), box);
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
     float* base = moments_out + static_cast<std::size_t>(core::mom_idx::kCount) * idx;
     for (int k = 0; k < core::mom_idx::kCount; ++k) {
       xsycl::atomic_ref<float> ref(base[k], sg.counters());
-      ref.fetch_add(a.m[k]);
+      ref.fetch_add(a.v[k]);
     }
   }
 };
@@ -110,8 +62,8 @@ xsycl::LaunchStats run_corrections(xsycl::Queue& q, core::ParticleSet& p,
   launch_particles(
       q, timer_name, p.size(),
       [moments, crk, h, V](std::int32_t i) {
-        CrkMoments<double> m =
-            unflatten_moments(moments + core::mom_idx::kCount * static_cast<std::size_t>(i));
+        CrkMoments<double> m = CrkMoments<double>::from_flat(
+            moments + core::mom_idx::kCount * static_cast<std::size_t>(i));
         corrections_self(m, double(V[i]), double(h[i]));
         const CrkCoeffs<double> c = solve_crk(m);
         float* out = crk + core::crk_idx::kCount * static_cast<std::size_t>(i);

@@ -7,6 +7,7 @@
 // linear fields are reproduced exactly.  The corrected gradient additionally
 // needs ∇A and ∇B, which follow from the moment gradients.
 
+#include "core/particles.hpp"
 #include "sph/kernel.hpp"
 #include "util/vec3.hpp"
 
@@ -24,37 +25,60 @@ struct CrkCoeffs {
 
 // Local moments accumulated over neighbors (incl. self):
 //   m0 = Σ V_j W_ij, m1 = Σ V_j x_ij W_ij, m2 = Σ V_j x_ij⊗x_ij W_ij,
-// plus their gradients with respect to x_i.
+// plus their gradients with respect to x_i.  Stored flat in the
+// per-particle core::mom_idx layout, so the float kernels accumulate pair
+// terms straight into the block they commit.
 template <typename Real>
 struct CrkMoments {
-  Real m0{};
-  util::Vec3<Real> m1{};
-  util::Sym3<Real> m2{};
-  util::Vec3<Real> dm0{};
-  Real dm1[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};  // [alpha][gamma] = ∂γ m1_α
-  Real dm2[6][3] = {};  // [sym comp][gamma]; comps ordered xx,xy,xz,yy,yz,zz
+  Real v[core::mom_idx::kCount] = {};
+
+  // Copies a flat block of any precision (the float kernels' scratch).
+  template <typename From>
+  static CrkMoments from_flat(const From* in) {
+    CrkMoments m;
+    for (int k = 0; k < core::mom_idx::kCount; ++k) m.v[k] = in[k];
+    return m;
+  }
+
+  Real& m0() { return v[core::mom_idx::kM0]; }
+  Real m0() const { return v[core::mom_idx::kM0]; }
+  util::Vec3<Real> m1() const { return vec(core::mom_idx::kM1); }
+  util::Sym3<Real> m2() const {
+    const Real* s = v + core::mom_idx::kM2;
+    return {s[0], s[1], s[2], s[3], s[4], s[5]};
+  }
+  util::Vec3<Real> dm0() const { return vec(core::mom_idx::kDM0); }
+  // ∂γ m1_α and ∂γ m2_c (c in xx,xy,xz,yy,yz,zz order).
+  Real& dm1(int alpha, int gamma) { return v[core::mom_idx::dm1(alpha, gamma)]; }
+  Real dm1(int alpha, int gamma) const { return v[core::mom_idx::dm1(alpha, gamma)]; }
+  Real dm2(int comp, int gamma) const { return v[core::mom_idx::dm2(comp, gamma)]; }
 
   // Adds one neighbor's contribution.  vj: neighbor volume; xij = x_i - x_j.
   void accumulate(Real vj, const util::Vec3<Real>& xij, Real w,
                   const util::Vec3<Real>& gw) {
-    m0 += vj * w;
-    m1 += xij * (vj * w);
-    m2 += util::Sym3<Real>::outer(xij) * (vj * w);
-    dm0 += gw * vj;
+    namespace mi = core::mom_idx;
+    // Symmetric components: (0,0)(0,1)(0,2)(1,1)(1,2)(2,2).
+    constexpr int rows[6] = {0, 0, 0, 1, 1, 2};
+    constexpr int cols[6] = {0, 1, 2, 1, 2, 2};
+    v[mi::kM0] += vj * w;
+    for (int a = 0; a < 3; ++a) v[mi::kM1 + a] += xij[a] * (vj * w);
+    for (int c = 0; c < 6; ++c) v[mi::m2(c)] += xij[rows[c]] * xij[cols[c]] * (vj * w);
+    for (int g = 0; g < 3; ++g) v[mi::kDM0 + g] += gw[g] * vj;
     for (int g = 0; g < 3; ++g) {
       for (int a = 0; a < 3; ++a) {
-        dm1[a][g] += vj * ((a == g ? w : Real(0)) + xij[a] * gw[g]);
+        v[mi::dm1(a, g)] += vj * ((a == g ? w : Real(0)) + xij[a] * gw[g]);
       }
-      // Symmetric components: (0,0)(0,1)(0,2)(1,1)(1,2)(2,2).
-      constexpr int rows[6] = {0, 0, 0, 1, 1, 2};
-      constexpr int cols[6] = {0, 1, 2, 1, 2, 2};
       for (int c = 0; c < 6; ++c) {
         const int a = rows[c], b = cols[c];
-        dm2[c][g] += vj * ((a == g ? xij[b] * w : Real(0)) +
-                           (b == g ? xij[a] * w : Real(0)) + xij[a] * xij[b] * gw[g]);
+        v[mi::dm2(c, g)] += vj * ((a == g ? xij[b] * w : Real(0)) +
+                                  (b == g ? xij[a] * w : Real(0)) +
+                                  xij[a] * xij[b] * gw[g]);
       }
     }
   }
+
+ private:
+  util::Vec3<Real> vec(int k) const { return {v[k], v[k + 1], v[k + 2]}; }
 };
 
 // Solves the linear CRK system.  Falls back to the zeroth-order correction
@@ -64,30 +88,32 @@ template <typename Real>
 inline CrkCoeffs<Real> solve_crk(const CrkMoments<Real>& m) {
   CrkCoeffs<Real> c;
   util::Sym3<Real> m2inv;
-  const bool ok = m.m2.inverse(m2inv);
-  if (!ok || m.m0 <= Real(0)) {
-    if (m.m0 > Real(0)) {
-      c.A = Real(1) / m.m0;
+  const util::Vec3<Real> m1 = m.m1();
+  const util::Vec3<Real> dm0 = m.dm0();
+  const bool ok = m.m2().inverse(m2inv);
+  if (!ok || m.m0() <= Real(0)) {
+    if (m.m0() > Real(0)) {
+      c.A = Real(1) / m.m0();
       const Real a2 = c.A * c.A;
-      c.dA = m.dm0 * (-a2);
+      c.dA = dm0 * (-a2);
     }
     return c;
   }
 
-  c.B = -(m2inv * m.m1);
-  const Real q = m.m0 + dot(c.B, m.m1);
+  c.B = -(m2inv * m1);
+  const Real q = m.m0() + dot(c.B, m1);
   if (q == Real(0)) return c;
   c.A = Real(1) / q;
 
   // ∂γB = -m2^{-1} (∂γ m1 + (∂γ m2) B); ∂γA = -A² (∂γ m0 + ∂γB·m1 + B·∂γ m1).
   for (int g = 0; g < 3; ++g) {
-    const util::Vec3<Real> dm1g{m.dm1[0][g], m.dm1[1][g], m.dm1[2][g]};
-    const util::Sym3<Real> dm2g{m.dm2[0][g], m.dm2[1][g], m.dm2[2][g],
-                                m.dm2[3][g], m.dm2[4][g], m.dm2[5][g]};
+    const util::Vec3<Real> dm1g{m.dm1(0, g), m.dm1(1, g), m.dm1(2, g)};
+    const util::Sym3<Real> dm2g{m.dm2(0, g), m.dm2(1, g), m.dm2(2, g),
+                                m.dm2(3, g), m.dm2(4, g), m.dm2(5, g)};
     const util::Vec3<Real> rhs = dm1g + dm2g * c.B;
     const util::Vec3<Real> dBg = -(m2inv * rhs);
     for (int a = 0; a < 3; ++a) c.dB[a][g] = dBg[a];
-    c.dA[g] = -c.A * c.A * (m.dm0[g] + dot(dBg, m.m1) + dot(c.B, dm1g));
+    c.dA[g] = -c.A * c.A * (dm0[g] + dot(dBg, m1) + dot(c.B, dm1g));
   }
   return c;
 }

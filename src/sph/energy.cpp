@@ -13,10 +13,6 @@ struct EnergyTraits {
   using State = HydroState;
   struct Accum {
     float du = 0.f;
-    Accum& operator+=(const Accum& o) {
-      du += o.du;
-      return *this;
-    }
   };
   static constexpr int kAccumWords = 1;
 
@@ -27,8 +23,12 @@ struct EnergyTraits {
 
   State load(std::int32_t i) const { return load_hydro_state(*p, i); }
 
-  Accum interact(const State& own, const State& other) const {
-    return {energy_term(to_side(own), to_side(other), box, visc)};
+  bool reaches(const State& own, const State& other) const {
+    return reaches_pair_support(own, other, box);
+  }
+
+  void accumulate(Accum& a, const State& own, const State& other) const {
+    a.du += energy_term(to_side(own), to_side(other), box, visc);
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {

@@ -14,11 +14,6 @@ struct ExtrasTraits {
   struct Accum {
     float rho = 0.f;
     float dv[9] = {};
-    Accum& operator+=(const Accum& o) {
-      rho += o.rho;
-      for (int k = 0; k < 9; ++k) dv[k] += o.dv[k];
-      return *this;
-    }
   };
   static constexpr int kAccumWords = 10;
 
@@ -31,14 +26,16 @@ struct ExtrasTraits {
   // plain load of p->rho here would race the atomic commits below.
   State load(std::int32_t i) const { return load_extras_state(*p, i); }
 
-  Accum interact(const State& own, const State& other) const {
+  bool reaches(const State& own, const State& other) const {
+    return reaches_own_support(own, other, box);
+  }
+
+  void accumulate(Accum& a, const State& own, const State& other) const {
     const auto term = extras_term(to_side(own), to_side(other), box);
-    Accum a;
-    a.rho = term.rho;
+    a.rho += term.rho;
     for (int r = 0; r < 3; ++r) {
-      for (int c = 0; c < 3; ++c) a.dv[3 * r + c] = term.dv[r][c];
+      for (int c = 0; c < 3; ++c) a.dv[3 * r + c] += term.dv[r][c];
     }
-    return a;
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {

@@ -13,10 +13,6 @@ struct GeometryTraits {
   using State = GeoState;
   struct Accum {
     float m0 = 0.f;
-    Accum& operator+=(const Accum& o) {
-      m0 += o.m0;
-      return *this;
-    }
   };
   static constexpr int kAccumWords = 1;
 
@@ -26,8 +22,12 @@ struct GeometryTraits {
 
   State load(std::int32_t i) const { return load_geo_state(*p, i); }
 
-  Accum interact(const State& own, const State& other) const {
-    return {geometry_term(to_side(own), to_side(other), box)};
+  bool reaches(const State& own, const State& other) const {
+    return reaches_own_support(own, other, box);
+  }
+
+  void accumulate(Accum& a, const State& own, const State& other) const {
+    a.m0 += geometry_term(to_side(own), to_side(other), box);
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {

@@ -22,13 +22,22 @@
 
 namespace hacc::sph {
 
-// Traits contract (see geometry.hpp etc. for implementations):
+// Traits contract (see geometry.cpp etc. for implementations):
 //   using State;                       // trivially copyable, 4-byte multiple
-//   using Accum;                       // default-zero, operator+=
+//   using Accum;                       // value-initializes to zero
 //   static constexpr int kAccumWords;  // floats committed per particle
 //   State load(std::int32_t i) const;
-//   Accum interact(const State& own, const State& other) const;
+//   // False only where the pair term of `own` with `other` is exactly zero.
+//   bool reaches(const State& own, const State& other) const;
+//   // Adds the pair term to `acc`; called only for pairs that reach.
+//   void accumulate(Accum& acc, const State& own, const State& other) const;
 //   void commit(xsycl::SubGroup&, std::int32_t idx, const Accum&) const;
+//
+// Skipping a pair that does not reach adds nothing to an accumulator that
+// started at +0, so culling leaves every result bit unchanged.  The op
+// counters model the GPU, which evaluates every candidate lane pair: each
+// one counts as an interaction, reached or not, and every exchange round is
+// charged in full even where the CPU reads the partner lane in place.
 
 template <typename Traits>
 class PairInteractionKernel {
@@ -93,6 +102,15 @@ class PairInteractionKernel {
     sg.counters().global_loads += static_cast<std::uint64_t>(width);
   }
 
+  // Adds the term of `own` with `other` to `acc` and counts the candidate
+  // pair, unless `other` is an empty lane or `own` itself.
+  void add_pair(std::uint64_t& interactions, Accum& acc, const State& own,
+                const State& other) const {
+    if (!other.valid || other.idx == own.idx) return;
+    ++interactions;
+    if (traits_.reaches(own, other)) traits_.accumulate(acc, own, other);
+  }
+
   void run_exchange(xsycl::SubGroup& sg, const tree::LeafPair& lp) const {
     const int S = sg.size();
     const int H = S / 2;
@@ -101,12 +119,21 @@ class PairInteractionKernel {
     const bool self = lp.a == lp.b;
     const int tiles_a = ceil_div(la.count(), H);
     const int tiles_b = ceil_div(lb.count(), H);
+    // Select and vISA read the partner lane of `mine` in place; the SLM
+    // variants round-trip it through local memory into `theirs`.
+    const bool in_place = xsycl::permutes_registers(variant_);
+
+    // Lane registers, shared by every tile: each tile rewrites lanes [0, S)
+    // before reading them.
+    xsycl::Varying<State> mine;
+    xsycl::Varying<State> theirs;
+    xsycl::Varying<bool> active;
+    xsycl::Varying<std::int32_t> idx;
+    xsycl::Varying<Accum> acc;
+    std::uint64_t interactions = 0;
 
     for (int ta = 0; ta < tiles_a; ++ta) {
       for (int tb = self ? ta : 0; tb < tiles_b; ++tb) {
-        xsycl::Varying<State> mine;
-        xsycl::Varying<bool> active;
-        xsycl::Varying<std::int32_t> idx;
         load_tile(sg, la, la.begin + ta * H, /*lane0=*/0, H, mine, active, idx);
         load_tile(sg, lb, lb.begin + tb * H, /*lane0=*/H, H, mine, active, idx);
         if (self && ta == tb) {
@@ -115,16 +142,19 @@ class PairInteractionKernel {
           // exchange source and must not accumulate or commit.
           for (int l = H; l < S; ++l) active[l] = false;
         }
+        for (int l = 0; l < S; ++l) acc[l] = Accum{};
 
-        xsycl::Varying<Accum> acc;
         for (int r = 0; r < H; ++r) {
-          const auto theirs = xsycl::exchange(sg, mine, r, variant_);
+          if (in_place) {
+            xsycl::charge_register_exchange(sg, variant_, sizeof(State));
+          } else {
+            xsycl::exchange(sg, mine, r, variant_, theirs);
+          }
           for (int l = 0; l < S; ++l) {
             if (!active[l]) continue;
-            const State& other = theirs[l];
-            if (!other.valid || other.idx == mine[l].idx) continue;
-            acc[l] += traits_.interact(mine[l], other);
-            ++sg.counters().interactions;
+            const State& other =
+                in_place ? mine[xsycl::partner_lane(variant_, l, r, S)] : theirs[l];
+            add_pair(interactions, acc[l], mine[l], other);
           }
         }
         for (int l = 0; l < S; ++l) {
@@ -132,6 +162,7 @@ class PairInteractionKernel {
         }
       }
     }
+    sg.counters().interactions += interactions;
   }
 
   void run_broadcast(xsycl::SubGroup& sg, const tree::LeafPair& lp) const {
@@ -142,18 +173,18 @@ class PairInteractionKernel {
     const int tiles_a = ceil_div(la.count(), S);
     const int tiles_b = ceil_div(lb.count(), S);
 
+    xsycl::Varying<State> mine, bstate;
+    xsycl::Varying<bool> active, bactive;
+    xsycl::Varying<std::int32_t> idx, bidx;
+    xsycl::Varying<Accum> acc;
+    std::uint64_t interactions = 0;
+
     for (int ta = 0; ta < tiles_a; ++ta) {
       // Every lane owns one A-particle (loads BOTH interaction sides, §5.3.2).
-      xsycl::Varying<State> mine;
-      xsycl::Varying<bool> active;
-      xsycl::Varying<std::int32_t> idx;
       load_tile(sg, la, la.begin + ta * S, 0, S, mine, active, idx);
+      for (int l = 0; l < S; ++l) acc[l] = Accum{};
 
-      xsycl::Varying<Accum> acc;
       for (int tb = 0; tb < tiles_b; ++tb) {
-        xsycl::Varying<State> bstate;
-        xsycl::Varying<bool> bactive;
-        xsycl::Varying<std::int32_t> bidx;
         load_tile(sg, lb, lb.begin + tb * S, 0, S, bstate, bactive, bidx);
 
         const int bwidth = std::min(S, lb.end - (lb.begin + tb * S));
@@ -162,22 +193,16 @@ class PairInteractionKernel {
           if (!other.valid) continue;
           // Contribution to each lane's own particle.
           for (int l = 0; l < S; ++l) {
-            if (!active[l] || other.idx == mine[l].idx) continue;
-            acc[l] += traits_.interact(mine[l], other);
-            ++sg.counters().interactions;
+            if (active[l]) add_pair(interactions, acc[l], mine[l], other);
           }
           if (!self) {
             // Redundantly compute the mirrored contribution (j, i) on every
             // lane, combine with a reduction, and issue ONE atomic commit.
-            xsycl::Varying<Accum> jacc;
+            // The lanes' terms are summed in lane order, as the reduction
+            // adds them.
+            Accum sum{};
             for (int l = 0; l < S; ++l) {
-              if (!active[l] || other.idx == mine[l].idx) continue;
-              jacc[l] = traits_.interact(other, mine[l]);
-              ++sg.counters().interactions;
-            }
-            Accum sum;
-            for (int l = 0; l < S; ++l) {
-              if (active[l]) sum += jacc[l];
+              if (active[l]) add_pair(interactions, sum, other, mine[l]);
             }
             sg.counters().reduce_ops += Traits::kAccumWords;
             traits_.commit(sg, other.idx, sum);
@@ -188,6 +213,7 @@ class PairInteractionKernel {
         if (active[l]) traits_.commit(sg, idx[l], acc[l]);
       }
     }
+    sg.counters().interactions += interactions;
   }
 
   std::string name_;

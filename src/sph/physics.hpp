@@ -13,9 +13,12 @@
 // with ΔΓ_ij = ½(∇WR_ij - ∇WR_ji) antisymmetric, so momentum is conserved
 // pair-wise and total energy is conserved exactly in the flat-space limit.
 
+#include <algorithm>
+
 #include "sph/crk.hpp"
 #include "sph/eos.hpp"
 #include "sph/kernel.hpp"
+#include "util/periodic.hpp"
 #include "util/vec3.hpp"
 
 namespace hacc::sph {
@@ -37,11 +40,24 @@ struct HydroSide {
   CrkCoeffs<Real> crk;
 };
 
-// Minimum-image displacement in a periodic box.
+using util::min_image;
+
+// ---- Support tests ----
+// Each is false only where its kernels' pair term is exactly zero, so the
+// pair harness may skip such pairs without changing a bit of the result.
+
+// Geometry, Corrections and Extras: zero unless x_j lies inside i's own
+// support, kernel_w's q = r / h_i < 2.
 template <typename Real>
-inline util::Vec3<Real> min_image(util::Vec3<Real> d, Real box) {
-  for (int a = 0; a < 3; ++a) d[a] -= box * std::round(d[a] / box);
-  return d;
+inline bool in_own_support(Real r, Real hi) {
+  return r / hi < Real(kSupport);
+}
+
+// Acceleration and Energy: zero unless 0 < r < 2 max(h_i, h_j).
+template <typename Real>
+inline bool in_pair_support(Real r, Real hi, Real hj) {
+  const Real support = kSupport * std::max(hi, hj);
+  return !(r <= Real(0) || r >= support);
 }
 
 // ---- Geometry ----
@@ -67,8 +83,8 @@ inline void corrections_term(CrkMoments<Real>& m, const HydroSide<Real>& own,
 template <typename Real>
 inline void corrections_self(CrkMoments<Real>& m, Real vi, Real hi) {
   const Real w0 = kernel_self(hi);
-  m.m0 += vi * w0;
-  for (int a = 0; a < 3; ++a) m.dm1[a][a] += vi * w0;
+  m.m0() += vi * w0;
+  for (int a = 0; a < 3; ++a) m.dm1(a, a) += vi * w0;
 }
 
 // ---- Extras ----
@@ -141,8 +157,7 @@ inline AccelTerm<Real> accel_term(const HydroSide<Real>& own,
   AccelTerm<Real> out;
   const auto xij = min_image(own.pos - other.pos, box);
   const Real r = norm(xij);
-  const Real support = kSupport * std::max(own.h, other.h);
-  if (r <= Real(0) || r >= support) return out;
+  if (!in_pair_support(r, own.h, other.h)) return out;
   const auto dg = delta_gamma(own, other, xij, r);
   const Real q = viscosity_q(own, other, xij, r, vp);
   const Real coef = -(own.V * other.V / own.mass) * (own.P + other.P + q);
@@ -158,8 +173,7 @@ inline Real energy_term(const HydroSide<Real>& own, const HydroSide<Real>& other
                         Real box, const ViscosityParams<Real>& vp) {
   const auto xij = min_image(own.pos - other.pos, box);
   const Real r = norm(xij);
-  const Real support = kSupport * std::max(own.h, other.h);
-  if (r <= Real(0) || r >= support) return Real(0);
+  if (!in_pair_support(r, own.h, other.h)) return Real(0);
   const auto dg = delta_gamma(own, other, xij, r);
   const Real q = viscosity_q(own, other, xij, r, vp);
   const Real coef = (own.V * other.V / (Real(2) * own.mass)) * (own.P + other.P + q);

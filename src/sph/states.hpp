@@ -86,7 +86,27 @@ inline HydroState load_extras_state(const core::ParticleSet& p, std::int32_t i) 
   return s;
 }
 
-// ---- Conversions to the templated physics side ----
+// ---- Pair geometry and conversions to the templated physics side ----
+
+// Minimum-image x_own - x_other of any lane state with a position, computed
+// as the pair terms compute it.
+template <typename State>
+inline util::Vec3<float> separation(const State& own, const State& other, float box) {
+  return min_image(util::Vec3<float>{own.px, own.py, own.pz} -
+                       util::Vec3<float>{other.px, other.py, other.pz},
+                   box);
+}
+
+// The harness's cull tests on lane states (see physics.hpp).
+template <typename State>
+inline bool reaches_own_support(const State& own, const State& other, float box) {
+  return in_own_support(norm(separation(own, other, box)), own.h);
+}
+
+template <typename State>
+inline bool reaches_pair_support(const State& own, const State& other, float box) {
+  return in_pair_support(norm(separation(own, other, box)), own.h, other.h);
+}
 
 inline HydroSide<float> to_side(const GeoState& s) {
   HydroSide<float> out;

@@ -6,6 +6,7 @@
 // only in how partner state crosses lanes.
 
 #include <array>
+#include <stdexcept>
 #include <string>
 
 #include "xsycl/group_algorithms.hpp"
@@ -49,18 +50,36 @@ inline int partner_lane(CommVariant v, int lane, int round, int sg_size) {
                                  : xor_partner(lane, round, sg_size);
 }
 
-// Dispatch of the partner-state exchange for the four exchange variants.
+// Dispatch of the partner-state exchange for the four exchange variants:
+// out[l] receives the state of partner_lane(v, l, round).  kBroadcast
+// restructures the loop instead and throws std::logic_error here.
 template <typename T>
-inline Varying<T> exchange(SubGroup& sg, const Varying<T>& x, int round, CommVariant v) {
+inline void exchange(SubGroup& sg, const Varying<T>& x, int round, CommVariant v,
+                     Varying<T>& out) {
   switch (v) {
-    case CommVariant::kSelect: return exchange_select(sg, x, round);
-    case CommVariant::kMemory32: return exchange_local32(sg, x, round);
-    case CommVariant::kMemoryObject: return exchange_local_object(sg, x, round);
-    case CommVariant::kVISA: return exchange_visa(sg, x, round);
-    case CommVariant::kBroadcast: break;  // restructured loop; no exchange
+    case CommVariant::kSelect: return exchange_select(sg, x, round, out);
+    case CommVariant::kMemory32: return exchange_local32(sg, x, round, out);
+    case CommVariant::kMemoryObject: return exchange_local_object(sg, x, round, out);
+    case CommVariant::kVISA: return exchange_visa(sg, x, round, out);
+    case CommVariant::kBroadcast: break;
   }
-  assert(false && "kBroadcast kernels do not call exchange()");
-  return x;
+  throw std::logic_error("exchange(): the Broadcast variant does not exchange lanes");
+}
+
+// Select and vISA permute lane registers, so the CPU emulation can read
+// x[partner_lane(v, l, round)] in place instead of copying every lane.
+inline bool permutes_registers(CommVariant v) {
+  return v == CommVariant::kSelect || v == CommVariant::kVISA;
+}
+
+// Charges one in-place round of a register-permute variant: exactly the
+// counters exchange() charges for it.
+inline void charge_register_exchange(SubGroup& sg, CommVariant v, std::size_t obj_bytes) {
+  if (v == CommVariant::kVISA) {
+    charge_butterfly(sg, obj_bytes);
+  } else {
+    charge_select(sg, obj_bytes);
+  }
 }
 
 // Local-memory bytes one sub-group needs to exchange objects of `obj_bytes`

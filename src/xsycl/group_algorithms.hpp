@@ -15,6 +15,22 @@
 
 namespace hacc::xsycl {
 
+// 32-bit words one lane register of `obj_bytes` occupies.
+inline std::uint64_t words_of(std::size_t obj_bytes) { return (obj_bytes + 3) / 4; }
+
+// Counter charge of one sycl::select_from_group over `obj_bytes` objects.
+inline void charge_select(SubGroup& sg, std::size_t obj_bytes) {
+  ++sg.counters().select_ops;
+  sg.counters().select_words += static_cast<std::uint64_t>(sg.size()) * words_of(obj_bytes);
+}
+
+// Counter charge of one specialized vISA butterfly shuffle: the Intel model
+// prices it at ~4 movs per register moved (paper Fig. 8).
+inline void charge_butterfly(SubGroup& sg, std::size_t obj_bytes) {
+  sg.counters().butterfly_words +=
+      static_cast<std::uint64_t>(sg.size()) * words_of(obj_bytes);
+}
+
 // Generic permutation: out[l] = x[src[l]].  Models sycl::select_from_group,
 // which compiles to indirect register access when the pattern is not known
 // at compile time (paper Fig. 5).
@@ -23,9 +39,7 @@ inline Varying<T> select_from_group(SubGroup& sg, const Varying<T>& x,
                                     const Varying<std::int32_t>& src) {
   Varying<T> out;
   for (int l = 0; l < sg.size(); ++l) out[l] = x[src[l] & (sg.size() - 1)];
-  ++sg.counters().select_ops;
-  sg.counters().select_words +=
-      static_cast<std::uint64_t>(sg.size()) * ((sizeof(T) + 3) / 4);
+  charge_select(sg, sizeof(T));
   return out;
 }
 
@@ -112,33 +126,31 @@ inline int butterfly_partner(int lane, int round, int sg_size) {
   return ((lane - h) - round % h + h) % h;
 }
 
-// Exchange via the XOR schedule using select_from_group (the Select variant).
+// The exchanges below write lane l's partner state to out[l]; `out` is a
+// caller-owned register the caller can reuse across rounds.
+
+// Exchange via the XOR schedule, priced as one select_from_group (the Select
+// variant).
 template <typename T>
-inline Varying<T> exchange_select(SubGroup& sg, const Varying<T>& x, int round) {
-  Varying<std::int32_t> src;
-  for (int l = 0; l < sg.size(); ++l) src[l] = xor_partner(l, round, sg.size());
-  return select_from_group(sg, x, src);
+inline void exchange_select(SubGroup& sg, const Varying<T>& x, int round, Varying<T>& out) {
+  for (int l = 0; l < sg.size(); ++l) out[l] = x[xor_partner(l, round, sg.size())];
+  charge_select(sg, sizeof(T));
 }
 
 // Exchange via the butterfly schedule priced as the 4-mov vISA sequence
-// (paper Fig. 8).  Functionally a permutation; the counter records words so
-// the Intel model can price it at ~4 movs per register.
+// (paper Fig. 8).
 template <typename T>
-inline Varying<T> exchange_visa(SubGroup& sg, const Varying<T>& x, int round) {
-  Varying<T> out;
+inline void exchange_visa(SubGroup& sg, const Varying<T>& x, int round, Varying<T>& out) {
   for (int l = 0; l < sg.size(); ++l) out[l] = x[butterfly_partner(l, round, sg.size())];
-  sg.counters().butterfly_words +=
-      static_cast<std::uint64_t>(sg.size()) * ((sizeof(T) + 3) / 4);
-  return out;
+  charge_butterfly(sg, sizeof(T));
 }
 
 // Exchange through work-group local memory, one 32-bit word at a time
 // (the "Memory, 32-bit" variant).  Each word: write, barrier, read.
 template <typename T>
-inline Varying<T> exchange_local32(SubGroup& sg, const Varying<T>& x, int round) {
+inline void exchange_local32(SubGroup& sg, const Varying<T>& x, int round, Varying<T>& out) {
   static_assert(sizeof(T) % 4 == 0, "exchanged objects must be 4-byte multiples");
   const int words = static_cast<int>(sizeof(T) / 4);
-  Varying<T> out;
   auto slm = sg.local();
   assert(slm.size() >= sizeof(std::uint32_t) * static_cast<std::size_t>(sg.size()));
   auto* word_buf = reinterpret_cast<std::uint32_t*>(slm.data());
@@ -156,15 +168,14 @@ inline Varying<T> exchange_local32(SubGroup& sg, const Varying<T>& x, int round)
     }
     sg.counters().local32_words += static_cast<std::uint64_t>(sg.size());
   }
-  return out;
 }
 
 // Exchange through local memory as whole objects ("Memory, Object"): one
 // write, one barrier, one read, at the price of a larger SLM footprint
 // (the launch wrapper sizes the arena from the largest exchanged object).
 template <typename T>
-inline Varying<T> exchange_local_object(SubGroup& sg, const Varying<T>& x, int round) {
-  Varying<T> out;
+inline void exchange_local_object(SubGroup& sg, const Varying<T>& x, int round,
+                                  Varying<T>& out) {
   auto slm = sg.local();
   assert(slm.size() >= sizeof(T) * static_cast<std::size_t>(sg.size()));
   auto* obj_buf = reinterpret_cast<T*>(slm.data());
@@ -173,7 +184,6 @@ inline Varying<T> exchange_local_object(SubGroup& sg, const Varying<T>& x, int r
   ++sg.counters().localobj_barriers;
   for (int l = 0; l < sg.size(); ++l) out[l] = obj_buf[xor_partner(l, round, sg.size())];
   sg.counters().localobj_bytes += static_cast<std::uint64_t>(sg.size()) * sizeof(T);
-  return out;
 }
 
 }  // namespace hacc::xsycl

@@ -173,6 +173,47 @@ TEST_F(RunnerTest, AdaptiveCosmologyBoxRunsEndToEndAndRestartsIdentically) {
   expect_bitwise_equal(restarted.solver().dm(), full.solver().dm(), "dm");
 }
 
+TEST_F(RunnerTest, FixedModeOutputAtZFinalFiresOnceAcrossRestart) {
+  // Fixed-mode steps sum Δa to just below a_final (14 steps from z = 200
+  // end at a = 0.09090909090909088 < 1/11), so an output at z_final fires
+  // only under the stepper's arrival tolerance.
+  Scenario s;
+  ASSERT_TRUE(find_scenario("cosmology-box", s));
+  s.sim.np_side = 6;
+  s.sim.n_steps = 14;
+  s.run.stepping.mode = StepMode::kFixed;
+  s.run.outputs_z = {s.sim.z_final};
+  s.run.checkpoint_path = temp_path("fixed_box");
+  s.run.checkpoint_every = 7;
+  s.run.checkpoint_final = false;
+
+  ScenarioRunner full(s.sim, s.run, test_pool());
+  const RunResult full_result = full.run();
+  ASSERT_EQ(full_result.steps, 14);
+  ASSERT_EQ(full_result.outputs.size(), 1u) << "z_final output";
+  EXPECT_EQ(full_result.outputs[0].step, 14);
+  ASSERT_EQ(full_result.checkpoint_files.size(), 2u);
+
+  RunOptions resume = s.run;
+  resume.checkpoint_path.clear();
+  resume.checkpoint_every = 0;
+
+  // Resumed from step 7: the output fires once, in the resumed part.
+  resume.restart_from = full_result.checkpoint_files[0];
+  ScenarioRunner mid(s.sim, resume, test_pool());
+  const RunResult mid_result = mid.run();
+  EXPECT_EQ(mid_result.steps, 7);
+  ASSERT_EQ(mid_result.outputs.size(), 1u);
+  EXPECT_EQ(mid_result.outputs[0].step, 14);
+
+  // Resumed from the final state: the output already fired.
+  resume.restart_from = full_result.checkpoint_files[1];
+  ScenarioRunner last(s.sim, resume, test_pool());
+  const RunResult last_result = last.run();
+  EXPECT_EQ(last_result.steps, 0);
+  EXPECT_TRUE(last_result.outputs.empty());
+}
+
 TEST_F(RunnerTest, RestartRejectsMismatchedConfig) {
   Scenario s;
   ASSERT_TRUE(find_scenario("paper-benchmark", s));

@@ -174,9 +174,9 @@ TEST(CrkSolve, SingularMomentsFallBackToZerothOrder) {
     const double r = norm(xij);
     m.accumulate(0.1, xij, kernel_w(r, h), kernel_grad(xij, r, h));
   }
-  m.m0 += 0.1 * kernel_self(h);
+  m.m0() += 0.1 * kernel_self(h);
   const auto c = solve_crk(m);
-  EXPECT_NEAR(c.A, 1.0 / m.m0, 1e-12);
+  EXPECT_NEAR(c.A, 1.0 / m.m0(), 1e-12);
   EXPECT_EQ(norm(c.B), 0.0);
 }
 

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <sstream>
 
 #include "gas_fixture.hpp"
+#include "gravity/pp_short.hpp"
 #include "sph/pipeline.hpp"
 #include "sph/reference.hpp"
 
@@ -201,6 +204,106 @@ TEST(VariantCounters, VariantSpecificTrafficRecorded) {
   EXPECT_GT(bro.reduce_ops, 0u);
   const auto visa = counters_for(CommVariant::kVISA);
   EXPECT_GT(visa.butterfly_words, 0u);
+}
+
+
+// ---- Op-counter snapshot ----
+//
+// The OpCounters are the inputs of the platform cost model behind the
+// variant-affinity figures (bench_fig09-13), so how the CPU emulation moves
+// partner state must never change what it reports.  This pins every counter
+// of the five SPH kernels and short-range P-P, per variant and sub-group
+// size, on a fixed lattice.  A mismatch prints the measured row in the
+// table's own format.
+
+using CounterRow = std::array<std::uint64_t, 21>;
+
+struct SnapshotRow {
+  const char* variant;
+  int sg_size;
+  const char* kernel;
+  CounterRow counts;
+};
+
+// In OpCounters declaration order.
+CounterRow counter_row(const xsycl::OpCounters& c) {
+  return {c.select_ops,     c.select_words,      c.local32_words,  c.local32_barriers,
+          c.localobj_bytes, c.localobj_barriers, c.broadcast_ops,  c.butterfly_words,
+          c.shift_ops,      c.reduce_ops,        c.barriers,       c.atomic_f32_add,
+          c.atomic_f32_minmax, c.atomic_i32,     c.interactions,   c.m2p_ops,
+          c.lanes_launched, c.sub_groups,        c.work_groups,    c.global_loads,
+          c.global_stores};
+}
+
+constexpr SnapshotRow kCounterSnapshot[] = {
+#include "op_counter_snapshot.inc"
+};
+
+// Per-kernel counters of one hydro pipeline plus one P-P launch on the
+// small_gas_options() lattice.
+std::vector<std::pair<std::string, xsycl::OpCounters>> measured_counters(CommVariant v,
+                                                                         int sg_size) {
+  const auto opt = small_gas_options();
+  core::ParticleSet p = make_gas(opt);
+  util::ThreadPool pool(2);
+  xsycl::Queue q(pool);
+  run_hydro_pipeline(q, p, pipeline_options(v, sg_size));
+
+  std::vector<util::Vec3d> pos(p.size());
+  for (std::size_t i = 0; i < p.size(); ++i) pos[i] = {p.x[i], p.y[i], p.z[i]};
+  const gravity::PolyShortForce poly(0.06, 0.24);
+  const tree::RcbTree tr(pos, opt.box, 16);
+  const auto pairs = tr.interacting_pairs(poly.r_cut());
+  std::vector<float> ax(p.size(), 0.f), ay(p.size(), 0.f), az(p.size(), 0.f);
+  gravity::PpOptions pp;
+  pp.box = float(opt.box);
+  pp.softening = 0.01f;
+  pp.variant = v;
+  pp.launch.sub_group_size = sg_size;
+  gravity::run_pp_short(q, {p.x.data(), p.y.data(), p.z.data(), p.mass.data(), ax.data(),
+                            ay.data(), az.data(), p.size()},
+                        tr, pairs, poly, pp);
+  return q.aggregate_by_kernel();
+}
+
+class OpCounterSnapshot
+    : public ::testing::TestWithParam<std::tuple<CommVariant, int>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariantsAllSgSizes, OpCounterSnapshot,
+    ::testing::Combine(::testing::ValuesIn(xsycl::kAllVariants),
+                       ::testing::Values(16, 32, 64)),
+    [](const auto& info) {
+      std::string v = to_string(std::get<0>(info.param));
+      for (char& c : v) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return v + "_sg" + std::to_string(std::get<1>(info.param));
+    });
+
+TEST_P(OpCounterSnapshot, MatchesRecordedCounts) {
+  const auto [variant, sg_size] = GetParam();
+  const auto measured = measured_counters(variant, sg_size);
+  ASSERT_EQ(measured.size(), 6u);
+  for (const auto& [kernel, ops] : measured) {
+    const CounterRow got = counter_row(ops);
+    std::ostringstream row;
+    row << "{\"" << to_string(variant) << "\", " << sg_size << ", \"" << kernel << "\", {";
+    for (std::size_t k = 0; k < got.size(); ++k) row << (k ? ", " : "") << got[k];
+    row << "}},";
+    const SnapshotRow* want = nullptr;
+    for (const auto& r : kCounterSnapshot) {
+      if (r.variant == std::string(to_string(variant)) && r.sg_size == sg_size &&
+          r.kernel == kernel) {
+        want = &r;
+      }
+    }
+    if (want == nullptr) {
+      ADD_FAILURE() << "no snapshot row; measured:\n" << row.str();
+    } else {
+      EXPECT_EQ(got, want->counts) << "measured:\n" << row.str();
+    }
+  }
 }
 
 }  // namespace

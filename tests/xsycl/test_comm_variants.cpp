@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include "test_helpers.hpp"
@@ -43,7 +44,8 @@ TEST_P(CommVariants, ExchangeDeliversPartnerState) {
                0.f};
   }
   for (int r = 0; r < S / 2; ++r) {
-    const auto theirs = exchange(ctx.sg, mine, r, variant);
+    Varying<State> theirs;
+    exchange(ctx.sg, mine, r, variant, theirs);
     for (int l = 0; l < S; ++l) {
       const int p = partner_lane(variant, l, r, S);
       ASSERT_EQ(theirs[l].pos[0], float(p));
@@ -78,8 +80,8 @@ TEST_P(CommVariants, AllCrossHalfPairsCoveredExactlyOnce) {
 TEST_P(CommVariants, OnlyTheExpectedCountersMove) {
   const auto [variant, S] = GetParam();
   StandaloneSubGroup ctx(S, 64 * kMaxLanes);
-  Varying<float> x;
-  (void)exchange(ctx.sg, x, 0, variant);
+  Varying<float> x, out;
+  exchange(ctx.sg, x, 0, variant, out);
   const auto& c = ctx.counters;
   switch (variant) {
     case CommVariant::kSelect:
@@ -103,6 +105,39 @@ TEST_P(CommVariants, OnlyTheExpectedCountersMove) {
     case CommVariant::kBroadcast:
       break;
   }
+}
+
+TEST(CommVariantExchange, InPlaceChargeMatchesExchange) {
+  // The pair harness reads Select/vISA partners in place and charges the
+  // round with charge_register_exchange; the cost model must see the same
+  // counts as a real exchange of the same object.
+  struct Obj {
+    float w[30];
+  };
+  for (const auto variant : {CommVariant::kSelect, CommVariant::kVISA}) {
+    ASSERT_TRUE(permutes_registers(variant));
+    for (const int S : {16, 32, 64}) {
+      StandaloneSubGroup exchanged(S), charged(S);
+      Varying<Obj> x, out;
+      exchange(exchanged.sg, x, 1, variant, out);
+      charge_register_exchange(charged.sg, variant, sizeof(Obj));
+      EXPECT_EQ(charged.counters.select_ops, exchanged.counters.select_ops);
+      EXPECT_EQ(charged.counters.select_words, exchanged.counters.select_words);
+      EXPECT_EQ(charged.counters.butterfly_words, exchanged.counters.butterfly_words);
+      EXPECT_EQ(charged.counters.summary(), exchanged.counters.summary());
+    }
+  }
+  EXPECT_FALSE(permutes_registers(CommVariant::kMemory32));
+  EXPECT_FALSE(permutes_registers(CommVariant::kMemoryObject));
+}
+
+TEST(CommVariantExchange, BroadcastThrowsInEveryBuild) {
+  // Broadcast restructures the loop instead of exchanging; a call that
+  // reached exchange() used to return the lanes unexchanged under NDEBUG.
+  StandaloneSubGroup ctx(16);
+  Varying<float> x, out;
+  EXPECT_THROW(exchange(ctx.sg, x, 0, CommVariant::kBroadcast, out), std::logic_error);
+  EXPECT_EQ(ctx.counters.summary(), OpCounters{}.summary());
 }
 
 TEST(CommVariantNames, RoundTripThroughStrings) {

@@ -159,7 +159,8 @@ TEST_P(GroupAlgorithms, ExchangeSelectMatchesXorSchedule) {
   StandaloneSubGroup ctx(S);
   const auto x = iota_lanes(S);
   for (int r = 0; r < S / 2; ++r) {
-    const auto out = exchange_select(ctx.sg, x, r);
+    Varying<int> out;
+    exchange_select(ctx.sg, x, r, out);
     for (int l = 0; l < S; ++l) ASSERT_EQ(out[l], 100 + xor_partner(l, r, S));
   }
 }
@@ -169,7 +170,8 @@ TEST_P(GroupAlgorithms, ExchangeVisaMatchesButterflySchedule) {
   StandaloneSubGroup ctx(S);
   const auto x = iota_lanes(S);
   for (int r = 0; r < S / 2; ++r) {
-    const auto out = exchange_visa(ctx.sg, x, r);
+    Varying<int> out;
+    exchange_visa(ctx.sg, x, r, out);
     for (int l = 0; l < S; ++l) ASSERT_EQ(out[l], 100 + butterfly_partner(l, r, S));
   }
   EXPECT_GT(ctx.counters.butterfly_words, 0u);
@@ -185,8 +187,9 @@ TEST_P(GroupAlgorithms, LocalMemoryExchangesMatchSelect) {
   Varying<Obj> x;
   for (int l = 0; l < S; ++l) x[l] = {float(l), float(10 * l), float(l * l)};
   for (int r = 0; r < S / 2; ++r) {
-    const auto via32 = exchange_local32(ctx.sg, x, r);
-    const auto viaobj = exchange_local_object(ctx.sg, x, r);
+    Varying<Obj> via32, viaobj;
+    exchange_local32(ctx.sg, x, r, via32);
+    exchange_local_object(ctx.sg, x, r, viaobj);
     for (int l = 0; l < S; ++l) {
       const int p = xor_partner(l, r, S);
       ASSERT_EQ(via32[l].a, float(p));

@@ -63,7 +63,8 @@ struct LocalMemKernel {
     // sub-groups in the same work-group must not interfere.
     Varying<float> mine;
     for (int l = 0; l < sg.size(); ++l) mine[l] = float(sg.index() * 100 + l);
-    const auto theirs = exchange_local_object(sg, mine, 1);
+    Varying<float> theirs;
+    exchange_local_object(sg, mine, 1, theirs);
     for (int l = 0; l < sg.size(); ++l) {
       const float expect = float(sg.index() * 100 + xor_partner(l, 1, sg.size()));
       if (theirs[l] != expect) errors->fetch_add(1);
