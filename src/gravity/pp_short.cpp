@@ -3,64 +3,9 @@
 #include <cmath>
 
 #include "sph/half_warp.hpp"
-#include "sph/states.hpp"
 #include "util/periodic.hpp"
-#include "xsycl/atomic.hpp"
 
 namespace hacc::gravity {
-
-namespace {
-
-struct GravState {
-  float px, py, pz;
-  float mass;
-  std::int32_t idx;
-  std::int32_t valid;
-};
-static_assert(sizeof(GravState) == 24);
-
-struct GravityTraits {
-  using State = GravState;
-  struct Accum {
-    float fx = 0.f, fy = 0.f, fz = 0.f;
-  };
-  static constexpr int kAccumWords = 3;
-
-  GravityArrays arrays;
-  const PolyShortForce* poly;
-  float box;
-  float G;
-  float eps2;
-  float rcut2;
-
-  State load(std::int32_t i) const {
-    return {arrays.x[i], arrays.y[i], arrays.z[i], arrays.mass[i], i, 1};
-  }
-
-  // Zero outside 0 < r² < r_cut².
-  bool reaches(const State& own, const State& other) const {
-    const float r2 = norm2(sph::separation(own, other, box));
-    return !(r2 >= rcut2 || r2 <= 0.f);
-  }
-
-  // Only called for pairs that reach.
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    const util::Vec3<float> d = sph::separation(own, other, box);
-    // Newton minus the polynomial grid profile: attractive toward `other`.
-    const float f = G * other.mass * poly->short_profile(norm2(d), eps2);
-    a.fx += -f * d.x;
-    a.fy += -f * d.y;
-    a.fz += -f * d.z;
-  }
-
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float>(arrays.ax[idx], sg.counters()).fetch_add(a.fx);
-    xsycl::atomic_ref<float>(arrays.ay[idx], sg.counters()).fetch_add(a.fy);
-    xsycl::atomic_ref<float>(arrays.az[idx], sg.counters()).fetch_add(a.fz);
-  }
-};
-
-}  // namespace
 
 xsycl::LaunchStats run_pp_short(xsycl::Queue& q, const GravityArrays& arrays,
                                 const domain::SpeciesView& view,

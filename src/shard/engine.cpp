@@ -510,8 +510,8 @@ void ShardEngine::run_pp(const PpParams& pp, std::span<float> ax,
   const float G = pp.G;
   const float eps2 = pp.softening * pp.softening;
   const float rcut2 = static_cast<float>(r_cut * r_cut);
-  // Per-pair terms in float — bit-identical to GravityTraits::interact in
-  // gravity/pp_short.cpp, and therefore independent of the shard count —
+  // Per-pair terms in float — bit-identical to GravityTraits::accumulate in
+  // gravity/pp_short.hpp, and therefore independent of the shard count —
   // accumulated per particle in double, serially within a shard.  Shards
   // write disjoint resident slots, so the result is bit-identical for any
   // thread count.

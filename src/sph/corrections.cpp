@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
-
 namespace hacc::sph {
 
 namespace {
@@ -13,34 +10,6 @@ using core::crk_idx::dB;
 using core::crk_idx::kA;
 using core::crk_idx::kB;
 using core::crk_idx::kdA;
-
-struct CorrectionsTraits {
-  using State = CorState;
-  using Accum = CrkMoments<float>;  // the flat mom_idx block commit() adds
-  static constexpr int kAccumWords = core::mom_idx::kCount;
-
-  const core::ParticleSet* p;
-  float* moments_out;
-  float box;
-
-  State load(std::int32_t i) const { return load_cor_state(*p, i); }
-
-  bool reaches(const State& own, const State& other) const {
-    return reaches_own_support(own, other, box);
-  }
-
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    corrections_term(a, to_side(own), to_side(other), box);
-  }
-
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    float* base = moments_out + static_cast<std::size_t>(core::mom_idx::kCount) * idx;
-    for (int k = 0; k < core::mom_idx::kCount; ++k) {
-      xsycl::atomic_ref<float> ref(base[k], sg.counters());
-      ref.fetch_add(a.v[k]);
-    }
-  }
-};
 
 }  // namespace
 

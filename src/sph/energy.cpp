@@ -2,41 +2,7 @@
 
 #include <algorithm>
 
-#include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
-
 namespace hacc::sph {
-
-namespace {
-
-struct EnergyTraits {
-  using State = HydroState;
-  struct Accum {
-    float du = 0.f;
-  };
-  static constexpr int kAccumWords = 1;
-
-  const core::ParticleSet* p;
-  float* du_out;
-  float box;
-  ViscosityParams<float> visc;
-
-  State load(std::int32_t i) const { return load_hydro_state(*p, i); }
-
-  bool reaches(const State& own, const State& other) const {
-    return reaches_pair_support(own, other, box);
-  }
-
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    a.du += energy_term(to_side(own), to_side(other), box, visc);
-  }
-
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float>(du_out[idx], sg.counters()).fetch_add(a.du);
-  }
-};
-
-}  // namespace
 
 xsycl::LaunchStats run_energy(xsycl::Queue& q, core::ParticleSet& p,
                               const domain::SpeciesView& view,

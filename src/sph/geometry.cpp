@@ -2,41 +2,7 @@
 
 #include <algorithm>
 
-#include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
-
 namespace hacc::sph {
-
-namespace {
-
-struct GeometryTraits {
-  using State = GeoState;
-  struct Accum {
-    float m0 = 0.f;
-  };
-  static constexpr int kAccumWords = 1;
-
-  const core::ParticleSet* p;
-  float* m0_out;
-  float box;
-
-  State load(std::int32_t i) const { return load_geo_state(*p, i); }
-
-  bool reaches(const State& own, const State& other) const {
-    return reaches_own_support(own, other, box);
-  }
-
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    a.m0 += geometry_term(to_side(own), to_side(other), box);
-  }
-
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float> ref(m0_out[idx], sg.counters());
-    ref.fetch_add(a.m0);
-  }
-};
-
-}  // namespace
 
 xsycl::LaunchStats run_geometry(xsycl::Queue& q, core::ParticleSet& p,
                                 const domain::SpeciesView& view,

@@ -12,32 +12,146 @@
 // broadcast particle are combined with reduce_over_group, and only one
 // atomic update per particle is issued — "fewer atomic instructions".
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "domain/domain.hpp"
 #include "tree/rcb.hpp"
+#include "util/vec3.hpp"
 #include "xsycl/atomic.hpp"
 #include "xsycl/comm_variant.hpp"
 #include "xsycl/queue.hpp"
 
 namespace hacc::sph {
 
-// Traits contract (see geometry.cpp etc. for implementations):
+// Traits contract (see geometry.hpp etc. for implementations):
 //   using State;                       // trivially copyable, 4-byte multiple
 //   using Accum;                       // value-initializes to zero
 //   static constexpr int kAccumWords;  // floats committed per particle
+//   float box;                         // periodic box the pair terms wrap in
 //   State load(std::int32_t i) const;
 //   // False only where the pair term of `own` with `other` is exactly zero.
 //   bool reaches(const State& own, const State& other) const;
+//   // Bound on the distance at which `own` reaches any partner whose h is
+//   // at most `hmax_other`; never decreases as `hmax_other` grows.
+//   double reach_radius(const State& own, float hmax_other) const;
 //   // Adds the pair term to `acc`; called only for pairs that reach.
 //   void accumulate(Accum& acc, const State& own, const State& other) const;
 //   void commit(xsycl::SubGroup&, std::int32_t idx, const Accum&) const;
+//   // Exactly the counters `commit` charges.
+//   static void charge_commit(xsycl::OpCounters&);
 //
 // Skipping a pair that does not reach adds nothing to an accumulator that
 // started at +0, so culling leaves every result bit unchanged.  The op
 // counters model the GPU, which evaluates every candidate lane pair: each
 // one counts as an interaction, reached or not, and every exchange round is
 // charged in full even where the CPU reads the partner lane in place.
+//
+// Three more pieces spare the CPU work whose result is zero, and change no
+// output bit and no counter:
+//   - Bounds cull.  After a tile loads, each lane is tested against the
+//     bounds of the other half (half_tile_bounds / beyond_reach).  A lane
+//     that reaches none of them runs no candidate tests; its candidates are
+//     counted arithmetically.
+//   - Lane-major order.  Select and vISA loop over lanes outside and rounds
+//     inside, reading the partner lane in place.  Each lane's sum still
+//     receives its terms in round order, so no bit changes.  Memory32 and
+//     MemoryObject keep the round-major loop: each round's local-memory
+//     exchange fills `theirs`.
+//   - Charge-only commits.  An accumulator that received no term is all +0
+//     and is not committed; charge_commit adds the counts commit would have.
+//     This is exact because every pair-kernel output is zero-filled (+0)
+//     before its launch and only accumulated afterwards, so it is never -0:
+//     x + (+0) == x, and fetch_max(+0) is a no-op on a vsig that starts at 0
+//     and only grows.
+
+// ---- Per-lane bounds cull ----
+
+// Smoothing length of a lane state; 0 for states without one (P-P).
+template <typename State>
+inline float lane_h(const State& s) {
+  if constexpr (requires { s.h; }) {
+    return s.h;
+  } else {
+    return 0.f;
+  }
+}
+
+// Bounds of the valid lanes of one half-tile.
+struct HalfTileBounds {
+  util::Vec3d lo{std::numeric_limits<double>::infinity()};
+  util::Vec3d hi{-std::numeric_limits<double>::infinity()};
+  double extent = 0.0;  // largest |coordinate|: scales the rounding margin
+  float hmax = 0.f;     // largest h, at least 0
+  int n_valid = 0;
+  bool finite = true;   // every valid position and h is finite
+};
+
+template <typename State>
+HalfTileBounds half_tile_bounds(const State* lanes, int n) {
+  HalfTileBounds b;
+  for (int k = 0; k < n; ++k) {
+    const State& s = lanes[k];
+    if (!s.valid) continue;
+    ++b.n_valid;
+    const util::Vec3d p{s.px, s.py, s.pz};
+    const float h = lane_h(s);
+    b.finite = b.finite && std::isfinite(p.x) && std::isfinite(p.y) &&
+               std::isfinite(p.z) && std::isfinite(h);
+    for (int a = 0; a < 3; ++a) {
+      b.lo[a] = std::min(b.lo[a], p[a]);
+      b.hi[a] = std::max(b.hi[a], p[a]);
+      b.extent = std::max(b.extent, std::fabs(p[a]));
+    }
+    b.hmax = std::max(b.hmax, h);
+  }
+  return b;
+}
+
+// Lower bound on the periodic distance, along one axis, from p to any point
+// of [lo, hi].
+inline double periodic_gap(double p, double lo, double hi, double box) {
+  const double w = hi - lo;
+  double t = p - lo;  // reduced to [0, box]: p's offset past lo
+  if (t < 0.0) t += box;
+  if (!(t >= 0.0 && t < box)) {
+    t = std::fmod(t, box);
+    if (t < 0.0) t += box;
+  }
+  if (w >= box || t <= w) return 0.0;
+  return std::min(t - w, box - t);
+}
+
+// True only if `own` reaches no member of `other` within `radius`: the
+// minimum-image distance to the box bounds every member's distance from
+// below.  The margin covers the float rounding of the pair's own r.  The
+// subtraction, the box multiple and the wrap each round to half an ulp of
+// values up to 2 (|coordinate| + box), under 2^-22 (box + extent) per axis
+// in all; 2^-20 covers three axes.  The squares, sum and sqrt add a few
+// relative ulps, far inside 1e-4.  A non-finite position or h on either
+// side, or a radius that is not positive, keeps the lane live.
+template <typename State>
+bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
+                  double box) {
+  if (other.n_valid == 0) return true;
+  const util::Vec3d p{own.px, own.py, own.pz};
+  if (!(other.finite && std::isfinite(p.x) && std::isfinite(p.y) &&
+        std::isfinite(p.z) && std::isfinite(lane_h(own)) && radius > 0.0 &&
+        std::isfinite(radius) && box > 0.0 && std::isfinite(box))) {
+    return false;
+  }
+  double d2 = 0.0;
+  double extent = other.extent;
+  for (int a = 0; a < 3; ++a) {
+    const double g = periodic_gap(p[a], other.lo[a], other.hi[a], box);
+    d2 += g * g;
+    extent = std::max(extent, std::fabs(p[a]));
+  }
+  const double reach = (radius + 0x1p-20 * (box + extent)) * (1.0 + 1e-4);
+  return d2 > reach * reach;
+}
 
 template <typename Traits>
 class PairInteractionKernel {
@@ -103,12 +217,25 @@ class PairInteractionKernel {
   }
 
   // Adds the term of `own` with `other` to `acc` and counts the candidate
-  // pair, unless `other` is an empty lane or `own` itself.
-  void add_pair(std::uint64_t& interactions, Accum& acc, const State& own,
+  // pair, unless `other` is an empty lane or `own` itself.  Returns whether
+  // a term was added.
+  bool add_pair(std::uint64_t& interactions, Accum& acc, const State& own,
                 const State& other) const {
-    if (!other.valid || other.idx == own.idx) return;
+    if (!other.valid || other.idx == own.idx) return false;
     ++interactions;
-    if (traits_.reaches(own, other)) traits_.accumulate(acc, own, other);
+    if (!traits_.reaches(own, other)) return false;
+    traits_.accumulate(acc, own, other);
+    return true;
+  }
+
+  // Commits a sum, or only charges its commit when no term reached it.
+  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& acc,
+              bool touched) const {
+    if (touched) {
+      traits_.commit(sg, idx, acc);
+    } else {
+      Traits::charge_commit(sg.counters());
+    }
   }
 
   void run_exchange(xsycl::SubGroup& sg, const tree::LeafPair& lp) const {
@@ -119,15 +246,14 @@ class PairInteractionKernel {
     const bool self = lp.a == lp.b;
     const int tiles_a = ceil_div(la.count(), H);
     const int tiles_b = ceil_div(lb.count(), H);
-    // Select and vISA read the partner lane of `mine` in place; the SLM
-    // variants round-trip it through local memory into `theirs`.
-    const bool in_place = xsycl::permutes_registers(variant_);
 
     // Lane registers, shared by every tile: each tile rewrites lanes [0, S)
     // before reading them.
     xsycl::Varying<State> mine;
     xsycl::Varying<State> theirs;
-    xsycl::Varying<bool> active;
+    xsycl::Varying<bool> active;  // owns a particle and commits its sum
+    xsycl::Varying<bool> live;    // active and not culled
+    xsycl::Varying<bool> touched;
     xsycl::Varying<std::int32_t> idx;
     xsycl::Varying<Accum> acc;
     std::uint64_t interactions = 0;
@@ -136,29 +262,55 @@ class PairInteractionKernel {
       for (int tb = self ? ta : 0; tb < tiles_b; ++tb) {
         load_tile(sg, la, la.begin + ta * H, /*lane0=*/0, H, mine, active, idx);
         load_tile(sg, lb, lb.begin + tb * H, /*lane0=*/H, H, mine, active, idx);
-        if (self && ta == tb) {
-          // Both halves hold the same slice: the lower half already covers
-          // every ordered pair, so the upper half only serves as the
-          // exchange source and must not accumulate or commit.
+        // On the diagonal both halves hold the same slice: the lower half
+        // already covers every ordered pair, so the upper half only serves
+        // as the exchange source and must not accumulate or commit.
+        const bool diagonal = self && ta == tb;
+        if (diagonal) {
           for (int l = H; l < S; ++l) active[l] = false;
         }
-        for (int l = 0; l < S; ++l) acc[l] = Accum{};
+        const HalfTileBounds half[2] = {half_tile_bounds(&mine[0], H),
+                                        half_tile_bounds(&mine[H], H)};
+        for (int l = 0; l < S; ++l) {
+          live[l] = false;
+          touched[l] = false;
+          if (!active[l]) continue;
+          const HalfTileBounds& other = half[l < H ? 1 : 0];
+          if (beyond_reach(mine[l], other, traits_.reach_radius(mine[l], other.hmax),
+                           traits_.box)) {
+            interactions +=
+                static_cast<std::uint64_t>(other.n_valid - (diagonal ? 1 : 0));
+            continue;
+          }
+          live[l] = true;
+          acc[l] = Accum{};
+        }
 
-        for (int r = 0; r < H; ++r) {
-          if (in_place) {
+        if (xsycl::permutes_registers(variant_)) {
+          // Select and vISA: read the partner lane of `mine` in place.
+          for (int r = 0; r < H; ++r) {
             xsycl::charge_register_exchange(sg, variant_, sizeof(State));
-          } else {
-            xsycl::exchange(sg, mine, r, variant_, theirs);
           }
           for (int l = 0; l < S; ++l) {
-            if (!active[l]) continue;
-            const State& other =
-                in_place ? mine[xsycl::partner_lane(variant_, l, r, S)] : theirs[l];
-            add_pair(interactions, acc[l], mine[l], other);
+            if (!live[l]) continue;
+            for (int r = 0; r < H; ++r) {
+              const State& other = mine[xsycl::partner_lane(variant_, l, r, S)];
+              if (add_pair(interactions, acc[l], mine[l], other)) touched[l] = true;
+            }
+          }
+        } else {
+          // The SLM variants round-trip the partner through local memory.
+          for (int r = 0; r < H; ++r) {
+            xsycl::exchange(sg, mine, r, variant_, theirs);
+            for (int l = 0; l < S; ++l) {
+              if (live[l] && add_pair(interactions, acc[l], mine[l], theirs[l])) {
+                touched[l] = true;
+              }
+            }
           }
         }
         for (int l = 0; l < S; ++l) {
-          if (active[l]) traits_.commit(sg, idx[l], acc[l]);
+          if (active[l]) commit(sg, idx[l], acc[l], touched[l]);
         }
       }
     }
@@ -174,7 +326,7 @@ class PairInteractionKernel {
     const int tiles_b = ceil_div(lb.count(), S);
 
     xsycl::Varying<State> mine, bstate;
-    xsycl::Varying<bool> active, bactive;
+    xsycl::Varying<bool> active, bactive, touched;
     xsycl::Varying<std::int32_t> idx, bidx;
     xsycl::Varying<Accum> acc;
     std::uint64_t interactions = 0;
@@ -182,18 +334,53 @@ class PairInteractionKernel {
     for (int ta = 0; ta < tiles_a; ++ta) {
       // Every lane owns one A-particle (loads BOTH interaction sides, §5.3.2).
       load_tile(sg, la, la.begin + ta * S, 0, S, mine, active, idx);
-      for (int l = 0; l < S; ++l) acc[l] = Accum{};
+      for (int l = 0; l < S; ++l) {
+        acc[l] = Accum{};
+        touched[l] = false;
+      }
+      const HalfTileBounds a_bounds = half_tile_bounds(&mine[0], S);
 
       for (int tb = 0; tb < tiles_b; ++tb) {
         load_tile(sg, lb, lb.begin + tb * S, 0, S, bstate, bactive, bidx);
+        // Distance at which an A-lane reaches any particle of this B-tile;
+        // 0 (never cull) once one lane's radius is not positive.
+        const float b_hmax = half_tile_bounds(&bstate[0], S).hmax;
+        double a_reach = 0.0;
+        for (int l = 0; l < S; ++l) {
+          if (!active[l]) continue;
+          const double r = traits_.reach_radius(mine[l], b_hmax);
+          if (!(r > 0.0)) {
+            a_reach = 0.0;
+            break;
+          }
+          a_reach = std::max(a_reach, r);
+        }
+        // Candidates of a culled broadcast particle, per direction.
+        const auto n_candidates = static_cast<std::uint64_t>(
+            a_bounds.n_valid - (self && ta == tb ? 1 : 0));
 
         const int bwidth = std::min(S, lb.end - (lb.begin + tb * S));
         for (int jj = 0; jj < bwidth; ++jj) {
           const State other = xsycl::broadcast_object(sg, bstate, jj);
           if (!other.valid) continue;
+          // The radius covers both directions: `other` reaching an A-lane
+          // and an A-lane reaching `other`.
+          if (a_reach > 0.0 &&
+              beyond_reach(other, a_bounds,
+                           std::max(traits_.reach_radius(other, a_bounds.hmax), a_reach),
+                           traits_.box)) {
+            interactions += self ? n_candidates : 2 * n_candidates;
+            if (!self) {
+              sg.counters().reduce_ops += Traits::kAccumWords;
+              Traits::charge_commit(sg.counters());
+            }
+            continue;
+          }
           // Contribution to each lane's own particle.
           for (int l = 0; l < S; ++l) {
-            if (active[l]) add_pair(interactions, acc[l], mine[l], other);
+            if (active[l] && add_pair(interactions, acc[l], mine[l], other)) {
+              touched[l] = true;
+            }
           }
           if (!self) {
             // Redundantly compute the mirrored contribution (j, i) on every
@@ -201,16 +388,17 @@ class PairInteractionKernel {
             // The lanes' terms are summed in lane order, as the reduction
             // adds them.
             Accum sum{};
+            bool any = false;
             for (int l = 0; l < S; ++l) {
-              if (active[l]) add_pair(interactions, sum, other, mine[l]);
+              if (active[l] && add_pair(interactions, sum, other, mine[l])) any = true;
             }
             sg.counters().reduce_ops += Traits::kAccumWords;
-            traits_.commit(sg, other.idx, sum);
+            commit(sg, other.idx, sum, any);
           }
         }
       }
       for (int l = 0; l < S; ++l) {
-        if (active[l]) traits_.commit(sg, idx[l], acc[l]);
+        if (active[l]) commit(sg, idx[l], acc[l], touched[l]);
       }
     }
     sg.counters().interactions += interactions;

@@ -37,7 +37,7 @@ struct OpCounters {
   std::uint64_t atomic_i32 = 0;
 
   // Work accounting.
-  std::uint64_t interactions = 0;     // pair interactions evaluated
+  std::uint64_t interactions = 0;     // candidate lane pairs, reached or not
   std::uint64_t m2p_ops = 0;          // multipole-to-particle far-field evaluations
   std::uint64_t lanes_launched = 0;   // work-items spanned by launches
   std::uint64_t sub_groups = 0;
@@ -46,6 +46,7 @@ struct OpCounters {
   std::uint64_t global_stores = 0;
 
   void merge(const OpCounters& o);
+  bool operator==(const OpCounters&) const = default;
   std::string summary() const;
 };
 

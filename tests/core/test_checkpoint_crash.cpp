@@ -39,7 +39,9 @@ class CheckpointCrashTest : public ::testing::Test {
     if (!io::fault_injection_compiled()) {
       GTEST_SKIP() << "built with HACC_FAULT_INJECTION=OFF";
     }
-    dir_ = ::testing::TempDir() + "/hacc_ckpt_crash";
+    // One directory per test: ctest runs the cases as concurrent processes.
+    dir_ = ::testing::TempDir() + "/hacc_ckpt_crash_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     dm_ = random_particles(24, 31);

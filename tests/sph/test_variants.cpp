@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "gas_fixture.hpp"
@@ -45,10 +46,10 @@ struct PipelineOutputs {
   std::vector<float> V, rho, P, ax, ay, az, du, vsig, crkA;
 };
 
+// On the process-wide pool, sized by HACC_NUM_THREADS (8 in the TSan job).
 PipelineOutputs run_variant(const core::ParticleSet& base, CommVariant v, int sg_size) {
   core::ParticleSet p = base;
-  util::ThreadPool pool(4);
-  xsycl::Queue q(pool);
+  xsycl::Queue q(util::ThreadPool::global());
   run_hydro_pipeline(q, p, pipeline_options(v, sg_size));
   return {p.V, p.rho, p.P, p.ax, p.ay, p.az, p.du, p.vsig,
           [&p] {
@@ -75,6 +76,16 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b,
   }
 }
 
+// "Memory__Object_sg32"-style test names for the variant x sub-group grid.
+std::string variant_sg_name(
+    const ::testing::TestParamInfo<std::tuple<CommVariant, int>>& info) {
+  std::string v = to_string(std::get<0>(info.param));
+  for (char& c : v) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return v + "_sg" + std::to_string(std::get<1>(info.param));
+}
+
 class VariantEquivalence
     : public ::testing::TestWithParam<std::tuple<CommVariant, int>> {};
 
@@ -82,13 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariantsAllSgSizes, VariantEquivalence,
     ::testing::Combine(::testing::ValuesIn(xsycl::kAllVariants),
                        ::testing::Values(16, 32, 64)),
-    [](const auto& info) {
-      std::string v = to_string(std::get<0>(info.param));
-      for (char& c : v) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return v + "_sg" + std::to_string(std::get<1>(info.param));
-    });
+    variant_sg_name);
 
 TEST_P(VariantEquivalence, MatchesScalarDoubleReference) {
   const auto [variant, sg_size] = GetParam();
@@ -245,8 +250,7 @@ std::vector<std::pair<std::string, xsycl::OpCounters>> measured_counters(CommVar
                                                                          int sg_size) {
   const auto opt = small_gas_options();
   core::ParticleSet p = make_gas(opt);
-  util::ThreadPool pool(2);
-  xsycl::Queue q(pool);
+  xsycl::Queue q(util::ThreadPool::global());  // counts do not depend on threads
   run_hydro_pipeline(q, p, pipeline_options(v, sg_size));
 
   std::vector<util::Vec3d> pos(p.size());
@@ -273,13 +277,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariantsAllSgSizes, OpCounterSnapshot,
     ::testing::Combine(::testing::ValuesIn(xsycl::kAllVariants),
                        ::testing::Values(16, 32, 64)),
-    [](const auto& info) {
-      std::string v = to_string(std::get<0>(info.param));
-      for (char& c : v) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return v + "_sg" + std::to_string(std::get<1>(info.param));
-    });
+    variant_sg_name);
 
 TEST_P(OpCounterSnapshot, MatchesRecordedCounts) {
   const auto [variant, sg_size] = GetParam();
@@ -302,6 +300,125 @@ TEST_P(OpCounterSnapshot, MatchesRecordedCounts) {
       ADD_FAILURE() << "no snapshot row; measured:\n" << row.str();
     } else {
       EXPECT_EQ(got, want->counts) << "measured:\n" << row.str();
+    }
+  }
+}
+
+// ---- Output-bits snapshot ----
+//
+// The pair harness may only skip work whose result is exactly zero, so every
+// output bit of the five SPH kernels and short-range P-P is pinned per
+// variant and sub-group size, at one thread (a fixed atomic commit order).
+// Two fixtures: small_gas_options(), and a full-box lattice whose h spans 4x
+// so leaf pairs wrap the periodic faces and the pair-support radius of
+// Acceleration/Energy comes from the other particle's h.  P-P uses the
+// polynomial-free Newtonian profile so no libm fit enters the hashes.  A
+// mismatch prints the measured row in the table's own format.
+
+constexpr int kOutputArrays = 16;
+using BitsRow = std::array<std::uint64_t, kOutputArrays>;
+
+struct OutputBitsRow {
+  const char* fixture;
+  const char* variant;
+  int sg_size;
+  BitsRow hashes;
+};
+
+constexpr OutputBitsRow kOutputBits[] = {
+#include "output_bits_snapshot.inc"
+};
+
+// FNV-1a over the bit patterns of the floats.
+std::uint64_t fnv1a(const std::vector<float>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const float x : v) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+core::ParticleSet varied_h_gas() {
+  GasOptions opt;
+  opt.n_side = 10;
+  opt.box = 1.0;
+  opt.fill = 1.0;
+  opt.jitter = 0.3;
+  opt.vel_amp = 0.4;
+  opt.seed = 77;
+  core::ParticleSet p = make_gas(opt);
+  // h scales by 0.45 .. 1.8: the largest support stays below half the box.
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p.h[i] *= static_cast<float>(0.45 + 1.35 * double((i * 37) % 64) / 63.0);
+  }
+  return p;
+}
+
+// m0 V moments crk rho dvel P cs ax ay az vsig du | P-P ax ay az.
+BitsRow output_bits(const core::ParticleSet& gas, CommVariant v, int sg_size) {
+  core::ParticleSet p = gas;
+  util::ThreadPool pool(1);
+  xsycl::Queue q(pool);
+  run_hydro_pipeline(q, p, pipeline_options(v, sg_size));
+
+  std::vector<util::Vec3d> pos(p.size());
+  for (std::size_t i = 0; i < p.size(); ++i) pos[i] = {p.x[i], p.y[i], p.z[i]};
+  const auto poly = gravity::PolyShortForce::newtonian(0.2);
+  const tree::RcbTree tr(pos, 1.0, 16);
+  const auto pairs = tr.interacting_pairs(poly.r_cut());
+  std::vector<float> gx(p.size(), 0.f), gy(p.size(), 0.f), gz(p.size(), 0.f);
+  gravity::PpOptions pp;
+  pp.box = 1.0f;
+  pp.softening = 0.01f;
+  pp.variant = v;
+  pp.launch.sub_group_size = sg_size;
+  gravity::run_pp_short(q, {p.x.data(), p.y.data(), p.z.data(), p.mass.data(), gx.data(),
+                            gy.data(), gz.data(), p.size()},
+                        tr, pairs, poly, pp);
+  return {fnv1a(p.m0),  fnv1a(p.V),  fnv1a(p.moments), fnv1a(p.crk),
+          fnv1a(p.rho), fnv1a(p.dvel), fnv1a(p.P),     fnv1a(p.cs),
+          fnv1a(p.ax),  fnv1a(p.ay), fnv1a(p.az),      fnv1a(p.vsig),
+          fnv1a(p.du),  fnv1a(gx),   fnv1a(gy),        fnv1a(gz)};
+}
+
+class OutputBitsSnapshot
+    : public ::testing::TestWithParam<std::tuple<CommVariant, int>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariantsAllSgSizes, OutputBitsSnapshot,
+    ::testing::Combine(::testing::ValuesIn(xsycl::kAllVariants),
+                       ::testing::Values(16, 32, 64)),
+    variant_sg_name);
+
+TEST_P(OutputBitsSnapshot, MatchesRecordedHashes) {
+  const auto [variant, sg_size] = GetParam();
+  const std::pair<const char*, core::ParticleSet> fixtures[] = {
+      {"small", make_gas(small_gas_options())}, {"varied_h", varied_h_gas()}};
+  for (const auto& [fixture, gas] : fixtures) {
+    const BitsRow got = output_bits(gas, variant, sg_size);
+    std::ostringstream row;
+    row << "{\"" << fixture << "\", \"" << to_string(variant) << "\", " << sg_size
+        << ", {";
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      row << (k ? ", " : "") << "0x" << std::hex << got[k] << std::dec << "ull";
+    }
+    row << "}},";
+    const OutputBitsRow* want = nullptr;
+    for (const auto& r : kOutputBits) {
+      if (r.fixture == std::string(fixture) &&
+          r.variant == std::string(to_string(variant)) && r.sg_size == sg_size) {
+        want = &r;
+      }
+    }
+    if (want == nullptr) {
+      ADD_FAILURE() << "no snapshot row; measured:\n" << row.str();
+    } else {
+      EXPECT_EQ(got, want->hashes) << "measured:\n" << row.str();
     }
   }
 }
