@@ -7,6 +7,7 @@
 // later PRs have a perf trajectory to compare against.
 
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -234,6 +235,10 @@ void write_bench_json(const PmRun runs[3], const AccuracyRow rows[3],
   std::fprintf(f, "  \"grid\": %d,\n  \"particles\": 4096,\n  \"box\": %.1f,\n",
                kBreakdownGrid, kBox);
   std::fprintf(f, "  \"threads\": %u,\n", threads);
+  // Provenance: a threads sweep only means multi-core scaling when the host
+  // has the cores, and timings only compare within one build type.
+  std::fprintf(f, "  \"host_cores\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", HACC_BUILD_TYPE);
   std::fprintf(f, "  \"threads_sweep\": [\n");
   for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
     std::fprintf(f, "    {\"threads\": %d, \"spectral_total_ms\": %.3f}%s\n",
@@ -300,7 +305,7 @@ void print_summary() {
                 t.green * 1e3, t.inverse * 1e3, t.gradient * 1e3, t.interp * 1e3,
                 runs[g].best_total * 1e3);
   }
-  std::printf("\nspectral runs 1 r2c + 4 c2r half-spectrum transforms; fd4/fd6 run\n"
+  std::printf("\nspectral runs 1 r2c + 3 c2r half-spectrum transforms; fd4/fd6 run\n"
               "1 r2c + 1 c2r + a finite-difference gradient (the one-FFT path).\n");
 
   hacc::bench::print_header("PM gradient accuracy (16^3 particles, grid 32^3)");

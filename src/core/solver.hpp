@@ -133,7 +133,7 @@ struct SimConfig {
   int pm_grid = 32;  ///< PM mesh cells per side (power of two)
   /// PM force derivation (config key gravity.pm_gradient): "spectral" is the
   /// accuracy reference; "fd4"/"fd6" differentiate the real-space potential,
-  /// cutting the inverse transforms per solve from four to one.
+  /// cutting the inverse transforms per solve from three to one.
   gravity::PmGradient pm_gradient = gravity::PmGradient::kSpectral;
   double r_split_cells = 1.25;  ///< Gaussian split scale in PM cells
   double pp_cut_factor = 5.0;   ///< short-range cutoff in units of r_split

@@ -27,6 +27,15 @@ namespace hacc::fft {
 
 using cplx = std::complex<double>;
 
+// Complex product (ar*br - ai*bi, ar*bi + ai*br).  This is the formula of
+// the compiler's inline fast path for std::complex multiplication, so the
+// bits are the same; it drops the Annex G NaN check and the __muldc3 libcall
+// fallback that path keeps, which otherwise sit inside every butterfly.
+inline cplx cmul(cplx a, cplx b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
 // True when n is a power of two and >= 2.
 bool is_pow2(int n);
 

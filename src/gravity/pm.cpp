@@ -1,6 +1,7 @@
 #include "gravity/pm.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -63,12 +64,17 @@ PmSolver::PmSolver(const PmOptions& opt, util::ThreadPool& pool)
 void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
                               std::span<const double> mass,
                               std::span<util::Vec3d> accel) {
+  if (mass.size() != pos.size() || accel.size() != pos.size()) {
+    throw std::invalid_argument(
+        "PmSolver::compute_forces: pos, mass and accel must have equal lengths");
+  }
   const int n = opt_.grid_n;
   const double box = opt_.box;
   const double cell_vol = (box / n) * (box / n) * (box / n);
   const SplitForce split(opt_.r_split);
   const bool spectral = opt_.gradient == PmGradient::kSpectral;
   times_ = PmPhaseTimes{};
+  potential_ready_ = false;
 
   // Density contrast source: 4 pi G (rho - rho_bar); the k=0 mode removal
   // implements the mean subtraction.  The mass -> density conversion
@@ -93,55 +99,39 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   times_.forward = t1 - t0;
   obs::Tracer::global().record("pm.forward", t0, t1);
 
-  // Green's function (and, on the spectral path, the three force spectra
-  // a(k) = -i k phi(k)) on the half spectrum.  Differentiated components are
-  // zeroed on their axis' Nyquist plane: -i k breaks Hermitian symmetry
-  // there, and the full-spectrum transform's real part discarded exactly
-  // that contribution too.
+  // Green's function on the half spectrum, separable per axis:
+  //   G(k) = c0 f(kx) f(ky) f(kz) / (kx^2 + ky^2 + kz^2),
+  // with f = split filter / CIC window^2 (the window enters twice: deposit
+  // and interpolation).  One table over the signed frequencies serves all
+  // three axes; the half axis' Nyquist plane iz = n/2 reads the entry of
+  // signed index -n/2, which is exact because k^2, the filter and the
+  // window are even in k.
   t0 = util::wtime();
-  if (spectral) {
-    for (auto& c : comp_k_) c.resize(fft_.half_size());
-  }
-  const int nh = fft_.half_nz();
   const double two_pi_over_l = 2.0 * M_PI / box;
-  // shared: phi_k_, comp_k_ (disjoint kx-plane rows per index).
+  k_.resize(n);
+  std::vector<double> k2(n), f(n);
+  for (int i = 0; i < n; ++i) {
+    const int s = signed_freq(i, n);
+    k_[i] = two_pi_over_l * s;
+    k2[i] = k_[i] * k_[i];
+    f[i] = opt_.r_split > 0.0 ? split.k_filter(k_[i]) : 1.0;
+    if (opt_.deconvolve_cic) {
+      const double w = cic_window_1d(s, n);
+      f[i] /= w * w;
+    }
+  }
+  const double c0 = -4.0 * M_PI * opt_.G / cell_vol;
+  const int nh = fft_.half_nz();
+  // shared: phi_k_ (disjoint kx-plane rows per index; tables read-only).
   pool_->parallel_for_chunks(n, 1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t ix = b; ix < e; ++ix) {
-      const int nx = signed_freq(static_cast<int>(ix), n);
-      const bool x_nyq = 2 * static_cast<int>(ix) == n;
       for (int iy = 0; iy < n; ++iy) {
-        const int ny = signed_freq(iy, n);
-        const bool y_nyq = 2 * iy == n;
-        const std::size_t row = (static_cast<std::size_t>(ix) * n + iy) * nh;
-        for (int iz = 0; iz < nh; ++iz) {
-          const std::size_t idx = row + iz;
-          if (nx == 0 && ny == 0 && iz == 0) {
-            phi_k_[idx] = 0.0;
-            if (spectral) {
-              comp_k_[0][idx] = comp_k_[1][idx] = comp_k_[2][idx] = 0.0;
-            }
-            continue;
-          }
-          const double kx = two_pi_over_l * nx;
-          const double ky = two_pi_over_l * ny;
-          const double kz = two_pi_over_l * iz;  // iz in [0, n/2]
-          const double k2 = kx * kx + ky * ky + kz * kz;
-          double green = -4.0 * M_PI * opt_.G / (k2 * cell_vol);
-          if (opt_.r_split > 0.0) green *= split.k_filter(std::sqrt(k2));
-          if (opt_.deconvolve_cic) {
-            const double w = cic_window_1d(nx, n) * cic_window_1d(ny, n) *
-                             cic_window_1d(iz, n);
-            green /= (w * w);  // deposit + interpolation
-          }
-          const fft::cplx phi = green * phi_k_[idx];
-          phi_k_[idx] = phi;
-          if (spectral) {
-            // a = -ik phi; Nyquist planes of the differentiated axis -> 0.
-            comp_k_[0][idx] = x_nyq ? fft::cplx(0.0) : fft::cplx(0.0, -kx) * phi;
-            comp_k_[1][idx] = y_nyq ? fft::cplx(0.0) : fft::cplx(0.0, -ky) * phi;
-            comp_k_[2][idx] = 2 * iz == n ? fft::cplx(0.0) : fft::cplx(0.0, -kz) * phi;
-          }
-        }
+        fft::cplx* row = phi_k_.data() + (static_cast<std::size_t>(ix) * n + iy) * nh;
+        const double cxy = c0 * f[ix] * f[iy];
+        const double k2xy = k2[ix] + k2[iy];
+        int iz = 0;
+        if (ix == 0 && iy == 0) row[iz++] = 0.0;  // k = 0: mean removed
+        for (; iz < nh; ++iz) row[iz] *= cxy * f[iz] / (k2xy + k2[iz]);
       }
     }
   });
@@ -149,17 +139,23 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   times_.green = t1 - t0;
   obs::Tracer::global().record("pm.green", t0, t1);
 
+  // Spectral: one scratch spectrum per component, phi(k) left intact for a
+  // lazy potential().  fd: phi(k) is inverted in place into the potential
+  // the stencil differentiates.
   t0 = util::wtime();
-  if (potential_.n() != n) potential_ = mesh::GridD(n);
-  for (auto& f : force_) {
-    if (f.n() != n) f = mesh::GridD(n);
+  for (auto& grid : force_) {
+    if (grid.n() != n) grid = mesh::GridD(n);
   }
   if (spectral) {
     for (int a = 0; a < 3; ++a) {
-      fft_.inverse_c2r(comp_k_[a], force_[a].data());
+      force_spectrum(a);
+      fft_.inverse_c2r(scratch_k_, force_[a].data());
     }
+  } else {
+    if (potential_.n() != n) potential_ = mesh::GridD(n);
+    fft_.inverse_c2r(phi_k_, potential_.data());
+    potential_ready_ = true;
   }
-  fft_.inverse_c2r(phi_k_, potential_.data());
   t1 = util::wtime();
   times_.inverse = t1 - t0;
   obs::Tracer::global().record("pm.inverse", t0, t1);
@@ -196,6 +192,39 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   m.inc(m_inverse_s_, times_.inverse);
   m.inc(m_gradient_s_, times_.gradient);
   m.inc(m_interp_s_, times_.interp);
+}
+
+const mesh::GridD& PmSolver::potential() {
+  if (!potential_ready_ && !phi_k_.empty()) {
+    // inverse_c2r consumes its input; phi(k) must survive for later calls.
+    scratch_k_ = phi_k_;
+    if (potential_.n() != opt_.grid_n) potential_ = mesh::GridD(opt_.grid_n);
+    fft_.inverse_c2r(scratch_k_, potential_.data());
+    potential_ready_ = true;
+  }
+  return potential_;
+}
+
+void PmSolver::force_spectrum(int axis) {
+  // a(k) = -i k_a phi(k).  -i k breaks Hermitian symmetry on the
+  // differentiated axis' Nyquist plane, so that plane is zeroed (the
+  // full-spectrum transform's real part discarded exactly that part too).
+  const int n = opt_.grid_n;
+  const int nh = fft_.half_nz();
+  scratch_k_.resize(fft_.half_size());
+  // shared: scratch_k_ (disjoint kx-plane rows per index; phi_k_, k_ read-only).
+  pool_->parallel_for_chunks(n, 1, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t ix = b; ix < e; ++ix) {
+      for (int iy = 0; iy < n; ++iy) {
+        const std::size_t row = (static_cast<std::size_t>(ix) * n + iy) * nh;
+        for (int iz = 0; iz < nh; ++iz) {
+          const int i = axis == 0 ? static_cast<int>(ix) : axis == 1 ? iy : iz;
+          scratch_k_[row + iz] = 2 * i == n ? fft::cplx(0.0)
+                                            : fft::cmul(fft::cplx(0.0, -k_[i]), phi_k_[row + iz]);
+        }
+      }
+    }
+  });
 }
 
 // Centered finite-difference gradient of the real-space potential,

@@ -9,11 +9,16 @@
 ///
 /// The density field is real, so the spectral pipeline runs on an
 /// n x n x (n/2+1) half spectrum (Hermitian symmetry) instead of full
-/// complex grids.  The force gradient is selectable: the spectral reference
-/// multiplies phi(k) by -i k_a per component (three half-spectrum inverses),
-/// while the fd4/fd6 paths inverse-transform phi once and differentiate the
-/// real-space potential with a 4th/6th-order centered stencil — trading a
-/// small, documented force error for 4x fewer inverse transforms.
+/// complex grids.  The Green's function is separable: k^2 is a sum and the
+/// split filter and CIC window are products of per-axis factors, so each
+/// mode costs one table product and one division.  The force gradient is
+/// selectable: the spectral reference multiplies phi(k) by -i k_a per
+/// component and runs three c2r inverses through one scratch spectrum
+/// (phi(k) stays intact, so the potential is inverted lazily, only when
+/// potential() asks for it), while the fd4/fd6 paths inverse-transform phi
+/// once and differentiate the real-space potential with a 4th/6th-order
+/// centered stencil — trading a small, documented force error for 3x fewer
+/// inverse transforms.
 
 #include <span>
 #include <string>
@@ -55,8 +60,8 @@ struct PmOptions {
 struct PmPhaseTimes {
   double deposit = 0.0;   ///< CIC scatter of particle masses
   double forward = 0.0;   ///< r2c forward transform
-  double green = 0.0;     ///< Green's function + force spectra on the half grid
-  double inverse = 0.0;   ///< c2r inverse transform(s)
+  double green = 0.0;     ///< Green's function on the half grid
+  double inverse = 0.0;   ///< c2r inverse(s), incl. building each force spectrum
   double gradient = 0.0;  ///< finite-difference gradient (fd4/fd6 only)
   double interp = 0.0;    ///< CIC gather of accelerations
   double total() const {
@@ -67,8 +72,8 @@ struct PmPhaseTimes {
 /// The long-range Poisson solver.  Thread-compatible, not thread-safe:
 /// compute_forces parallelizes internally over the pool but works in member
 /// workspace buffers (mass/potential/force grids, half-spectrum arrays)
-/// reused across calls, so concurrent calls need one PmSolver instance per
-/// caller (docs/CONCURRENCY.md).
+/// reused across calls, so concurrent calls — potential() included — need
+/// one PmSolver instance per caller (docs/CONCURRENCY.md).
 class PmSolver {
  public:
   explicit PmSolver(const PmOptions& opt,
@@ -80,14 +85,16 @@ class PmSolver {
   /// coordinates; the solver rescales it per force evaluation.
   void set_gravitational_constant(double g) { opt_.G = g; }
 
-  /// Computes long-range accelerations at the particle positions.
-  /// mass and pos must have equal lengths; accel is overwritten.
+  /// Computes long-range accelerations at the particle positions; accel is
+  /// overwritten.  Throws std::invalid_argument unless mass and accel have
+  /// the length of pos.
   void compute_forces(std::span<const util::Vec3d> pos, std::span<const double> mass,
                       std::span<util::Vec3d> accel);
 
   /// The gravitational potential grid from the last compute_forces call
-  /// (diagnostics / tests).
-  const mesh::GridD& potential() const { return potential_; }
+  /// (diagnostics / tests).  The fd paths invert it eagerly; the spectral
+  /// path runs its c2r here, on the first call after each solve.
+  const mesh::GridD& potential();
 
   /// Phase timing of the last compute_forces call (bench / diagnostics).
   const PmPhaseTimes& phase_times() const { return times_; }
@@ -95,6 +102,9 @@ class PmSolver {
  private:
   template <int Order>
   void fd_gradient();
+  // Fills scratch_k_ with -i k_a phi(k) for axis a (0 on that axis'
+  // Nyquist plane).
+  void force_spectrum(int axis);
 
   PmOptions opt_;
   util::ThreadPool* pool_;
@@ -116,9 +126,11 @@ class PmSolver {
 
   // Persistent workspace, sized on first use and reused across calls.
   mesh::GridD mass_grid_;
+  std::vector<double> k_;             // wavenumber per mesh index (signed freq)
   std::vector<fft::cplx> phi_k_;      // half-spectrum potential
-  std::vector<fft::cplx> comp_k_[3];  // half-spectrum force components (spectral)
+  std::vector<fft::cplx> scratch_k_;  // c2r input: one force component, or phi
   mesh::GridD potential_;
+  bool potential_ready_ = false;      // potential_ holds the last solve's phi
   mesh::GridD force_[3];
 };
 

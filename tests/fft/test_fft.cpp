@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <sstream>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -359,6 +364,107 @@ TEST(Fft3DThreads, SharedTwiddleTableIsSafeUnderConcurrentTransforms) {
       ASSERT_EQ(serial[r][i].real(), threaded[r][i].real()) << r << ":" << i;
       ASSERT_EQ(serial[r][i].imag(), threaded[r][i].imag()) << r << ":" << i;
     }
+  }
+}
+
+// --- Output-bits snapshot -------------------------------------------------
+// FNV-1a hashes of every transform's output on seeded inputs, recorded
+// before the butterfly's complex multiply was made branch-free: any change
+// to the arithmetic of fft_1d, the Fft3D passes or the r2c/c2r untangle
+// that moves a single output bit fails here.  Re-record (paste the measured
+// rows printed on failure into fft_bits_snapshot.inc) only for a change
+// that is meant to move transform outputs, and say so.
+
+struct FftBitsRow {
+  const char* transform;
+  int n;
+  std::uint64_t hash;
+};
+
+constexpr FftBitsRow kFftBits[] = {
+#include "fft_bits_snapshot.inc"
+};
+
+// FNV-1a over the bit patterns of the doubles.
+std::uint64_t fnv1a(std::span<const double> v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double x : v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(const std::vector<cplx>& v) {
+  // std::complex<double> is layout-compatible with double[2].
+  return fnv1a(std::span<const double>(reinterpret_cast<const double*>(v.data()),
+                                       2 * v.size()));
+}
+
+std::vector<cplx> seeded_complex(std::size_t size, std::uint64_t seed) {
+  util::CounterRng rng(seed);
+  std::vector<cplx> v(size);
+  for (std::size_t i = 0; i < size; ++i) v[i] = {rng.normal(2 * i), rng.normal(2 * i + 1)};
+  return v;
+}
+
+// Measured rows in snapshot order: fft_1d forward/inverse for n = 2..1024,
+// then Fft3D forward/inverse/forward_r2c/inverse_c2r for n = 4..64.
+std::vector<FftBitsRow> measure_fft_bits(util::ThreadPool& pool) {
+  std::vector<FftBitsRow> rows;
+  for (int n = 2; n <= 1024; n *= 2) {
+    for (const bool inverse : {false, true}) {
+      std::vector<cplx> x = seeded_complex(n, 100 + n + (inverse ? 1 : 0));
+      fft_1d(x.data(), n, inverse);
+      rows.push_back({inverse ? "fft_1d.inverse" : "fft_1d.forward", n, fnv1a(x)});
+    }
+  }
+  for (int n = 4; n <= 64; n *= 2) {
+    const Fft3D fft(n, pool);
+    std::vector<cplx> grid = seeded_complex(fft.size(), 300 + n);
+    fft.forward(grid);
+    rows.push_back({"Fft3D.forward", n, fnv1a(grid)});
+    grid = seeded_complex(fft.size(), 400 + n);
+    fft.inverse(grid);
+    rows.push_back({"Fft3D.inverse", n, fnv1a(grid)});
+
+    util::CounterRng rng(500 + n);
+    std::vector<double> real(fft.size());
+    for (std::size_t i = 0; i < real.size(); ++i) real[i] = rng.normal(i);
+    std::vector<cplx> half;
+    fft.forward_r2c(real, half);
+    rows.push_back({"Fft3D.forward_r2c", n, fnv1a(half)});
+    fft.inverse_c2r(half, real);
+    rows.push_back({"Fft3D.inverse_c2r", n, fnv1a(real)});
+  }
+  return rows;
+}
+
+class FftBitsSnapshot : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Threads, FftBitsSnapshot, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+TEST_P(FftBitsSnapshot, MatchesRecordedHashes) {
+  util::ThreadPool pool(GetParam());
+  const std::vector<FftBitsRow> got = measure_fft_bits(pool);
+  std::ostringstream measured;
+  for (const FftBitsRow& r : got) {
+    measured << "{\"" << r.transform << "\", " << r.n << ", 0x" << std::hex << r.hash
+             << std::dec << "ull},\n";
+  }
+  ASSERT_EQ(got.size(), std::size(kFftBits)) << "measured:\n" << measured.str();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::string(got[i].transform), kFftBits[i].transform) << i;
+    EXPECT_EQ(got[i].n, kFftBits[i].n) << i;
+    EXPECT_EQ(got[i].hash, kFftBits[i].hash)
+        << got[i].transform << " n=" << got[i].n << "; measured:\n" << measured.str();
   }
 }
 
