@@ -11,6 +11,7 @@
 
 #include "core/solver.hpp"
 #include "util/config.hpp"
+#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   hacc::util::Config cli;
@@ -51,12 +52,15 @@ int main(int argc, char** argv) {
   solver.run();
   const double elapsed = hacc::util::wtime() - t0;
 
-  std::printf("\n%-10s %12s %8s\n", "timer", "seconds", "calls");
-  for (const char* name : {"grav_pm", "grav_fmm", "grav_pp", "grav_far"}) {
-    const auto e = solver.timers().get(name);
-    if (e.calls == 0) continue;
-    std::printf("%-10s %12.4f %8llu\n", name, e.seconds,
-                static_cast<unsigned long long>(e.calls));
+  // Propagator stage walls, then the near-field kernel's launch walls.
+  std::printf("\n%-11s %12s %8s\n", "wall", "seconds", "calls");
+  for (const auto& [name, stage] : solver.stage_totals()) {
+    std::printf("%-11s %12.4f %8llu\n", name.c_str(), stage.seconds,
+                static_cast<unsigned long long>(stage.runs));
+  }
+  for (const auto& [name, k] : solver.queue().aggregate_by_kernel()) {
+    std::printf("%-11s %12.4f %8llu\n", name.c_str(), k.seconds,
+                static_cast<unsigned long long>(k.launches));
   }
 
   hacc::xsycl::OpCounters ops;

@@ -39,10 +39,15 @@ int main(int argc, char** argv) {
                 d.thermal_energy);
   }
 
-  std::printf("\nPer-kernel timers (the paper's upGeo/upCor/upBar* set):\n");
-  for (const auto& [name, entry] : solver.timers().entries()) {
-    std::printf("  %-10s %8.3f ms  (%llu calls)\n", name.c_str(),
-                entry.seconds * 1e3, static_cast<unsigned long long>(entry.calls));
+  std::printf("\nPer-kernel walls (the paper's upGeo/upCor/upBar* set):\n");
+  for (const auto& [name, k] : solver.queue().aggregate_by_kernel()) {
+    std::printf("  %-11s %8.3f ms  (%llu launches)\n", name.c_str(),
+                k.seconds * 1e3, static_cast<unsigned long long>(k.launches));
+  }
+  std::printf("Per-stage walls (the step propagator):\n");
+  for (const auto& [name, stage] : solver.stage_totals()) {
+    std::printf("  %-11s %8.3f ms  (%llu runs)\n", name.c_str(),
+                stage.seconds * 1e3, static_cast<unsigned long long>(stage.runs));
   }
 
   const auto d = solver.diagnostics();

@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   const auto pipe = hacc::sph::build_pipeline(gas, popt);
 
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
-  hacc::util::TimerRegistry timers;
-  hacc::xsycl::Queue q(pool, &timers);
+  hacc::xsycl::Queue q(pool);
 
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
   std::printf("standalone %s: %zu particles, %zu leaf pairs, %s, sg %d, %d repeats\n",
@@ -114,11 +113,10 @@ int main(int argc, char** argv) {
     std::printf("  run %d: %.4f s, %llu interactions\n", r + 1, stats.seconds,
                 static_cast<unsigned long long>(stats.ops.interactions));
   }
-  hacc::xsycl::OpCounters ops;
-  for (const auto& s : q.history()) ops.merge(s.ops);
-  std::printf("counters: %s\n", ops.summary().c_str());
-  std::printf("timer %s: %.4f s over %llu launches\n", kernel.c_str(),
-              timers.get(kernel).seconds,
-              static_cast<unsigned long long>(timers.get(kernel).calls));
+  for (const auto& [name, k] : q.aggregate_by_kernel()) {
+    std::printf("counters: %s\n", k.ops.summary().c_str());
+    std::printf("kernel %s: %.4f s over %llu launches\n", name.c_str(),
+                k.seconds, static_cast<unsigned long long>(k.launches));
+  }
   return 0;
 }

@@ -9,6 +9,7 @@
 
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace hacc::core {
 
@@ -121,6 +122,10 @@ std::uint64_t config_signature(const SimConfig& cfg) {
 
 namespace {
 
+// The tree-walk chain stages that StepStats::short_range_seconds sums.
+constexpr const char* kShortRangeStages[] = {"sph", "fmm_build", "short_range",
+                                             "far_field"};
+
 // Hydro options for one kernel launch, threading the per-kernel variant.
 sph::HydroOptions hydro_options(const SimConfig& cfg, xsycl::CommVariant v) {
   sph::HydroOptions opt;
@@ -134,12 +139,7 @@ sph::HydroOptions hydro_options(const SimConfig& cfg, xsycl::CommVariant v) {
 }  // namespace
 
 Solver::Solver(const SimConfig& cfg, util::ThreadPool& pool)
-    : cfg_(cfg), pool_(&pool), queue_(pool, &timers_) {
-  t_tree_build_ = timers_.handle("tree_build");
-  t_grav_pm_ = timers_.handle("grav_pm");
-  t_grav_pp_ = timers_.handle("grav_pp");
-  t_grav_fmm_ = timers_.handle("grav_fmm");
-  t_grav_far_ = timers_.handle("grav_far");
+    : cfg_(cfg), pool_(&pool), queue_(pool) {
   a_ = ic::Cosmology::a_of_z(cfg_.z_init);
   const double a_final = ic::Cosmology::a_of_z(cfg_.z_final);
   da_ = (a_final - a_) / cfg_.n_steps;
@@ -399,7 +399,13 @@ void Solver::assemble_gravity_inputs() {
   const std::size_t total = dm_.size() + gas_.size();
   grav_pos_.resize(total);
   grav_mass_d_.resize(total);
-  grav_accel_pm_.resize(total);
+  // Without a mesh (fmm backend) there is no pm stage: the long-range term
+  // is zero.
+  if (pm_) {
+    grav_accel_pm_.resize(total);
+  } else {
+    grav_accel_pm_.assign(total, util::Vec3d{});
+  }
   grav_x_.resize(total);
   grav_y_.resize(total);
   grav_z_.resize(total);
@@ -495,7 +501,8 @@ void Solver::compute_forces(bool corrector) {
   //
   //   assemble ──► tree ──► sph ──► [fmm_build ──►] short_range [──► far_field]
   //       │
-  //       └──────► pm                  (long-range mesh: needs only the gather)
+  //       └──────► pm                  (long-range mesh: needs only the gather;
+  //                                     absent without a mesh, fmm backend)
   //
   // The pm stage reads grav_pos_/grav_mass_d_ and writes grav_accel_pm_ —
   // disjoint from everything the chain touches — so with overlap enabled it
@@ -520,10 +527,8 @@ void Solver::compute_forces(bool corrector) {
       engine_ != nullptr && cfg_.gravity_backend != GravityBackend::kFmm;
 
   if (!sharded_pp) {
-    chain = graph.add("tree", {chain}, [this] {
-      util::ScopedTimer t(timers_, t_tree_build_);
-      domain_->update(grav_pos_, dm_.size());
-    });
+    chain = graph.add("tree", {chain},
+                      [this] { domain_->update(grav_pos_, dm_.size()); });
   }
 
   if (engine_) {
@@ -560,16 +565,12 @@ void Solver::compute_forces(bool corrector) {
   // ---- Gravity (both species): Poisson constant 4 pi G = 3/2 Omega_m / (a rhobar),
   // with rhobar = 1 by the mass normalization. ----
   const double g_code = 3.0 * cfg_.cosmo.omega_m / (8.0 * M_PI * a_);
-  graph.add("pm", {s_assemble}, [this, g_code] {
-    if (pm_) {
-      const obs::TraceSpan span("gravity.pm");
-      util::ScopedTimer t(timers_, t_grav_pm_);
+  if (pm_) {
+    graph.add("pm", {s_assemble}, [this, g_code] {
       pm_->set_gravitational_constant(g_code);
       pm_->compute_forces(grav_pos_, grav_mass_d_, grav_accel_pm_);
-    } else {
-      std::fill(grav_accel_pm_.begin(), grav_accel_pm_.end(), util::Vec3d{});
-    }
-  });
+    });
+  }
 
   // Stage bodies run inside exec_->run() below, so stack locals shared by
   // the fmm stages stay alive for the whole graph.
@@ -582,8 +583,6 @@ void Solver::compute_forces(bool corrector) {
     // direct sum, so a sharded treepm run differs from an unsharded one at
     // the multipole-acceptance error level (docs/CONFIG.md).
     graph.add("short_range", {chain}, [this, g_code] {
-      const obs::TraceSpan span("gravity.pp");
-      util::ScopedTimer t(timers_, t_grav_pp_);
       shard::PpParams pp;
       pp.poly = poly_.get();
       pp.box = static_cast<float>(cfg_.box);
@@ -594,8 +593,6 @@ void Solver::compute_forces(bool corrector) {
     });
   } else if (cfg_.gravity_backend == GravityBackend::kPmPp) {
     graph.add("short_range", {chain}, [this, g_code] {
-      const obs::TraceSpan span("gravity.pp");
-      util::ScopedTimer t(timers_, t_grav_pp_);
       run_pp_short(queue_, gravity_arrays(), domain_->all(),
                    domain_->pairs(poly_->r_cut()), *poly_, pp_options(g_code));
     });
@@ -606,22 +603,16 @@ void Solver::compute_forces(bool corrector) {
                                                               &lists] {
       const double r_cut =
           treepm ? poly_->r_cut() : std::numeric_limits<double>::infinity();
-      const obs::TraceSpan span("gravity.fmm");
-      util::ScopedTimer t(timers_, t_grav_fmm_);
       evaluator.emplace(domain_->tree(), grav_pos_, grav_mass_d_, *pool_);
       lists = evaluator->build_interactions(cfg_.fmm_theta, r_cut);
     });
     const std::size_t s_short =
         graph.add("short_range", {s_fmm}, [this, g_code, &lists] {
-          const obs::TraceSpan span("gravity.pp");
-          util::ScopedTimer t(timers_, t_grav_pp_);
           run_pp_short(queue_, gravity_arrays(), domain_->all(), lists.near,
                        *poly_, pp_options(g_code));
         });
     graph.add("far_field", {s_short}, [this, g_code, treepm, &evaluator,
                                        &lists] {
-      const obs::TraceSpan span("gravity.far");
-      util::ScopedTimer t(timers_, t_grav_far_);
       fmm::FarOptions fopt;
       fopt.box = cfg_.box;
       fopt.G = g_code;
@@ -635,15 +626,17 @@ void Solver::compute_forces(bool corrector) {
   const sched::RunResult result = exec_->run(graph);
   for (const sched::StageTiming& t : result.stages) {
     if (!t.ran) continue;
-    if (t.name == "pm") {
-      pm_seconds_total_ += t.wall_seconds();
-    } else if (t.name == "sph" || t.name == "fmm_build" ||
-               t.name == "short_range" || t.name == "far_field") {
-      short_seconds_total_ += t.wall_seconds();
-    }
+    StageTotal& total = stage_totals_[t.name];
+    total.seconds += t.wall_seconds();
+    ++total.runs;
   }
   overlap_seconds_total_ += result.overlap_seconds();
   forces_ready_ = true;
+}
+
+double Solver::stage_seconds(std::string_view stage) const {
+  const auto it = stage_totals_.find(stage);
+  return it == stage_totals_.end() ? 0.0 : it->second.seconds;
 }
 
 std::vector<util::Vec3d> Solver::gravity_accelerations() const {
@@ -730,9 +723,14 @@ StepStats Solver::step() {
   const domain::DomainStats dom0 = domain_->stats();
   const shard::EngineStats eng0 =
       engine_ ? engine_->stats() : shard::EngineStats{};
-  const double tree_t0 = timers_.seconds("tree_build");
-  const double pm_t0 = pm_seconds_total_;
-  const double short_t0 = short_seconds_total_;
+  const auto chain_seconds = [this] {
+    double sum = 0.0;
+    for (const char* stage : kShortRangeStages) sum += stage_seconds(stage);
+    return sum;
+  };
+  const double tree_t0 = stage_seconds("tree");
+  const double pm_t0 = stage_seconds("pm");
+  const double short_t0 = chain_seconds();
   const double overlap_t0 = overlap_seconds_total_;
   if (!forces_ready_) compute_forces(false);
   const double a0 = a_;
@@ -766,7 +764,7 @@ StepStats Solver::step() {
   stats.max_acceleration = max_acceleration();
   stats.tree_builds = static_cast<int>(domain_->stats().builds - dom0.builds);
   stats.tree_reuses = static_cast<int>(domain_->stats().reuses - dom0.reuses);
-  stats.tree_seconds = timers_.seconds("tree_build") - tree_t0;
+  stats.tree_seconds = stage_seconds("tree") - tree_t0;
   if (engine_) {
     // Per-shard trees count alongside the global one (which the sharded
     // pm_pp/treepm graphs no longer build; the fmm graph builds both).
@@ -781,8 +779,8 @@ StepStats Solver::step() {
     stats.shard_migrate_seconds = e.migrate_seconds - eng0.migrate_seconds;
     stats.shard_exchange_seconds = e.exchange_seconds - eng0.exchange_seconds;
   }
-  stats.pm_seconds = pm_seconds_total_ - pm_t0;
-  stats.short_range_seconds = short_seconds_total_ - short_t0;
+  stats.pm_seconds = stage_seconds("pm") - pm_t0;
+  stats.short_range_seconds = chain_seconds() - short_t0;
   stats.overlap_seconds = overlap_seconds_total_ - overlap_t0;
   const auto tally = [&stats](const ParticleSet& p, bool hydro) {
     for (std::size_t i = 0; i < p.size(); ++i) {

@@ -17,8 +17,11 @@
 /// hydro forces act directly on v.
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/particles.hpp"
 #include "domain/domain.hpp"
@@ -31,7 +34,6 @@
 #include "sched/task_graph.hpp"
 #include "shard/engine.hpp"
 #include "sph/pipeline.hpp"
-#include "util/timer.hpp"
 #include "xsycl/queue.hpp"
 
 namespace hacc::core {
@@ -215,6 +217,18 @@ struct StepStats {
   double shard_exchange_seconds = 0.0;
 };
 
+/// Cumulative wall of one propagator stage (sched::StageTiming) over every
+/// force evaluation so far.
+struct StageTotal {
+  double seconds = 0.0;
+  std::uint64_t runs = 0;
+};
+
+/// Stage name ("assemble", "tree", "shard_update", "sph", "pm",
+/// "fmm_build", "short_range", "far_field") -> its cumulative wall.  Only
+/// stages that have run appear.
+using StageTotals = std::map<std::string, StageTotal, std::less<>>;
+
 /// The time integrator.  Lifecycle: construct, then exactly one of
 /// initialize() (fresh Zel'dovich ICs) or restore() (checkpoint state),
 /// then step() repeatedly — or run() for the one-shot construct-to-finish
@@ -270,8 +284,15 @@ class Solver {
   ParticleSet& dm() { return dm_; }
   const ParticleSet& dm() const { return dm_; }
 
-  util::TimerRegistry& timers() { return timers_; }
+  /// Per-kernel walls live in the queue's LaunchStats history.
   xsycl::Queue& queue() { return queue_; }
+
+  /// Per-stage walls: every propagator stage's cumulative total, filled
+  /// from each force evaluation's sched::RunResult.  StepStats'
+  /// tree/pm/short_range seconds are per-step diffs of these.
+  const StageTotals& stage_totals() const { return stage_totals_; }
+  /// Cumulative seconds of one stage (0 when it never ran).
+  double stage_seconds(std::string_view stage) const;
 
   /// Combined-species (dm then gas) gravity accelerations from the most
   /// recent force evaluation: long-range mesh (zero for the fmm backend)
@@ -332,17 +353,7 @@ class Solver {
 
   SimConfig cfg_;
   util::ThreadPool* pool_;
-  util::TimerRegistry timers_;
   xsycl::Queue queue_;
-
-  // Interned timer handles (TimerRegistry::handle): the per-step force
-  // sections record through an index instead of re-interning a string name
-  // on every ScopedTimer destruction.
-  util::TimerRegistry::Handle t_tree_build_;
-  util::TimerRegistry::Handle t_grav_pm_;
-  util::TimerRegistry::Handle t_grav_pp_;
-  util::TimerRegistry::Handle t_grav_fmm_;
-  util::TimerRegistry::Handle t_grav_far_;
 
   ParticleSet dm_;
   ParticleSet gas_;
@@ -389,9 +400,8 @@ class Solver {
   // bit-identical to the pre-propagator code path.
   std::unique_ptr<sched::StageExecutor> exec_;
   bool overlap_enabled_ = false;
-  // Cumulative propagator stage walls; step() diffs them like tree_seconds.
-  double pm_seconds_total_ = 0.0;
-  double short_seconds_total_ = 0.0;
+  // Cumulative propagator stage walls; step() diffs them.
+  StageTotals stage_totals_;
   double overlap_seconds_total_ = 0.0;
 };
 

@@ -7,13 +7,16 @@
 /// tree build/reuse counts, kernel op counters, checkpoint bytes/seconds,
 /// step-controller decisions) record into one registry; the scenario runner
 /// snapshots it into every JSONL step event and into the end-of-run
-/// `run_summary` event.
+/// `run_summary` event.  The registry aggregates; it times nothing itself.
+/// Kernel and stage walls reach it from the two records the runtime keeps:
+/// per-kernel walls from xsycl::Queue's LaunchStats (ops.kernel_s) and
+/// per-stage walls from the step propagator via core::StepStats
+/// (sched.pm_s, sched.short_s, tree.build_s).
 ///
 /// Handles: name lookup happens once, at registration
 /// (counter()/gauge()/histogram() intern the name and return an index);
 /// recording through a handle is a mutex acquire plus an array update — no
-/// string construction, no map lookup (the same discipline as
-/// util::TimerRegistry::handle).  reset() zeroes values but keeps every
+/// string construction, no map lookup.  reset() zeroes values but keeps every
 /// registration, so cached handles in long-lived producers (PmSolver, the
 /// runner) survive a reset between runs.
 ///

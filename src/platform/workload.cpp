@@ -71,7 +71,7 @@ KernelProfiles collect_profiles(xsycl::CommVariant variant, int sg_size,
   }
 
   KernelProfiles out;
-  for (const auto& [name, ops] : queue.aggregate_by_kernel()) out[name] = ops;
+  for (const auto& [name, totals] : queue.aggregate_by_kernel()) out[name] = totals.ops;
   return out;
 }
 

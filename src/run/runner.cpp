@@ -29,13 +29,27 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// The kernel timers the in-run cascade ranks: the paper's SPH set plus the
-// gravity phases, whichever of them have actually run.
-constexpr const char* kCascadeKernels[] = {
-    "upGeo", "upCor",  "upBarEx", "upBarAc", "upBarAcF", "upBarDu",
-    "upBarDuF", "grav_pm", "grav_pp", "grav_fmm", "grav_far", "tree_build"};
+// The propagator stages the cascade ranks beside the kernels: the ones whose
+// work runs outside the queue.  The sph and short_range stages are left out;
+// their walls are the kernels' own launches.
+constexpr const char* kCascadeStages[] = {"pm", "tree", "fmm_build",
+                                          "far_field"};
 
 }  // namespace
+
+std::vector<CascadeEntry> cascade_entries(
+    const xsycl::KernelTotalsByName& kernels, const core::StageTotals& stages) {
+  std::vector<CascadeEntry> out;
+  for (const auto& [name, k] : kernels) {
+    out.push_back({name, k.seconds, k.launches});
+  }
+  for (const char* name : kCascadeStages) {
+    if (const auto it = stages.find(name); it != stages.end()) {
+      out.push_back({name, it->second.seconds, it->second.runs});
+    }
+  }
+  return out;
+}
 
 ScenarioRunner::ScenarioRunner(const core::SimConfig& sim, const RunOptions& opt,
                                util::ThreadPool& pool)
@@ -346,18 +360,18 @@ void ScenarioRunner::run_diagnostics(int step) {
   rec.n_halos = halos.n_halos();
   rec.largest_halo = halos.halo_sizes.empty() ? 0 : halos.halo_sizes.front();
 
-  // The metrics cascade over the per-kernel timers: each kernel is a
+  // The metrics cascade over the per-kernel and per-stage walls: each is a
   // "platform", its efficiency the best per-call time over its own — the
   // in-run view of which kernel dominates the step cost.
   metrics::EfficiencySet eff;
   eff.application = sim_.scenario;
   double best = 0.0;
-  for (const char* name : kCascadeKernels) {
-    const auto e = solver_.timers().get(name);
+  for (const CascadeEntry& e :
+       cascade_entries(kernel_totals_, solver_.stage_totals())) {
     if (e.calls == 0) continue;
     const double per_call = e.seconds / static_cast<double>(e.calls);
     if (per_call <= 0.0) continue;
-    eff.by_platform[name] = per_call;  // seconds for now; normalized below
+    eff.by_platform[e.name] = per_call;  // seconds for now; normalized below
     best = best == 0.0 ? per_call : std::min(best, per_call);
   }
   for (auto& [name, seconds] : eff.by_platform) seconds = best / seconds;
@@ -393,10 +407,12 @@ void ScenarioRunner::record_step_metrics(const core::StepStats& stats) {
   m.record(m_step_wall_s_, stats.wall_seconds);
   m.record(m_step_da_, stats.da);
   m.set(m_stepctl_da_, stats.da);
-  // Kernel launches since the previous step, then clear so the queue history
-  // stays bounded over long runs (direct Solver users keep the full history;
-  // only runner-driven runs consume it here).
+  // Kernel launches since the previous step, folded into the run-long
+  // per-kernel totals, then clear so the queue history stays bounded over
+  // long runs (direct Solver users keep the full history; only
+  // runner-driven runs consume it here).
   for (const auto& s : solver_.queue().history()) {
+    kernel_totals_[s.kernel].add(s);
     m.inc(m_ops_launches_);
     m.inc(m_ops_kernel_s_, s.seconds);
     m.inc(m_ops_interactions_, static_cast<double>(s.ops.interactions));

@@ -5,10 +5,11 @@
 /// end-to-end simulation — IC generation (or checkpoint restart), the
 /// stepping loop under a StepController, periodic restart checkpoints, an
 /// in-run diagnostics schedule (FoF halo finding + the metrics cascade over
-/// the per-kernel timers), and a JSON-lines event log.  This is the layer
-/// behind the `hacc_run` CLI; the paper's five-step benchmark is the
-/// `paper-benchmark` scenario in fixed mode.
+/// the per-kernel and per-stage walls), and a JSON-lines event log.  This is
+/// the layer behind the `hacc_run` CLI; the paper's five-step benchmark is
+/// the `paper-benchmark` scenario in fixed mode.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -76,6 +77,20 @@ struct OutputRecord {
   std::string slowest_kernel;      ///< worst per-call kernel at this output
 };
 
+/// One wall the in-run cascade ranks.
+struct CascadeEntry {
+  std::string name;
+  double seconds = 0.0;
+  std::uint64_t calls = 0;  ///< kernel launches, or stage runs
+};
+
+/// The cascade's inputs, by name: every kernel in `kernels` (seconds and
+/// launch count from the queue's LaunchStats), then the propagator stages
+/// whose work launches no kernel — pm, tree, fmm_build, far_field — from
+/// `stages`, for those that ran.
+std::vector<CascadeEntry> cascade_entries(
+    const xsycl::KernelTotalsByName& kernels, const core::StageTotals& stages);
+
 /// What a completed run did.
 struct RunResult {
   int steps = 0;              ///< steps taken by this process (excl. restart)
@@ -113,6 +128,11 @@ class ScenarioRunner {
 
   core::Solver& solver() { return solver_; }
   const core::Solver& solver() const { return solver_; }
+  /// Every kernel launch of the run so far, folded from the queue history
+  /// before each step clears it.
+  const xsycl::KernelTotalsByName& kernel_totals() const {
+    return kernel_totals_;
+  }
   const RunOptions& options() const { return opt_; }
 
  private:
@@ -185,6 +205,7 @@ class ScenarioRunner {
   obs::MetricsRegistry::Handle m_run_outputs_;
   obs::MetricsRegistry::Handle m_stepctl_da_;  // gauge: last Δa decision
   std::uint64_t last_m2p_ = 0;  // fmm_ops() is cumulative; we record deltas
+  xsycl::KernelTotalsByName kernel_totals_;
 };
 
 }  // namespace hacc::run

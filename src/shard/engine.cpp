@@ -703,7 +703,6 @@ void ShardEngine::refresh_ghost_fields(std::uint32_t round) {
 void ShardEngine::run_sph(core::ParticleSet& gas, xsycl::Queue& q,
                           const SphParams& sph) {
   const obs::TraceSpan span("shard.sph");
-  const double t0 = util::wtime();
   const int count = layout_.count();
   // One tree walk per shard feeds all five kernels (the same economy as the
   // single-domain solver): leaf pairs with no gas on either side do zero
@@ -759,7 +758,6 @@ void ShardEngine::run_sph(core::ParticleSet& gas, xsycl::Queue& q,
                     domain::PairSource(s.sph_pairs), sph.energy,
                     sph.energy_timer);
   });
-  stats_.sph_seconds += util::wtime() - t0;
   {
     const obs::TraceSpan scatter_span("shard.scatter");
     const double t1 = util::wtime();

@@ -110,7 +110,6 @@ struct EngineStats {
   double exchange_seconds = 0.0;    ///< ghost loads, refreshes, scatter
   double domain_seconds = 0.0;      ///< per-shard tree build/refresh
   double pp_seconds = 0.0;
-  double sph_seconds = 0.0;
 };
 
 class ShardEngine {

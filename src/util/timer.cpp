@@ -1,63 +1,8 @@
 #include "util/timer.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <chrono>
 
 namespace hacc::util {
-
-TimerRegistry::Handle TimerRegistry::handle(const std::string& name) {
-  MutexLock lock(mu_);
-  if (auto it = index_.find(name); it != index_.end()) return it->second;
-  slots_.emplace_back(name, Entry{});
-  const Handle h = slots_.size() - 1;
-  index_.emplace(name, h);
-  return h;
-}
-
-void TimerRegistry::add(Handle h, double dt) {
-  MutexLock lock(mu_);
-  if (h >= slots_.size()) {
-    throw std::logic_error("TimerRegistry::add: unknown timer handle");
-  }
-  Entry& e = slots_[h].second;
-  e.seconds += dt;
-  e.calls += 1;
-}
-
-void TimerRegistry::add(const std::string& name, double dt) {
-  add(handle(name), dt);
-}
-
-TimerRegistry::Entry TimerRegistry::get(const std::string& name) const {
-  MutexLock lock(mu_);
-  if (auto it = index_.find(name); it != index_.end()) {
-    return slots_[it->second].second;
-  }
-  return {};
-}
-
-double TimerRegistry::total(const std::vector<std::string>& names) const {
-  double sum = 0.0;
-  for (const auto& n : names) sum += get(n).seconds;
-  return sum;
-}
-
-std::vector<std::pair<std::string, TimerRegistry::Entry>> TimerRegistry::entries() const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<std::string, Entry>> out;
-  out.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    if (slot.second.calls > 0) out.push_back(slot);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
-void TimerRegistry::reset() {
-  MutexLock lock(mu_);
-  for (auto& slot : slots_) slot.second = Entry{};
-}
 
 double wtime() {
   using clock = std::chrono::steady_clock;

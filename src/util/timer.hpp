@@ -1,102 +1,12 @@
 #pragma once
 
-// Named accumulating wall-clock timers, modelled on CRK-HACC's internal
-// MPI_Wtime()-based timers (paper §3.4.4).  Each named timer accumulates
-// total seconds and call counts; a scoped guard brackets an operation.
-// The solver uses the same timer names as the paper's figures:
-//   upGeo, upCor, upBarEx, upBarAc, upBarAcF, upBarDu, upBarDuF.
-
-#include <chrono>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "util/annotations.hpp"
-#include "util/mutex.hpp"
+// The wall clock behind every timing record, modelled on CRK-HACC's
+// MPI_Wtime()-based timers (paper §3.4.4).  The records themselves live
+// where the work is launched: per-kernel walls (upGeo, upCor, upBarEx,
+// upBarAc, upBarAcF, upBarDu, upBarDuF, grav_pp) in xsycl::Queue's
+// LaunchStats history, per-stage walls in sched::RunResult.
 
 namespace hacc::util {
-
-// Thread-safe: kernels running on pool threads add() concurrently with the
-// driver thread reading entries(); every access goes through mu_, and the
-// discipline is compiler-checked via the HACC_GUARDED_BY annotation.
-class TimerRegistry {
- public:
-  struct Entry {
-    double seconds = 0.0;
-    std::uint64_t calls = 0;
-  };
-
-  // Interned timer index: look the name up once, record through the index
-  // forever after.
-  using Handle = std::size_t;
-
-  // Interns `name` and returns its stable handle.  Hot-path producers (the
-  // solver's per-step sections, kernel launch wrappers) cache the handle so
-  // every add() is an index into slots_ — no string construction and no map
-  // lookup under the mutex.  Handles survive reset().
-  Handle handle(const std::string& name);
-
-  // Adds dt seconds through an interned handle (the hot path).  Throws
-  // std::logic_error on a handle this registry never issued.
-  void add(Handle h, double dt);
-
-  // Adds dt seconds to the named timer (cold path: interns on every call).
-  void add(const std::string& name, double dt);
-
-  // Returns the accumulated entry (zero entry when never recorded).
-  Entry get(const std::string& name) const;
-
-  double seconds(const std::string& name) const { return get(name).seconds; }
-
-  // Total over all timers whose name matches any of the given names.
-  double total(const std::vector<std::string>& names) const;
-
-  // All entries with at least one recorded call, sorted by name.  Interned
-  // but never-recorded timers are indistinguishable from unknown names here
-  // and in get(), exactly as before the handle API existed.
-  std::vector<std::pair<std::string, Entry>> entries() const;
-
-  // Zeroes every accumulator.  Registrations survive: handles issued before
-  // a reset stay valid, and entries() is empty again until the next add.
-  void reset();
-
- private:
-  mutable Mutex mu_;
-  // Interned names and their accumulators, indexed by Handle; index_ maps
-  // name -> Handle.  Slots are never erased, so handles are stable.
-  std::vector<std::pair<std::string, Entry>> slots_ HACC_GUARDED_BY(mu_);
-  std::map<std::string, Handle> index_ HACC_GUARDED_BY(mu_);
-};
-
-// RAII guard that brackets an offloaded operation, like HACC's timer macros.
-// Prefer the Handle constructor on per-step paths: the string overload
-// interns its name on every destruction.
-class ScopedTimer {
- public:
-  ScopedTimer(TimerRegistry& reg, std::string name)
-      : reg_(reg), name_(std::move(name)), start_(clock::now()) {}
-  ScopedTimer(TimerRegistry& reg, TimerRegistry::Handle handle)
-      : reg_(reg), handle_(handle), start_(clock::now()) {}
-  ~ScopedTimer() {
-    const auto dt = std::chrono::duration<double>(clock::now() - start_).count();
-    if (handle_ != kNoHandle) {
-      reg_.add(handle_, dt);
-    } else {
-      reg_.add(name_, dt);
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  using clock = std::chrono::steady_clock;
-  static constexpr TimerRegistry::Handle kNoHandle =
-      static_cast<TimerRegistry::Handle>(-1);
-  TimerRegistry& reg_;
-  std::string name_;
-  TimerRegistry::Handle handle_ = kNoHandle;
-  clock::time_point start_;
-};
 
 // Monotonic seconds since an arbitrary epoch (MPI_Wtime stand-in).
 double wtime();

@@ -1,10 +1,10 @@
 #include "xsycl/queue.hpp"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/timer.hpp"
 
 namespace hacc::xsycl {
 
@@ -62,7 +62,6 @@ LaunchStats Queue::submit_impl(const KernelFn& fn, const std::string& name,
   stats.seconds = util::wtime() - t0;
   stats.ops = total;
 
-  if (timers_ != nullptr) timers_->add(name, stats.seconds);
   {
     util::MutexLock lock(mu_);
     history_.push_back(stats);
@@ -70,11 +69,11 @@ LaunchStats Queue::submit_impl(const KernelFn& fn, const std::string& name,
   return stats;
 }
 
-std::vector<std::pair<std::string, OpCounters>> Queue::aggregate_by_kernel() const {
-  std::map<std::string, OpCounters> agg;
+KernelTotalsByName Queue::aggregate_by_kernel() const {
+  KernelTotalsByName agg;
   util::MutexLock lock(mu_);
-  for (const auto& s : history_) agg[s.kernel].merge(s.ops);
-  return {agg.begin(), agg.end()};
+  for (const auto& s : history_) agg[s.kernel].add(s);
+  return agg;
 }
 
 }  // namespace hacc::xsycl

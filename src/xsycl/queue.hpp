@@ -10,18 +10,18 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 #include "xsycl/sub_group.hpp"
 
 namespace hacc::xsycl {
 
-// Every xsycl kernel satisfies this concept.  name() keys the timer registry
+// Every xsycl kernel satisfies this concept.  name() keys the launch history
 // and the by-name launch registry; local_bytes_per_sg sizes the work-group
 // local arena (paper §5.3.1).
 template <typename K>
@@ -46,6 +46,22 @@ struct LaunchStats {
   double seconds = 0.0;
 };
 
+// Per-kernel totals over a run of launches: merged op counters, wall seconds
+// summed in launch order, and the launch count.  The one source of per-kernel
+// wall time: the runner's cascade and the examples' tables read these.
+struct KernelTotals {
+  OpCounters ops;
+  double seconds = 0.0;
+  std::uint64_t launches = 0;
+
+  void add(const LaunchStats& s) {
+    ops.merge(s.ops);
+    seconds += s.seconds;
+    ++launches;
+  }
+};
+using KernelTotalsByName = std::map<std::string, KernelTotals>;
+
 // Thread-safe: submit() may be called from several driver threads at once
 // (each launch still fans its work-groups out over the shared pool), and the
 // launch history is snapshotted under mu_.  Kernel bodies themselves see
@@ -53,9 +69,8 @@ struct LaunchStats {
 // mutable state across workers.
 class Queue {
  public:
-  explicit Queue(util::ThreadPool& pool = util::ThreadPool::global(),
-                 util::TimerRegistry* timers = nullptr)
-      : pool_(&pool), timers_(timers) {}
+  explicit Queue(util::ThreadPool& pool = util::ThreadPool::global())
+      : pool_(&pool) {}
 
   // Runs kernel(sg) for every sub-group index in [0, n_sub_groups).
   template <SubGroupKernel K>
@@ -78,10 +93,8 @@ class Queue {
     history_.clear();
   }
 
-  // Aggregated op counters per kernel name over the recorded history.
-  std::vector<std::pair<std::string, OpCounters>> aggregate_by_kernel() const;
-
-  util::TimerRegistry* timers() const { return timers_; }
+  // Totals per kernel name over the recorded history.
+  KernelTotalsByName aggregate_by_kernel() const;
 
  private:
   using KernelFn = std::function<void(SubGroup&)>;
@@ -91,7 +104,6 @@ class Queue {
                           const LaunchConfig& cfg);
 
   util::ThreadPool* pool_;
-  util::TimerRegistry* timers_;
   mutable util::Mutex mu_;
   std::vector<LaunchStats> history_ HACC_GUARDED_BY(mu_);
 };

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/config.hpp"
@@ -128,15 +130,54 @@ TEST(Solver, TimersCoverAllPaperKernels) {
   util::ThreadPool pool(4);
   Solver solver(cfg, pool);
   solver.run();
-  const auto& t = solver.timers();
-  // The seven SPH timers of Figs. 9-11 plus the gravity timers.
+  auto kernels = solver.queue().aggregate_by_kernel();
+  // The seven SPH kernels of Figs. 9-11 plus the short-range gravity kernel
+  // time their launches; the PM solve is timed by its propagator stage.
   for (const char* name : {"upGeo", "upCor", "upBarEx", "upBarAc", "upBarDu",
-                           "upBarAcF", "upBarDuF", "grav_pm", "grav_pp"}) {
-    EXPECT_GT(t.get(name).calls, 0u) << name;
+                           "upBarAcF", "upBarDuF", "grav_pp"}) {
+    EXPECT_GT(kernels[name].launches, 0u) << name;
   }
+  EXPECT_GT(solver.stage_totals().at("pm").runs, 0u);
   // upBarAcF runs every step; upBarAc only at initialization.
-  EXPECT_EQ(t.get("upBarAcF").calls, static_cast<std::uint64_t>(cfg.n_steps));
-  EXPECT_EQ(t.get("upBarAc").calls, 1u);
+  EXPECT_EQ(kernels["upBarAcF"].launches, static_cast<std::uint64_t>(cfg.n_steps));
+  EXPECT_EQ(kernels["upBarAc"].launches, 1u);
+}
+
+TEST(Solver, StepStageSecondsAreDiffsOfStageTotals) {
+  // StepStats' tree/pm/short_range seconds come from the propagator's stage
+  // records and nowhere else: each is this step's diff of the stage totals.
+  for (const GravityBackend backend :
+       {GravityBackend::kPmPp, GravityBackend::kTreePm}) {
+    SimConfig cfg = small_config();
+    cfg.np_side = 8;
+    cfg.n_steps = 2;
+    cfg.gravity_backend = backend;
+    cfg.hydro = backend == GravityBackend::kPmPp;
+    util::ThreadPool pool(1);
+    Solver solver(cfg, pool);
+    solver.initialize();
+    const auto walls = [&solver] {
+      return std::array<double, 3>{
+          solver.stage_seconds("tree"), solver.stage_seconds("pm"),
+          solver.stage_seconds("sph") + solver.stage_seconds("fmm_build") +
+              solver.stage_seconds("short_range") +
+              solver.stage_seconds("far_field")};
+    };
+    for (int s = 0; s < cfg.n_steps; ++s) {
+      const auto before = walls();
+      const StepStats st = solver.step();
+      const auto after = walls();
+      EXPECT_DOUBLE_EQ(st.tree_seconds, after[0] - before[0]);
+      EXPECT_DOUBLE_EQ(st.pm_seconds, after[1] - before[1]);
+      EXPECT_DOUBLE_EQ(st.short_range_seconds, after[2] - before[2]);
+      EXPECT_GT(std::min({st.tree_seconds, st.pm_seconds, st.short_range_seconds}),
+                0.0) << to_string(backend);
+    }
+    // One force evaluation at initialize(), one per step after it.
+    for (const auto& [name, total] : solver.stage_totals()) {
+      EXPECT_EQ(total.runs, 1u + cfg.n_steps) << name;
+    }
+  }
 }
 
 TEST(Solver, MassIsExactlyBoxVolume) {
@@ -404,11 +445,13 @@ TEST(Solver, FmmBackendExercisesFarFieldAndStaysFinite) {
   for (const auto& a : solver.gravity_accelerations()) {
     ASSERT_TRUE(std::isfinite(a.x) && std::isfinite(a.y) && std::isfinite(a.z));
   }
-  // The fmm backend replaces the mesh: tree timers run, the PM timer never.
-  EXPECT_GT(solver.timers().get("grav_fmm").calls, 0u);
-  EXPECT_GT(solver.timers().get("grav_far").calls, 0u);
-  EXPECT_GT(solver.timers().get("grav_pp").calls, 0u);
-  EXPECT_EQ(solver.timers().get("grav_pm").calls, 0u);
+  // The fmm backend replaces the mesh: the tree stages and the near-field
+  // kernel run, the PM stage never.
+  const StageTotals& stages = solver.stage_totals();
+  EXPECT_GT(stages.at("fmm_build").runs, 0u);
+  EXPECT_GT(stages.at("far_field").runs, 0u);
+  EXPECT_EQ(stages.count("pm"), 0u);
+  EXPECT_GT(solver.queue().aggregate_by_kernel().at("grav_pp").launches, 0u);
 }
 
 TEST(Solver, DoubleInitializeFailsLoudly) {

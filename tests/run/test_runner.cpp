@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "run/scenario.hpp"
@@ -71,6 +72,56 @@ TEST_F(RunnerTest, PaperBenchmarkReproducesSolverRun) {
   EXPECT_DOUBLE_EQ(result.final_a, reference.scale_factor());
   expect_bitwise_equal(runner.solver().dm(), reference.dm(), "dm");
   expect_bitwise_equal(runner.solver().gas(), reference.gas(), "gas");
+}
+
+TEST_F(RunnerTest, CascadeRanksLaunchRecordsWithoutDoubleCounting) {
+  // Regression: the short-range P-P wall was once recorded twice under
+  // grav_pp, by the queue per launch and by a stopwatch around the whole
+  // stage, and the cascade ranked the sum.  Every kernel total the cascade
+  // ranks must be exactly the sum and count of that kernel's LaunchStats.
+  Scenario s;
+  ASSERT_TRUE(find_scenario("paper-benchmark", s));
+  s.sim.np_side = 8;
+  s.sim.n_steps = 2;
+
+  core::Solver solver(s.sim, test_pool());
+  solver.run();
+  const std::vector<xsycl::LaunchStats> launches = solver.queue().history();
+  const xsycl::KernelTotalsByName kernels = solver.queue().aggregate_by_kernel();
+  std::map<std::string, int> ranked;
+  for (const CascadeEntry& e : cascade_entries(kernels, solver.stage_totals())) {
+    ++ranked[e.name];
+    double seconds = 0.0;
+    std::uint64_t count = 0;
+    if (kernels.count(e.name) == 0) {  // a non-kernel stage
+      seconds = solver.stage_totals().at(e.name).seconds;
+      count = solver.stage_totals().at(e.name).runs;
+    }
+    for (const xsycl::LaunchStats& l : launches) {
+      if (l.kernel != e.name) continue;
+      seconds += l.seconds;
+      ++count;
+    }
+    EXPECT_EQ(e.seconds, seconds) << e.name;
+    EXPECT_EQ(e.calls, count) << e.name;
+  }
+  // The sph and short_range stage walls are their kernels' launches: ranking
+  // them as well would count that time twice.
+  EXPECT_EQ(ranked, (std::map<std::string, int>{
+                        {"grav_pp", 1}, {"pm", 1}, {"tree", 1}, {"upBarAc", 1},
+                        {"upBarAcF", 1}, {"upBarDu", 1}, {"upBarDuF", 1},
+                        {"upBarEx", 1}, {"upCor", 1}, {"upGeo", 1}}));
+
+  // The runner folds the same records step by step, clearing the history
+  // as it goes: one thread makes the launches identical to the direct run.
+  ScenarioRunner runner(s.sim, s.run, test_pool());
+  runner.run();
+  ASSERT_EQ(runner.kernel_totals().size(), kernels.size());
+  for (const auto& [name, totals] : runner.kernel_totals()) {
+    EXPECT_EQ(totals.launches, kernels.at(name).launches) << name;
+    EXPECT_EQ(totals.ops, kernels.at(name).ops) << name;
+    EXPECT_GT(totals.seconds, 0.0) << name;
+  }
 }
 
 class RestartPerBackend

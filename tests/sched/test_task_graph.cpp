@@ -60,6 +60,25 @@ TEST(StageExecutor, ZeroLanesRunsDeclarationOrderOnTheCaller) {
   EXPECT_DOUBLE_EQ(r.overlap_seconds(), 0.0);
 }
 
+TEST(StageExecutor, StageTimingBracketsTheBody) {
+  // StageTiming is the solver's only per-stage stopwatch: it must bracket
+  // the whole body, serially and on a lane.
+  for (const unsigned lanes : {0u, 1u}) {
+    TaskGraph g;
+    g.add("nap", {}, [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    });
+    StageExecutor exec(lanes);
+    const RunResult r = exec.run(g);
+    ASSERT_EQ(r.stages.size(), 1u);
+    EXPECT_EQ(r.stages[0].name, "nap");
+    EXPECT_TRUE(r.stages[0].ran);
+    EXPECT_GE(r.stages[0].wall_seconds(), 0.004) << lanes;
+    EXPECT_LT(r.stages[0].wall_seconds(), 5.0) << lanes;
+    EXPECT_GE(r.wall_seconds, r.stages[0].wall_seconds()) << lanes;
+  }
+}
+
 TEST(StageExecutor, ZeroLanesThrowPropagatesImmediately) {
   bool later_ran = false;
   TaskGraph g;

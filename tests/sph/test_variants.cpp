@@ -267,7 +267,11 @@ std::vector<std::pair<std::string, xsycl::OpCounters>> measured_counters(CommVar
   gravity::run_pp_short(q, {p.x.data(), p.y.data(), p.z.data(), p.mass.data(), ax.data(),
                             ay.data(), az.data(), p.size()},
                         tr, pairs, poly, pp);
-  return q.aggregate_by_kernel();
+  std::vector<std::pair<std::string, xsycl::OpCounters>> out;
+  for (const auto& [kernel, totals] : q.aggregate_by_kernel()) {
+    out.emplace_back(kernel, totals.ops);
+  }
+  return out;
 }
 
 class OpCounterSnapshot

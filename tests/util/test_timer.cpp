@@ -2,134 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-#include <thread>
-
-#include "util/thread_pool.hpp"
-
 namespace hacc::util {
 namespace {
-
-TEST(TimerRegistry, AccumulatesSecondsAndCalls) {
-  TimerRegistry reg;
-  reg.add("upGeo", 0.5);
-  reg.add("upGeo", 0.25);
-  const auto e = reg.get("upGeo");
-  EXPECT_DOUBLE_EQ(e.seconds, 0.75);
-  EXPECT_EQ(e.calls, 2u);
-}
-
-TEST(TimerRegistry, UnknownTimerIsZero) {
-  TimerRegistry reg;
-  const auto e = reg.get("nonexistent");
-  EXPECT_DOUBLE_EQ(e.seconds, 0.0);
-  EXPECT_EQ(e.calls, 0u);
-}
-
-TEST(TimerRegistry, TotalOverNames) {
-  TimerRegistry reg;
-  reg.add("upBarAc", 1.0);
-  reg.add("upBarAcF", 2.0);
-  reg.add("upBarDu", 4.0);
-  EXPECT_DOUBLE_EQ(reg.total({"upBarAc", "upBarAcF"}), 3.0);
-  EXPECT_DOUBLE_EQ(reg.total({"upBarAc", "upBarAcF", "upBarDu", "missing"}), 7.0);
-}
-
-TEST(TimerRegistry, EntriesSortedByName) {
-  TimerRegistry reg;
-  reg.add("b", 1.0);
-  reg.add("a", 2.0);
-  const auto entries = reg.entries();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].first, "a");
-  EXPECT_EQ(entries[1].first, "b");
-}
-
-TEST(TimerRegistry, ResetClearsEverything) {
-  TimerRegistry reg;
-  reg.add("x", 1.0);
-  reg.reset();
-  EXPECT_TRUE(reg.entries().empty());
-}
-
-TEST(TimerRegistry, HandleInternsOnceAndAccumulates) {
-  TimerRegistry reg;
-  const auto h = reg.handle("grav_pm");
-  EXPECT_EQ(reg.handle("grav_pm"), h);  // same name -> same handle
-  reg.add(h, 0.5);
-  reg.add("grav_pm", 0.25);  // name and handle hit the same accumulator
-  const auto e = reg.get("grav_pm");
-  EXPECT_DOUBLE_EQ(e.seconds, 0.75);
-  EXPECT_EQ(e.calls, 2u);
-}
-
-TEST(TimerRegistry, HandleSurvivesReset) {
-  TimerRegistry reg;
-  const auto h = reg.handle("tree_build");
-  reg.add(h, 1.0);
-  reg.reset();
-  EXPECT_TRUE(reg.entries().empty());  // zeroed entries are invisible
-  reg.add(h, 2.0);  // the pre-reset handle still lands
-  EXPECT_DOUBLE_EQ(reg.get("tree_build").seconds, 2.0);
-  EXPECT_EQ(reg.get("tree_build").calls, 1u);
-}
-
-TEST(TimerRegistry, InternedButNeverRecordedIsInvisible) {
-  TimerRegistry reg;
-  (void)reg.handle("registered_only");
-  EXPECT_TRUE(reg.entries().empty());
-  EXPECT_EQ(reg.get("registered_only").calls, 0u);
-}
-
-TEST(TimerRegistry, UnknownHandleThrows) {
-  TimerRegistry reg;
-  EXPECT_THROW(reg.add(static_cast<TimerRegistry::Handle>(42), 1.0),
-               std::logic_error);
-}
-
-TEST(ScopedTimer, HandleConstructorRecords) {
-  TimerRegistry reg;
-  const auto h = reg.handle("op");
-  {
-    ScopedTimer t(reg, h);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  const auto e = reg.get("op");
-  EXPECT_EQ(e.calls, 1u);
-  EXPECT_GE(e.seconds, 0.004);
-}
-
-TEST(ScopedTimer, BracketsAnOperation) {
-  TimerRegistry reg;
-  {
-    ScopedTimer t(reg, "op");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  const auto e = reg.get("op");
-  EXPECT_EQ(e.calls, 1u);
-  EXPECT_GE(e.seconds, 0.004);
-  EXPECT_LT(e.seconds, 5.0);
-}
 
 TEST(Wtime, IsMonotonic) {
   const double a = wtime();
   const double b = wtime();
   EXPECT_GE(b, a);
-}
-
-TEST(TimerRegistry, ConcurrentAddsFromPoolThreadsAllLand) {
-  // The pattern the solver relies on: kernels on pool workers add() into the
-  // registry while the driver thread reads it.  Exercised under TSan in CI.
-  TimerRegistry reg;
-  ThreadPool pool(8);
-  constexpr std::int64_t n = 2000;
-  pool.parallel_for(n, [&](std::int64_t i) {
-    reg.add(i % 2 == 0 ? "even" : "odd", 0.001);
-    if (i % 100 == 0) (void)reg.entries();  // concurrent reader
-  });
-  EXPECT_EQ(reg.get("even").calls, static_cast<std::uint64_t>(n / 2));
-  EXPECT_EQ(reg.get("odd").calls, static_cast<std::uint64_t>(n / 2));
-  EXPECT_NEAR(reg.total({"even", "odd"}), 0.001 * n, 1e-9);
 }
 
 }  // namespace

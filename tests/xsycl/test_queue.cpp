@@ -84,15 +84,17 @@ TEST(Queue, LocalArenaSlicesDoNotOverlapAcrossSubGroups) {
 
 TEST(Queue, TimersRecordLaunches) {
   util::ThreadPool pool(2);
-  util::TimerRegistry timers;
-  Queue q(pool, &timers);
+  Queue q(pool);
   std::vector<std::atomic<int>> hits(10);
   std::atomic<long> lanes{0};
-  q.submit(MarkKernel{hits.data(), &lanes}, 10, {});
-  q.submit(MarkKernel{hits.data(), &lanes}, 10, {});
-  const auto e = timers.get("mark");
-  EXPECT_EQ(e.calls, 2u);
-  EXPECT_GE(e.seconds, 0.0);
+  const auto first = q.submit(MarkKernel{hits.data(), &lanes}, 10, {});
+  const auto second = q.submit(MarkKernel{hits.data(), &lanes}, 10, {});
+  const auto agg = q.aggregate_by_kernel();
+  ASSERT_EQ(agg.size(), 1u);
+  EXPECT_EQ(agg.at("mark").launches, 2u);
+  EXPECT_GE(first.seconds, 0.0);
+  EXPECT_GE(second.seconds, 0.0);
+  EXPECT_EQ(agg.at("mark").seconds, first.seconds + second.seconds);
 }
 
 TEST(Queue, HistoryAggregatesByKernelName) {
@@ -105,8 +107,8 @@ TEST(Queue, HistoryAggregatesByKernelName) {
   q.submit(MarkKernel{hits.data(), &lanes}, 20, {});
   const auto agg = q.aggregate_by_kernel();
   ASSERT_EQ(agg.size(), 1u);
-  EXPECT_EQ(agg[0].first, "mark");
-  EXPECT_EQ(agg[0].second.sub_groups, 30u);
+  EXPECT_EQ(agg.at("mark").ops.sub_groups, 30u);
+  EXPECT_EQ(agg.at("mark").launches, 2u);
   q.clear_history();
   EXPECT_TRUE(q.history().empty());
 }
@@ -115,8 +117,7 @@ TEST(Queue, ConcurrentSubmittersKeepHistoryConsistent) {
   // Two driver threads submit into one queue over the shared pool; the
   // history must record every launch without tearing (TSan-checked in CI).
   util::ThreadPool pool(4);
-  util::TimerRegistry timers;
-  Queue q(pool, &timers);
+  Queue q(pool);
   constexpr int kPerThread = 8;
   std::vector<std::atomic<int>> hits(64);
   std::atomic<long> lanes{0};
@@ -131,10 +132,10 @@ TEST(Queue, ConcurrentSubmittersKeepHistoryConsistent) {
   a.join();
   b.join();
   EXPECT_EQ(q.history().size(), 2u * kPerThread);
-  EXPECT_EQ(timers.get("mark").calls, 2u * kPerThread);
   const auto agg = q.aggregate_by_kernel();
   ASSERT_EQ(agg.size(), 1u);
-  EXPECT_EQ(agg[0].second.sub_groups, 2u * kPerThread * 64u);
+  EXPECT_EQ(agg.at("mark").launches, 2u * kPerThread);
+  EXPECT_EQ(agg.at("mark").ops.sub_groups, 2u * kPerThread * 64u);
 }
 
 TEST(Queue, SubGroupSizePropagates) {

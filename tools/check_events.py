@@ -29,7 +29,7 @@ Two modes:
     tracing end to end.  --assert-overlap A,B requires at least one span
     matching token A to overlap in time with one matching token B (a span
     matches a token when the token equals one of its dot-separated name
-    segments, so `pm` matches both `sched.pm` and `gravity.pm`) — the CI
+    segments, so `pm` matches both `sched.pm` and `pm.deposit`) — the CI
     proof that the step propagator really runs the PM stage concurrently
     with the short-range chain.
 
@@ -71,7 +71,8 @@ REQUIRED_EVENT_KEYS = {
     "recovery": ["file", "recovered_from", "candidates"],
     "error": ["what"],
     "ckpt_prune": ["file", "pruned_step"],
-    "output": ["a", "z", "n_halos", "largest_halo"],
+    "output": ["a", "z", "n_halos", "largest_halo", "kernel_pp",
+               "slowest_kernel"],
     "run_summary": ["metrics"],
     "end": ["steps", "total_steps", "a", "z", "wall_s", "checkpoints"],
     "max_steps": ["steps"],

@@ -41,7 +41,8 @@ def event(etype: str, step: int, **extra) -> dict:
         "error": {"what": "checkpoint", "file": "ck.step2",
                   "status": "open_failed", "detail": "no such directory"},
         "ckpt_prune": {"file": "ck.step1", "pruned_step": 1},
-        "output": {"a": 0.03, "z": 32.3, "n_halos": 4, "largest_halo": 32},
+        "output": {"a": 0.03, "z": 32.3, "n_halos": 4, "largest_halo": 32,
+                   "kernel_pp": 0.41, "slowest_kernel": "upBarAcF"},
         "run_summary": {"metrics": metrics_snapshot()},
         "end": {"steps": 2, "total_steps": 2, "a": 0.04, "z": 24.0,
                 "wall_s": 1.0, "checkpoints": 1},
@@ -121,6 +122,15 @@ class JsonlStream(unittest.TestCase):
         events[1] = event("recovery", 2)  # scan verdicts but no init/restart
         problems = check_lines(events)
         self.assertTrue(any('"init" or "restart"' in p for p in problems))
+
+    def test_output_event_requires_cascade_fields(self):
+        events = valid_stream()
+        events.insert(5, event("output", 2))
+        self.assertEqual(check_lines(events), [])
+        for key in ("kernel_pp", "slowest_kernel"):
+            del events[5][key]
+            self.assertTrue(any(f'"output" event missing "{key}"' in p
+                                for p in check_lines(events)), key)
 
     def test_checkpoint_missing_crc_flagged(self):
         events = valid_stream()

@@ -81,6 +81,20 @@ class ThreadRows(unittest.TestCase):
         self.assertEqual(rows[0][0], "thread-7")
 
 
+class SlowestRows(unittest.TestCase):
+    def test_longest_instances_first_with_lane_and_start(self):
+        spans = [span(0, "core.step", 100, 1000.0),
+                 span(1, "sched.pm", 300, 400.0),
+                 span(1, "sched.pm", 1200, 50.0),
+                 span(0, "core.kick", 150, 200.0)]
+        rows = trace_report.slowest_rows(spans, {0: "main"}, 2)
+        self.assertEqual([r[0] for r in rows], ["core.step", "sched.pm"])
+        self.assertEqual([r[1] for r in rows], ["main", "thread-1"])
+        self.assertAlmostEqual(rows[1][2], 200.0 / 1e6)  # start since first
+        self.assertAlmostEqual(rows[1][3], 400.0 / 1e6)  # one instance, not a sum
+        self.assertEqual(len(trace_report.slowest_rows(spans, {}, 9)), 4)
+
+
 class EndToEnd(unittest.TestCase):
     def test_report_renders_and_main_exits_zero(self):
         trace = {"displayTimeUnit": "ms", "traceEvents": [
@@ -93,11 +107,14 @@ class EndToEnd(unittest.TestCase):
             path = Path(tmp) / "trace.json"
             path.write_text(json.dumps(trace), encoding="utf-8")
             spans, lanes = trace_report.load_events(path)
-            report = trace_report.render_report(spans, lanes)
-            self.assertEqual(trace_report.main([str(path)]), 0)
+            report = trace_report.render_report(spans, lanes, slowest=1)
+            self.assertEqual(trace_report.main(["--slowest", "1", str(path)]), 0)
         self.assertIn("core.step", report)
         self.assertIn("worker-0", report)
         self.assertIn("core.step wall: 0.0010 s", report)
+        slowest = report.split("slowest span", 1)[1]
+        self.assertIn("core.step", slowest)
+        self.assertNotIn("core.kick", slowest)
 
     def test_empty_trace_fails(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -2,9 +2,10 @@
 """Per-phase / per-thread utilization report for hacc_run --trace output.
 
   python3 tools/trace_report.py trace.json
+  python3 tools/trace_report.py --slowest 5 trace.json
 
 Reads a Chrome trace_event file (the `hacc_run --trace=out.json` export) and
-prints two tables:
+prints two tables, plus a third with --slowest N:
 
   phases    every span name with call count, total/mean/max duration, and
             its share of the run (the core.step total is the reference
@@ -13,6 +14,8 @@ prints two tables:
   threads   every lane with its span count and busy time as a union of
             span intervals (nested spans are not double-counted), plus
             utilization relative to the traced wall span.
+  slowest   the N longest individual span instances, longest first, with
+            lane and start time (seconds since the first traced span).
 
 Durations in the file are microseconds (Chrome convention); everything is
 reported in seconds.  See docs/OBSERVABILITY.md for the span catalog.
@@ -95,7 +98,21 @@ def thread_rows(spans: list[dict], lanes: dict[int, str]
     return rows
 
 
-def render_report(spans: list[dict], lanes: dict[int, str]) -> str:
+def slowest_rows(spans: list[dict], lanes: dict[int, str], n: int
+                 ) -> list[tuple[str, str, float, float]]:
+    """[(name, lane, start_s, dur_s)] of the n longest span instances,
+    longest first; start is seconds since the earliest span start."""
+    t0 = min((float(e.get("ts", 0.0)) for e in spans), default=0.0)
+    longest = sorted(spans, key=lambda e: -float(e.get("dur", 0.0)))[:n]
+    return [(e.get("name", "?"),
+             lanes.get(e.get("tid", 0), f"thread-{e.get('tid', 0)}"),
+             (float(e.get("ts", 0.0)) - t0) / 1e6,
+             float(e.get("dur", 0.0)) / 1e6)
+            for e in longest]
+
+
+def render_report(spans: list[dict], lanes: dict[int, str],
+                  slowest: int = 0) -> str:
     out: list[str] = []
     phases = phase_rows(spans)
     total_s = sum(r[2] for r in phases)
@@ -117,13 +134,25 @@ def render_report(spans: list[dict], lanes: dict[int, str]) -> str:
     out.append(f"{'thread':<24} {'spans':>8} {'busy_s':>10} {'util':>7}")
     for lane, count, busy, util in threads:
         out.append(f"{lane:<24} {count:>8} {busy:>10.4f} {100.0 * util:>6.1f}%")
+
+    if slowest > 0:
+        out.append("")
+        out.append(f"{'slowest span':<24} {'thread':<16} {'start_s':>10} "
+                   f"{'dur_ms':>9}")
+        for name, lane, start, dur in slowest_rows(spans, lanes, slowest):
+            out.append(f"{name:<24} {lane:<16} {start:>10.4f} "
+                       f"{dur * 1e3:>9.3f}")
     return "\n".join(out)
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("path", type=Path, help="chrome trace JSON file")
+    parser.add_argument("--slowest", type=int, default=0, metavar="N",
+                        help="also list the N longest individual spans")
     args = parser.parse_args(argv)
+    if args.slowest < 0:
+        parser.error("--slowest must be >= 0")
     try:
         spans, lanes = load_events(args.path)
     except (OSError, json.JSONDecodeError) as e:
@@ -134,7 +163,7 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 1
     try:
-        print(render_report(spans, lanes))
+        print(render_report(spans, lanes, args.slowest))
     except BrokenPipeError:  # e.g. piped into head; not an error
         sys.stderr.close()
     return 0
