@@ -7,13 +7,14 @@
 //   variants: select | mem32 | memobj | broadcast | visa
 
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "core/solver.hpp"
 #include "util/config.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
 
@@ -72,4 +73,7 @@ int main(int argc, char** argv) {
   std::printf("\nz=%.1f  max displacement %.4f  mean gas rho %.4f\n",
               solver.redshift(), d.max_displacement, d.mean_gas_density);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "adiabatic_universe: %s\n", e.what());
+  return 1;
 }

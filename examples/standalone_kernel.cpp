@@ -11,6 +11,7 @@
 //       variant=memobj sg=16 repeats=5
 
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "core/checkpoint.hpp"
@@ -47,7 +48,7 @@ hacc::core::ParticleSet generate_gas(int n_side, double box, std::uint64_t seed)
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
   const std::string path = cli.get_string("checkpoint", "/tmp/crkhacc_gas.ckpt");
@@ -119,4 +120,7 @@ int main(int argc, char** argv) {
                 k.seconds, static_cast<unsigned long long>(k.launches));
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "standalone_kernel: %s\n", e.what());
+  return 1;
 }

@@ -140,6 +140,7 @@ sph::HydroOptions hydro_options(const SimConfig& cfg, xsycl::CommVariant v) {
 
 Solver::Solver(const SimConfig& cfg, util::ThreadPool& pool)
     : cfg_(cfg), pool_(&pool), queue_(pool) {
+  xsycl::check_sub_group_size(cfg_.sub_group_size);
   a_ = ic::Cosmology::a_of_z(cfg_.z_init);
   const double a_final = ic::Cosmology::a_of_z(cfg_.z_final);
   da_ = (a_final - a_) / cfg_.n_steps;

@@ -146,7 +146,7 @@ struct SimConfig {
   double fmm_theta = 0.5;  ///< multipole opening angle for fmm/treepm
 
   VariantSelection variants;  ///< per-kernel communication variants
-  int sub_group_size = 32;    ///< HACC_SYCL_SG_SIZE
+  int sub_group_size = 32;    ///< HACC_SYCL_SG_SIZE: a power of two in [2, 64]
   int sg_per_wg = 4;          ///< block size 128 / warp 32 (HACC_CUDA_BLOCK_SIZE)
   int leaf_size = 32;         ///< RCB tree leaf capacity
 
@@ -236,6 +236,8 @@ using StageTotals = std::map<std::string, StageTotal, std::less<>>;
 /// std::logic_error.
 class Solver {
  public:
+  /// Throws std::invalid_argument for a sub_group_size that is not a power
+  /// of two in [2, 64].
   explicit Solver(const SimConfig& cfg,
                   util::ThreadPool& pool = util::ThreadPool::global());
 

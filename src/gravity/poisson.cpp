@@ -85,6 +85,7 @@ PolyShortForce::PolyShortForce(double r_split, double r_cut, int order)
     coef_[i] = scaled[i] * scale;
     scale /= (rcut_ * rcut_);
   }
+  coef32_.assign(coef_.begin(), coef_.end());
 }
 
 PolyShortForce PolyShortForce::newtonian(double r_cut) {
@@ -92,6 +93,7 @@ PolyShortForce PolyShortForce::newtonian(double r_cut) {
   f.rs_ = std::numeric_limits<double>::infinity();  // nothing on the mesh side
   f.rcut_ = r_cut;
   f.coef_.assign(1, 0.0);
+  f.coef32_.assign(1, 0.f);
   return f;
 }
 

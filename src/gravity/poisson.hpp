@@ -59,18 +59,22 @@ class PolyShortForce {
   int order() const { return order_; }
   const std::vector<double>& coefficients() const { return coef_; }
 
-  /// poly(r^2) ~= l(r).
-  float poly(float r2) const {
-    float acc = static_cast<float>(coef_.back());
-    for (int i = static_cast<int>(coef_.size()) - 2; i >= 0; --i) {
-      acc = acc * r2 + static_cast<float>(coef_[i]);
+  /// poly(r^2) ~= l(r).  Real is float or a float simd: the scalar and the
+  /// four-lane short-range kernels share this one definition.
+  template <typename Real>
+  Real poly(Real r2) const {
+    Real acc = Real(coef32_.back());
+    for (int i = static_cast<int>(coef32_.size()) - 2; i >= 0; --i) {
+      acc = acc * r2 + Real(coef32_[i]);
     }
     return acc;
   }
 
   /// Short-range radial profile: multiply by the displacement vector.
-  float short_profile(float r2, float eps2) const {
-    const float newton = 1.0f / (std::sqrt(r2 + eps2) * (r2 + eps2));
+  template <typename Real>
+  Real short_profile(Real r2, Real eps2) const {
+    using std::sqrt;
+    const Real newton = Real(1.0f) / (sqrt(r2 + eps2) * (r2 + eps2));
     return newton - poly(r2);
   }
 
@@ -84,6 +88,7 @@ class PolyShortForce {
   double rcut_ = 0.0;
   int order_ = 0;
   std::vector<double> coef_;  // coef_[i] multiplies (r^2)^i
+  std::vector<float> coef32_;  // coef_ rounded once to the kernels' float
 };
 
 }  // namespace hacc::gravity

@@ -14,10 +14,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <limits>
 #include <string>
 
 #include "domain/domain.hpp"
+#include "sph/lane_block.hpp"
 #include "tree/rcb.hpp"
 #include "util/vec3.hpp"
 #include "xsycl/atomic.hpp"
@@ -42,6 +44,14 @@ namespace hacc::sph {
 //   void commit(xsycl::SubGroup&, std::int32_t idx, const Accum&) const;
 //   // Exactly the counters `commit` charges.
 //   static void charge_commit(xsycl::OpCounters&);
+// Optionally, a four-lane form of reaches + accumulate (BlockTraits below):
+//   static constexpr std::array kLaneFields;  // &State::x, ... it reads
+//   using Accum4;                      // four lanes' Accum; zero-initializes
+//   // Adds the terms of four own lanes with four partners where `pair`
+//   // holds and the pair reaches; returns the lanes that reached.
+//   Mask4 accumulate4(Accum4&, const LaneBlock<N>& own,
+//                     const LaneBlock<N>& other, Mask4 pair) const;
+//   static Accum lane(const Accum4&, int k);
 //
 // Skipping a pair that does not reach adds nothing to an accumulator that
 // started at +0, so culling leaves every result bit unchanged.  The op
@@ -49,17 +59,31 @@ namespace hacc::sph {
 // one counts as an interaction, reached or not, and every exchange round is
 // charged in full even where the CPU reads the partner lane in place.
 //
-// Three more pieces spare the CPU work whose result is zero, and change no
-// output bit and no counter:
+// Four more pieces spare the CPU work, and change no output bit and no
+// counter:
 //   - Bounds cull.  After a tile loads, each lane is tested against the
 //     bounds of the other half (half_tile_bounds / beyond_reach).  A lane
 //     that reaches none of them runs no candidate tests; its candidates are
 //     counted arithmetically.
-//   - Lane-major order.  Select and vISA loop over lanes outside and rounds
-//     inside, reading the partner lane in place.  Each lane's sum still
-//     receives its terms in round order, so no bit changes.  Memory32 and
-//     MemoryObject keep the round-major loop: each round's local-memory
-//     exchange fills `theirs`.
+//   - Lane-major order.  Select and vISA loop over lanes (or blocks of
+//     four lanes, below) outside and rounds inside, reading the partner
+//     lane in place.  Each lane's sum still receives its terms in round
+//     order, so no bit changes.  Memory32 and MemoryObject keep the
+//     round-major loop: each round's local-memory exchange fills `theirs`.
+//   - Vector blocks.  Under Select and vISA, Traits with a four-lane form
+//     run four own lanes at a time once a half holds at least four lanes
+//     (block_rounds).  The tile is stored as per-field arrays (LaneTile),
+//     each half twice.  A Select round of four lanes is one aligned load at
+//     l0 ^ (H | (r & ~3)) and one of four fixed shuffles, by r & 3; a vISA
+//     round is one unaligned load from the doubled copy of the other half.
+//     Empty partners, self pairs and pairs out of reach are masked, not
+//     branched around; an unreached lane adds +0, the identity on a sum
+//     that starts at +0 (below).  Every lane gets the float operations of
+//     reaches + accumulate, in round order: the build targets baseline
+//     x86-64, which has no FMA to contract into, and sqrtps and divps round
+//     correctly, as the scalar instructions do.  A -march, -mfma or
+//     -ffast-math change may move these bits, and must re-record the
+//     output bit snapshots explicitly.
 //   - Charge-only commits.  An accumulator that received no term is all +0
 //     and is not committed; charge_commit adds the counts commit would have.
 //     This is exact because every pair-kernel output is zero-filled (+0)
@@ -153,6 +177,100 @@ bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
   return d2 > reach * reach;
 }
 
+// Adds the term of `own` with `other` to `acc` and counts the candidate
+// pair, unless `other` is an empty lane or `own` itself.  Returns whether a
+// term was added.
+template <typename Traits>
+bool add_pair(const Traits& traits, std::uint64_t& interactions,
+              typename Traits::Accum& acc, const typename Traits::State& own,
+              const typename Traits::State& other) {
+  if (!other.valid || other.idx == own.idx) return false;
+  ++interactions;
+  if (!traits.reaches(own, other)) return false;
+  traits.accumulate(acc, own, other);
+  return true;
+}
+
+// The lane registers of one tile.  Before the partner rounds run, `mine`
+// holds the tile, `live` marks the lanes that own a particle and were not
+// culled, and the sums of the live lanes are +0 and untouched.
+template <typename Traits>
+struct TileRegisters {
+  xsycl::Varying<typename Traits::State> mine;
+  xsycl::Varying<bool> live;
+  xsycl::Varying<typename Traits::Accum> acc;
+  xsycl::Varying<bool> touched;  // some term reached the lane's sum
+  std::uint64_t interactions = 0;
+};
+
+// Traits with a four-lane form of reaches + accumulate.
+template <typename Traits>
+concept BlockTraits =
+    requires(const Traits& t, typename Traits::Accum4& acc,
+             const LaneBlock<Traits::kLaneFields.size()>& b, Mask4 m) {
+      { t.accumulate4(acc, b, b, m) } -> std::same_as<Mask4>;
+      { Traits::lane(acc, 0) } -> std::same_as<typename Traits::Accum>;
+    };
+
+// The Select or vISA partner rounds of the live lanes of a tile of
+// `sg_size` lanes, one lane at a time: lanes outside, rounds inside, each
+// partner read in place.
+template <typename Traits>
+void lane_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
+                 TileRegisters<Traits>& t) {
+  for (int l = 0; l < sg_size; ++l) {
+    if (!t.live[l]) continue;
+    for (int r = 0; r < sg_size / 2; ++r) {
+      const auto& other = t.mine[xsycl::partner_lane(v, l, r, sg_size)];
+      if (add_pair(traits, t.interactions, t.acc[l], t.mine[l], other)) {
+        t.touched[l] = true;
+      }
+    }
+  }
+}
+
+// The same rounds four own lanes at a time: each round of a block is one
+// masked vector op (see "Vector blocks" above).  Needs sg_size >= 8.
+template <BlockTraits Traits>
+void block_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
+                  TileRegisters<Traits>& t) {
+  const int H = sg_size / 2;
+  const LaneTile<typename Traits::State, Traits::kLaneFields> tile(t.mine, sg_size);
+  for (int l0 = 0; l0 < sg_size; l0 += kBlockLanes) {
+    const auto live = Ints4([&](auto k) { return t.live[l0 + k] ? 1 : 0; }) != 0;
+    if (stdx::none_of(live)) continue;
+    const int h = l0 < H ? 0 : 1;  // own half; the partners are in 1 - h
+    const int j0 = l0 - H * h;
+    const auto own = tile.load(h, j0);
+    typename Traits::Accum4 acc{};
+    Mask4 reached(false);
+    int pairs = 0;
+    for (int r = 0; r < H; ++r) {
+      const auto other = tile.partners(v, h, j0, r);
+      const auto pair = live && other.valid != 0 && other.idx != own.idx;
+      pairs += stdx::popcount(pair);
+      reached = reached || traits.accumulate4(acc, own, other, float_mask(pair));
+    }
+    t.interactions += static_cast<std::uint64_t>(pairs);
+    for (int k = 0; k < kBlockLanes; ++k) {
+      if (!t.live[l0 + k]) continue;
+      t.acc[l0 + k] = Traits::lane(acc, k);
+      t.touched[l0 + k] = reached[k];
+    }
+  }
+}
+
+// Select and vISA: vector blocks where the Traits and the sub-group size
+// allow them, else one lane at a time.
+template <typename Traits>
+void register_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
+                     TileRegisters<Traits>& t) {
+  if constexpr (BlockTraits<Traits>) {
+    if (sg_size / 2 >= kBlockLanes) return block_rounds(traits, v, sg_size, t);
+  }
+  lane_rounds(traits, v, sg_size, t);
+}
+
 template <typename Traits>
 class PairInteractionKernel {
  public:
@@ -216,18 +334,6 @@ class PairInteractionKernel {
     sg.counters().global_loads += static_cast<std::uint64_t>(width);
   }
 
-  // Adds the term of `own` with `other` to `acc` and counts the candidate
-  // pair, unless `other` is an empty lane or `own` itself.  Returns whether
-  // a term was added.
-  bool add_pair(std::uint64_t& interactions, Accum& acc, const State& own,
-                const State& other) const {
-    if (!other.valid || other.idx == own.idx) return false;
-    ++interactions;
-    if (!traits_.reaches(own, other)) return false;
-    traits_.accumulate(acc, own, other);
-    return true;
-  }
-
   // Commits a sum, or only charges its commit when no term reached it.
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& acc,
               bool touched) const {
@@ -249,14 +355,11 @@ class PairInteractionKernel {
 
     // Lane registers, shared by every tile: each tile rewrites lanes [0, S)
     // before reading them.
-    xsycl::Varying<State> mine;
+    TileRegisters<Traits> t;
+    xsycl::Varying<State>& mine = t.mine;
     xsycl::Varying<State> theirs;
     xsycl::Varying<bool> active;  // owns a particle and commits its sum
-    xsycl::Varying<bool> live;    // active and not culled
-    xsycl::Varying<bool> touched;
     xsycl::Varying<std::int32_t> idx;
-    xsycl::Varying<Accum> acc;
-    std::uint64_t interactions = 0;
 
     for (int ta = 0; ta < tiles_a; ++ta) {
       for (int tb = self ? ta : 0; tb < tiles_b; ++tb) {
@@ -272,18 +375,18 @@ class PairInteractionKernel {
         const HalfTileBounds half[2] = {half_tile_bounds(&mine[0], H),
                                         half_tile_bounds(&mine[H], H)};
         for (int l = 0; l < S; ++l) {
-          live[l] = false;
-          touched[l] = false;
+          t.live[l] = false;
+          t.touched[l] = false;
           if (!active[l]) continue;
           const HalfTileBounds& other = half[l < H ? 1 : 0];
           if (beyond_reach(mine[l], other, traits_.reach_radius(mine[l], other.hmax),
                            traits_.box)) {
-            interactions +=
+            t.interactions +=
                 static_cast<std::uint64_t>(other.n_valid - (diagonal ? 1 : 0));
             continue;
           }
-          live[l] = true;
-          acc[l] = Accum{};
+          t.live[l] = true;
+          t.acc[l] = Accum{};
         }
 
         if (xsycl::permutes_registers(variant_)) {
@@ -291,30 +394,25 @@ class PairInteractionKernel {
           for (int r = 0; r < H; ++r) {
             xsycl::charge_register_exchange(sg, variant_, sizeof(State));
           }
-          for (int l = 0; l < S; ++l) {
-            if (!live[l]) continue;
-            for (int r = 0; r < H; ++r) {
-              const State& other = mine[xsycl::partner_lane(variant_, l, r, S)];
-              if (add_pair(interactions, acc[l], mine[l], other)) touched[l] = true;
-            }
-          }
+          register_rounds(traits_, variant_, S, t);
         } else {
           // The SLM variants round-trip the partner through local memory.
           for (int r = 0; r < H; ++r) {
             xsycl::exchange(sg, mine, r, variant_, theirs);
             for (int l = 0; l < S; ++l) {
-              if (live[l] && add_pair(interactions, acc[l], mine[l], theirs[l])) {
-                touched[l] = true;
+              if (t.live[l] &&
+                  add_pair(traits_, t.interactions, t.acc[l], mine[l], theirs[l])) {
+                t.touched[l] = true;
               }
             }
           }
         }
         for (int l = 0; l < S; ++l) {
-          if (active[l]) commit(sg, idx[l], acc[l], touched[l]);
+          if (active[l]) commit(sg, idx[l], t.acc[l], t.touched[l]);
         }
       }
     }
-    sg.counters().interactions += interactions;
+    sg.counters().interactions += t.interactions;
   }
 
   void run_broadcast(xsycl::SubGroup& sg, const tree::LeafPair& lp) const {
@@ -378,7 +476,7 @@ class PairInteractionKernel {
           }
           // Contribution to each lane's own particle.
           for (int l = 0; l < S; ++l) {
-            if (active[l] && add_pair(interactions, acc[l], mine[l], other)) {
+            if (active[l] && add_pair(traits_, interactions, acc[l], mine[l], other)) {
               touched[l] = true;
             }
           }
@@ -390,7 +488,7 @@ class PairInteractionKernel {
             Accum sum{};
             bool any = false;
             for (int l = 0; l < S; ++l) {
-              if (active[l] && add_pair(interactions, sum, other, mine[l])) any = true;
+              if (active[l] && add_pair(traits_, interactions, sum, other, mine[l])) any = true;
             }
             sg.counters().reduce_ops += Traits::kAccumWords;
             commit(sg, other.idx, sum, any);

@@ -11,6 +11,7 @@ namespace hacc::xsycl {
 LaunchStats Queue::submit_impl(const KernelFn& fn, const std::string& name,
                                std::size_t local_bytes_per_sg,
                                std::uint64_t n_sub_groups, const LaunchConfig& cfg) {
+  check_sub_group_size(cfg.sub_group_size);
   LaunchStats stats;
   stats.kernel = name;
   stats.sub_group_size = cfg.sub_group_size;

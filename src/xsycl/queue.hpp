@@ -72,7 +72,8 @@ class Queue {
   explicit Queue(util::ThreadPool& pool = util::ThreadPool::global())
       : pool_(&pool) {}
 
-  // Runs kernel(sg) for every sub-group index in [0, n_sub_groups).
+  // Runs kernel(sg) for every sub-group index in [0, n_sub_groups).  Throws
+  // std::invalid_argument for a sub-group size check_sub_group_size rejects.
   template <SubGroupKernel K>
   LaunchStats submit(const K& kernel, std::uint64_t n_sub_groups,
                      const LaunchConfig& cfg = {}) {

@@ -12,19 +12,35 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "xsycl/op_counters.hpp"
 #include "xsycl/varying.hpp"
 
 namespace hacc::xsycl {
 
+// Sub-group sizes the emulation runs: powers of two in [2, kMaxLanes].
+inline bool valid_sub_group_size(int size) {
+  return size >= 2 && size <= kMaxLanes && (size & (size - 1)) == 0;
+}
+
+// Throws std::invalid_argument unless valid_sub_group_size(size).
+inline void check_sub_group_size(int size) {
+  if (!valid_sub_group_size(size)) {
+    throw std::invalid_argument("sub-group size " + std::to_string(size) +
+                                " is not a power of two in [2, " +
+                                std::to_string(kMaxLanes) + "]");
+  }
+}
+
 class SubGroup {
  public:
+  // `size` passed check_sub_group_size (Queue::submit checks every launch).
   SubGroup(int size, std::uint64_t global_sg_index, std::span<std::byte> local_slice,
            OpCounters& counters)
       : size_(size), index_(global_sg_index), local_(local_slice), counters_(&counters) {
-    assert(size >= 2 && size <= kMaxLanes && (size & (size - 1)) == 0 &&
-           "sub-group size must be a power of two in [2, 64]");
+    assert(valid_sub_group_size(size));
   }
 
   // Number of work-items in this sub-group (16 / 32 / 64 in the paper).

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/config.hpp"
 
@@ -582,6 +583,29 @@ TEST(Solver, SubGroupSizeSixteenRuns) {
   solver.run();
   for (const auto& s : solver.queue().history()) {
     EXPECT_EQ(s.sub_group_size, 16);
+  }
+}
+
+// Solver construction rejects a sub-group size the launches could not run,
+// before it allocates anything.
+class SolverSubGroupSize : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverSubGroupSize, ConstructionThrowsInvalidArgument) {
+  SimConfig cfg = small_config();
+  cfg.sub_group_size = GetParam();
+  util::ThreadPool pool(1);
+  EXPECT_THROW(Solver solver(cfg, pool), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(Invalid, SolverSubGroupSize,
+                         ::testing::Values(0, -32, 12, 96, 128));
+
+TEST(Solver, ConstructsAtEveryValidSubGroupSize) {
+  util::ThreadPool pool(1);
+  for (const int sg : {2, 4, 8, 16, 32, 64}) {
+    SimConfig cfg = small_config();
+    cfg.sub_group_size = sg;
+    EXPECT_NO_THROW(Solver solver(cfg, pool)) << sg;
   }
 }
 

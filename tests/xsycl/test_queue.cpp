@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -152,6 +153,43 @@ TEST(Queue, SubGroupSizePropagates) {
     EXPECT_EQ(lanes.load(), 4 * S);
   }
 }
+
+// Sizes a sub-group cannot have: zero, negative, not a power of two, or
+// above the 64 lanes of a Varying.
+class InvalidSubGroupSize : public ::testing::TestWithParam<int> {};
+
+TEST_P(InvalidSubGroupSize, SubmitThrowsInvalidArgumentAndRunsNothing) {
+  util::ThreadPool pool(2);
+  Queue q(pool);
+  std::vector<std::atomic<int>> hits(4);
+  std::atomic<long> lanes{0};
+  EXPECT_FALSE(valid_sub_group_size(GetParam()));
+  EXPECT_THROW(q.submit(MarkKernel{hits.data(), &lanes}, 4,
+                        {.sub_group_size = GetParam(), .sg_per_wg = 2}),
+               std::invalid_argument);
+  EXPECT_EQ(lanes.load(), 0);
+  EXPECT_TRUE(q.history().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, InvalidSubGroupSize,
+                         ::testing::Values(0, -32, 12, 96, 128));
+
+class ValidSubGroupSize : public ::testing::TestWithParam<int> {};
+
+TEST_P(ValidSubGroupSize, SubmitRunsEveryLane) {
+  util::ThreadPool pool(2);
+  Queue q(pool);
+  std::vector<std::atomic<int>> hits(4);
+  std::atomic<long> lanes{0};
+  EXPECT_TRUE(valid_sub_group_size(GetParam()));
+  const auto stats = q.submit(MarkKernel{hits.data(), &lanes}, 4,
+                              {.sub_group_size = GetParam(), .sg_per_wg = 2});
+  EXPECT_EQ(stats.sub_group_size, GetParam());
+  EXPECT_EQ(lanes.load(), 4L * GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ValidSubGroupSize,
+                         ::testing::Values(2, 4, 8, 16, 32, 64));
 
 }  // namespace
 }  // namespace hacc::xsycl
