@@ -126,14 +126,19 @@ namespace {
 constexpr const char* kShortRangeStages[] = {"sph", "fmm_build", "short_range",
                                              "far_field"};
 
-// Hydro options for one kernel launch, threading the per-kernel variant.
-sph::HydroOptions hydro_options(const SimConfig& cfg, xsycl::CommVariant v) {
-  sph::HydroOptions opt;
-  opt.box = static_cast<float>(cfg.box);
-  opt.variant = v;
-  opt.launch.sub_group_size = cfg.sub_group_size;
-  opt.launch.sg_per_wg = cfg.sg_per_wg;
-  return opt;
+// The SPH chain's launch options, threading the per-kernel variants.
+sph::ChainOptions chain_options(const SimConfig& cfg, bool corrector) {
+  const auto hydro = [&cfg](xsycl::CommVariant v) {
+    sph::HydroOptions opt;
+    opt.box = static_cast<float>(cfg.box);
+    opt.variant = v;
+    opt.launch.sub_group_size = cfg.sub_group_size;
+    opt.launch.sg_per_wg = cfg.sg_per_wg;
+    return opt;
+  };
+  const VariantSelection& v = cfg.variants;
+  return {hydro(v.geometry),     hydro(v.corrections), hydro(v.extras),
+          hydro(v.acceleration), hydro(v.energy),      corrector};
 }
 
 }  // namespace
@@ -175,11 +180,12 @@ Solver::Solver(const SimConfig& cfg, util::ThreadPool& pool)
   // Sharded evaluation: the halo must cover the largest interaction range
   // of any sharded consumer.  Short-range gravity needs the P-P cutoff;
   // SPH needs the kernel support at the smoothing-length clamp (h never
-  // exceeds 2 h0, update_smoothing_lengths).  The fmm far field is global
-  // by construction, so with that backend only hydro shards — and without
-  // hydro there is nothing to shard at all.
+  // exceeds 2 h0, update_smoothing_lengths).  Only pm_pp shards its
+  // gravity: the fmm and treepm far fields need the global tree, so with
+  // those backends only hydro shards — and without hydro there is nothing
+  // to shard at all.
   if (cfg_.shard_count > 1) {
-    const bool pp_sharded = cfg_.gravity_backend != GravityBackend::kFmm;
+    const bool pp_sharded = cfg_.gravity_backend == GravityBackend::kPmPp;
     double range = 0.0;
     if (pp_sharded) range = std::max(range, poly_->r_cut());
     if (cfg_.hydro) range = std::max(range, sph::kSupport * 2.0 * h0_);
@@ -455,42 +461,6 @@ gravity::PpOptions Solver::pp_options(double g_code) const {
   return ppopt;
 }
 
-void Solver::run_hydro_kernels(bool corrector) {
-  update_smoothing_lengths();
-  const domain::SpeciesView gas_view = domain_->second();
-  // Five kernels consume the same pair set, so walk the tree ONCE into a
-  // scratch whose capacity persists across evaluations (a streamed source
-  // would re-traverse per kernel).  Leaf pairs of the combined tree with
-  // no gas on either side do zero SPH work — drop them here.  Gravity
-  // has a single consumer and streams its pairs without materializing.
-  sph_pairs_scratch_.clear();
-  {
-    const obs::TraceSpan span("core.sph_pairs");
-    domain_->for_each_pair(
-        sph::support_cutoff(gas_), [this, &gas_view](const tree::LeafPair& lp) {
-          if (gas_view.leaves[lp.a].count() == 0 ||
-              gas_view.leaves[lp.b].count() == 0) {
-            return;
-          }
-          sph_pairs_scratch_.push_back(lp);
-        });
-  }
-  const domain::PairSource sph_pairs(sph_pairs_scratch_);
-  const auto& v = cfg_.variants;
-  sph::run_geometry(queue_, gas_, gas_view, sph_pairs,
-                    hydro_options(cfg_, v.geometry));
-  sph::run_corrections(queue_, gas_, gas_view, sph_pairs,
-                       hydro_options(cfg_, v.corrections));
-  sph::run_extras(queue_, gas_, gas_view, sph_pairs,
-                  hydro_options(cfg_, v.extras));
-  sph::run_acceleration(queue_, gas_, gas_view, sph_pairs,
-                        hydro_options(cfg_, v.acceleration),
-                        corrector ? "upBarAcF" : "upBarAc");
-  sph::run_energy(queue_, gas_, gas_view, sph_pairs,
-                  hydro_options(cfg_, v.energy),
-                  corrector ? "upBarDuF" : "upBarDu");
-}
-
 void Solver::compute_forces(bool corrector) {
   // One force evaluation = one propagator graph.  One combined-species
   // gather (dm then gas) feeds the WHOLE evaluation: the shared interaction
@@ -510,22 +480,27 @@ void Solver::compute_forces(bool corrector) {
   // runs concurrently with the tree walk and the short-range batch stream.
   // Declaration order IS today's serial order, so the zero-lane executor
   // reproduces the pre-propagator step bit-for-bit.
-  sched::TaskGraph graph;
-  const std::size_t s_assemble =
-      graph.add("assemble", {}, [this] { assemble_gravity_inputs(); });
-  std::size_t chain = s_assemble;
-
+  //
   // Restart: the checkpointed kernel outputs stand in for this evaluation's
   // sph stage; gravity is a pure function of the checkpointed positions and
   // recomputes normally (sharded or not).
   const bool restored = use_restored_hydro_forces_;
   if (restored) use_restored_hydro_forces_ = false;
   const bool run_sph_stage = !restored && cfg_.hydro && gas_.size() > 0;
-  // With the engine active, short-range gravity runs per shard — except for
-  // the fmm backend, whose far field needs the global tree, so its whole
-  // gravity chain stays unsharded and only hydro shards.
+  // With the engine active, short-range gravity runs per shard for pm_pp;
+  // the fmm and treepm gravity chains stay on the global tree.
   const bool sharded_pp =
-      engine_ != nullptr && cfg_.gravity_backend != GravityBackend::kFmm;
+      engine_ != nullptr && cfg_.gravity_backend == GravityBackend::kPmPp;
+
+  sched::TaskGraph graph;
+  const std::size_t s_assemble =
+      graph.add("assemble", {}, [this, run_sph_stage] {
+        // h sets the SPH pair cutoff and feeds the shard ghost loads, so it
+        // is updated once, ahead of both the tree and the shard exchange.
+        if (run_sph_stage) update_smoothing_lengths();
+        assemble_gravity_inputs();
+      });
+  std::size_t chain = s_assemble;
 
   if (!sharded_pp) {
     chain = graph.add("tree", {chain},
@@ -533,34 +508,28 @@ void Solver::compute_forces(bool corrector) {
   }
 
   if (engine_) {
-    chain = graph.add("shard_update", {chain}, [this, run_sph_stage] {
-      // h feeds the ghost loads, so it must be current before the exchange.
-      // The unsharded path updates it at the top of its sph stage instead —
-      // the same elementwise values, since V has not changed in between.
-      if (run_sph_stage) update_smoothing_lengths();
-      engine_->prepare(dm_, gas_, grav_pos_);
-    });
+    chain = graph.add("shard_update", {chain},
+                      [this] { engine_->prepare(dm_, gas_, grav_pos_); });
   }
 
-  // ---- Hydro (baryons) ----
+  // ---- Hydro (baryons): the SPH chain, per shard or over the shared
+  // domain.  Five kernels read the same pairs, so they are collected once
+  // (gravity, a single consumer, streams its pairs instead). ----
   if (run_sph_stage) {
-    if (engine_) {
-      chain = graph.add("sph", {chain}, [this, corrector] {
-        const auto& v = cfg_.variants;
-        shard::SphParams sp;
-        sp.geometry = hydro_options(cfg_, v.geometry);
-        sp.corrections = hydro_options(cfg_, v.corrections);
-        sp.extras = hydro_options(cfg_, v.extras);
-        sp.acceleration = hydro_options(cfg_, v.acceleration);
-        sp.energy = hydro_options(cfg_, v.energy);
-        sp.accel_timer = corrector ? "upBarAcF" : "upBarAc";
-        sp.energy_timer = corrector ? "upBarDuF" : "upBarDu";
-        engine_->run_sph(gas_, queue_, sp);
-      });
-    } else {
-      chain = graph.add("sph", {chain},
-                        [this, corrector] { run_hydro_kernels(corrector); });
-    }
+    chain = graph.add("sph", {chain}, [this, corrector] {
+      const sph::ChainOptions opt = chain_options(cfg_, corrector);
+      if (engine_) {
+        engine_->run_sph(gas_, queue_, opt);
+        return;
+      }
+      {
+        const obs::TraceSpan span("core.sph_pairs");
+        sph::collect_gas_pairs(*domain_, sph::support_cutoff(gas_),
+                               sph_pairs_scratch_);
+      }
+      const sph::ChainPart part{&gas_, domain_->second(), sph_pairs_scratch_};
+      sph::run_chain(queue_, {&part, 1}, opt);
+    });
   }
 
   // ---- Gravity (both species): Poisson constant 4 pi G = 3/2 Omega_m / (a rhobar),
@@ -578,11 +547,8 @@ void Solver::compute_forces(bool corrector) {
   std::optional<fmm::FmmEvaluator> evaluator;
   fmm::InteractionLists lists;
   if (sharded_pp) {
-    // Per-shard direct P-P over the full cutoff sphere.  For pm_pp this is
-    // the same pair set as the unsharded walk (term-for-term in float); for
-    // treepm it REPLACES the MAC-accelerated short range with the exact
-    // direct sum, so a sharded treepm run differs from an unsharded one at
-    // the multipole-acceptance error level (docs/CONFIG.md).
+    // Per-shard P-P over the full cutoff sphere: the same pair set as the
+    // unsharded walk, term for term in float.
     graph.add("short_range", {chain}, [this, g_code] {
       shard::PpParams pp;
       pp.poly = poly_.get();
@@ -768,7 +734,7 @@ StepStats Solver::step() {
   stats.tree_seconds = stage_seconds("tree") - tree_t0;
   if (engine_) {
     // Per-shard trees count alongside the global one (which the sharded
-    // pm_pp/treepm graphs no longer build; the fmm graph builds both).
+    // pm_pp graph no longer builds; the fmm and treepm graphs build both).
     const shard::EngineStats& e = engine_->stats();
     stats.tree_builds += static_cast<int>(e.tree_builds - eng0.tree_builds);
     stats.tree_reuses += static_cast<int>(e.tree_reuses - eng0.tree_reuses);

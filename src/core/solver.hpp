@@ -324,9 +324,9 @@ class Solver {
   }
 
   /// The sharded force-evaluation engine, or nullptr when shard.count == 1
-  /// (or when nothing shards: the fmm backend without hydro keeps its global
-  /// tree for everything).  Tests and benches read residency, halo, and
-  /// traffic statistics through this.
+  /// (or when nothing shards: the fmm and treepm backends without hydro
+  /// keep their global tree for everything).  Tests and benches read
+  /// residency, halo, and traffic statistics through this.
   const shard::ShardEngine* shard_engine() const { return engine_.get(); }
 
   /// Conserved-quantity summary of the current particle state.
@@ -342,7 +342,6 @@ class Solver {
 
  private:
   void compute_forces(bool corrector);
-  void run_hydro_kernels(bool corrector);
   void initialize_zeldovich();
   void initialize_sedov();
   void assemble_gravity_inputs();
@@ -369,8 +368,9 @@ class Solver {
   bool use_restored_hydro_forces_ = false;
   double h0_ = 0.0;  // fiducial smoothing length
 
-  // Hydro leaf-pair scratch: filled by one tree walk per force evaluation
-  // and fed to all five SPH kernels; capacity persists across evaluations.
+  // Hydro leaf-pair scratch of the unsharded sph stage: filled by one tree
+  // walk per force evaluation (sph::collect_gas_pairs) and fed to all five
+  // SPH kernels; capacity persists across evaluations.
   // Written only by the driver thread (the streamed traversal visits pairs
   // on the calling thread); worker threads read it through PairSource during
   // kernel launches, after the fill completes — so it needs no lock, but it
@@ -387,10 +387,10 @@ class Solver {
   std::unique_ptr<gravity::PmSolver> pm_;
   std::unique_ptr<gravity::PolyShortForce> poly_;
   std::unique_ptr<domain::InteractionDomain> domain_;
-  // Sharded evaluation (shard.count > 1): short-range gravity and the SPH
-  // chain run per shard; the canonical sets, kick/drift, and checkpointing
-  // never see shards.  The fmm backend keeps its global tree (the far field
-  // is not shardable by a halo), so with fmm only hydro shards.
+  // Sharded evaluation (shard.count > 1): the SPH chain, and for pm_pp the
+  // short-range gravity, run per shard; the canonical sets, kick/drift, and
+  // checkpointing never see shards.  The fmm and treepm backends keep their
+  // gravity on the global tree (a far field is not shardable by a halo).
   std::unique_ptr<shard::ShardEngine> engine_;
   xsycl::OpCounters fmm_ops_;
 

@@ -5,10 +5,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "sph/acceleration.hpp"
-#include "sph/corrections.hpp"
-#include "sph/energy.hpp"
-#include "sph/extras.hpp"
 #include "sph/pipeline.hpp"
 #include "util/periodic.hpp"
 #include "util/thread_pool.hpp"
@@ -702,62 +698,40 @@ void ShardEngine::refresh_ghost_fields(std::uint32_t round) {
 
 void ShardEngine::run_sph(core::ParticleSet& gas, xsycl::Queue& q,
                           const SphParams& sph) {
+  if (gas.size() != n_gas_) {
+    throw std::invalid_argument(
+        "ShardEngine::run_sph: gas must be the gas set of the last prepare()");
+  }
   const obs::TraceSpan span("shard.sph");
   const int count = layout_.count();
+  const auto has_gas = [](const Shard& s) {
+    return s.gas_local.size() > 0 && s.dom && s.dom->ready();
+  };
   // One tree walk per shard feeds all five kernels (the same economy as the
-  // single-domain solver): leaf pairs with no gas on either side do zero
-  // SPH work and are dropped at collection time.
+  // single-domain solver).
   // shared: shards_ (one shard per iteration).
   opt_.pool->parallel_for_chunks(count, 1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t si = b; si < e; ++si) {
       Shard& s = shards_[static_cast<std::size_t>(si)];
-      s.sph_pairs.clear();
-      if (s.gas_local.size() == 0 || !s.dom || !s.dom->ready()) continue;
-      const double cutoff = sph::support_cutoff(s.gas_local);
-      const domain::SpeciesView gas_view = s.dom->second();
-      s.dom->for_each_pair(cutoff, [&](const tree::LeafPair& lp) {
-        if (gas_view.leaves[lp.a].count() == 0 ||
-            gas_view.leaves[lp.b].count() == 0) {
-          return;
-        }
-        s.sph_pairs.push_back(lp);
-      });
+      if (has_gas(s)) {
+        sph::collect_gas_pairs(*s.dom, sph::support_cutoff(s.gas_local),
+                               s.sph_pairs);
+      } else {
+        s.sph_pairs.clear();
+      }
     }
   });
-  // Kernel chain: shards run one after another (each launch is internally
-  // pool-parallel), with owner -> ghost field refreshes between dependent
-  // kernels.
-  const auto each_shard = [&](const auto& fn) {
-    for (Shard& s : shards_) {
-      if (s.gas_local.size() == 0 || !s.dom || !s.dom->ready()) continue;
-      fn(s);
+  // Kernel chain: within each kernel the shards run one after another (each
+  // launch is internally pool-parallel), with owner -> ghost field refreshes
+  // between dependent kernels.
+  std::vector<sph::ChainPart> parts;
+  for (Shard& s : shards_) {
+    if (has_gas(s)) {
+      parts.push_back({&s.gas_local, s.dom->second(), s.sph_pairs});
     }
-  };
-  each_shard([&](Shard& s) {
-    sph::run_geometry(q, s.gas_local, s.dom->second(),
-                      domain::PairSource(s.sph_pairs), sph.geometry);
-  });
-  refresh_ghost_fields(0);
-  each_shard([&](Shard& s) {
-    sph::run_corrections(q, s.gas_local, s.dom->second(),
-                         domain::PairSource(s.sph_pairs), sph.corrections);
-  });
-  refresh_ghost_fields(1);
-  each_shard([&](Shard& s) {
-    sph::run_extras(q, s.gas_local, s.dom->second(),
-                    domain::PairSource(s.sph_pairs), sph.extras);
-  });
-  refresh_ghost_fields(2);
-  each_shard([&](Shard& s) {
-    sph::run_acceleration(q, s.gas_local, s.dom->second(),
-                          domain::PairSource(s.sph_pairs), sph.acceleration,
-                          sph.accel_timer);
-  });
-  each_shard([&](Shard& s) {
-    sph::run_energy(q, s.gas_local, s.dom->second(),
-                    domain::PairSource(s.sph_pairs), sph.energy,
-                    sph.energy_timer);
-  });
+  }
+  sph::run_chain(q, parts, sph,
+                 [this](std::uint32_t round) { refresh_ghost_fields(round); });
   {
     const obs::TraceSpan scatter_span("shard.scatter");
     const double t1 = util::wtime();
@@ -805,22 +779,6 @@ void ShardEngine::scatter_gas(core::ParticleSet& gas) {
       }
     }
   });
-}
-
-void ShardEngine::evaluate(const core::ParticleSet& dm, core::ParticleSet& gas,
-                           std::span<const util::Vec3d> pos, xsycl::Queue* q,
-                           const SphParams* sph, const PpParams* pp,
-                           std::span<float> ax, std::span<float> ay,
-                           std::span<float> az) {
-  prepare(dm, gas, pos);
-  if (pp != nullptr) run_pp(*pp, ax, ay, az);
-  if (sph != nullptr) {
-    if (q == nullptr) {
-      throw std::invalid_argument(
-          "ShardEngine::evaluate: SPH kernels need a queue");
-    }
-    run_sph(gas, *q, *sph);
-  }
 }
 
 ShardEngine::ShardView ShardEngine::shard_view(int shard) const {

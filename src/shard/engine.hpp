@@ -21,11 +21,16 @@
 ///                per-particle sums accumulate in DOUBLE, which is what
 ///                makes the cross-shard-count force parity < 1e-10 instead
 ///                of float-reorder noise.
-///   run_sph()  — the five CRK-SPH kernels per shard, with ghost field
-///                refreshes through the transport between dependent kernels
-///                (V after Geometry, CRK coefficients after Corrections,
-///                rho/P/cs after Extras), then a resident-output scatter
-///                back to the canonical particle set.
+///   run_sph()  — the CRK-SPH chain (`sph::run_chain`) with one part per
+///                non-empty shard and the ghost field refreshes through the
+///                transport as its between-kernel hook (V after Geometry,
+///                CRK coefficients after Corrections, rho/P/cs after
+///                Extras), then a resident-output scatter back to the
+///                canonical particle set.
+///
+/// The solver shards short-range gravity only for pm_pp: the fmm and
+/// treepm backends keep their gravity chain on the global tree (a far
+/// field is not shardable by a halo), so with them only hydro shards.
 ///
 /// The canonical `core::ParticleSet`s stay authoritative: kick/drift and
 /// checkpointing never see shards (the checkpoint layout IS the gathered
@@ -43,7 +48,7 @@
 #include "gravity/poisson.hpp"
 #include "shard/layout.hpp"
 #include "shard/transport.hpp"
-#include "sph/geometry.hpp"
+#include "sph/pipeline.hpp"
 #include "util/vec3.hpp"
 
 namespace hacc::util {
@@ -77,18 +82,9 @@ struct ShardOptions {
   util::ThreadPool* pool = nullptr;  ///< shard-level parallelism (required)
 };
 
-/// Per-kernel SPH launch options, pre-resolved by the caller (the solver
-/// threads its per-kernel communication variants through these).
-struct SphParams {
-  sph::HydroOptions geometry;
-  sph::HydroOptions corrections;
-  sph::HydroOptions extras;
-  sph::HydroOptions acceleration;
-  sph::HydroOptions energy;
-  /// Timer names for the two-pass kernels ("upBarAc" / "upBarAcF" etc).
-  const char* accel_timer = "upBarAc";
-  const char* energy_timer = "upBarDu";
-};
+/// Per-kernel SPH launch options: the chain's own options, under the name
+/// the engine's callers spell.
+using SphParams = sph::ChainOptions;
 
 /// Short-range gravity parameters (mirrors gravity::PpOptions physics).
 struct PpParams {
@@ -133,15 +129,10 @@ class ShardEngine {
   void run_pp(const PpParams& pp, std::span<float> ax, std::span<float> ay,
               std::span<float> az);
 
-  /// Phase 3: the five SPH kernels + ghost refreshes, then the resident
-  /// scatter of every kernel-written field back into `gas`.
+  /// Phase 3: the SPH chain + ghost refreshes, then the resident scatter
+  /// of every kernel-written field back into `gas`, which must be the gas
+  /// set of the last prepare() (std::invalid_argument otherwise).
   void run_sph(core::ParticleSet& gas, xsycl::Queue& q, const SphParams& sph);
-
-  /// prepare + optional run_pp + optional run_sph (tools, benches, tests).
-  void evaluate(const core::ParticleSet& dm, core::ParticleSet& gas,
-                std::span<const util::Vec3d> pos, xsycl::Queue* q,
-                const SphParams* sph, const PpParams* pp, std::span<float> ax,
-                std::span<float> ay, std::span<float> az);
 
   const ShardLayout& layout() const { return layout_; }
   const ShardOptions& options() const { return opt_; }

@@ -9,7 +9,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "util/config.hpp"
 
@@ -606,6 +612,107 @@ TEST(Solver, ConstructsAtEveryValidSubGroupSize) {
     SimConfig cfg = small_config();
     cfg.sub_group_size = sg;
     EXPECT_NO_THROW(Solver solver(cfg, pool)) << sg;
+  }
+}
+
+// Solver-level bit snapshot: FNV-1a hashes of the particle state after
+// initialize() plus one step() on a 1-thread pool, per gravity backend and
+// shard count.  It pins the solver's whole force path (the SPH chain, the
+// shard engine and every gravity backend), so a change that only moves
+// code must reproduce every row.  A mismatch prints the measured row in the
+// format of solver_output_bits.inc.  At this size treepm's MAC accepts no
+// cell inside the cutoff, so its row equals pm_pp's; it still pins the
+// fmm_build -> short_range -> far_field chain.
+
+// Gas kernel outputs m0 V moments crk rho dvel P cs ax ay az vsig du; gas
+// h u x y z vx vy vz; dm x y z vx vy vz; gravity_accelerations().
+constexpr int kSolverBitsColumns = 28;
+using SolverBits = std::array<std::uint64_t, kSolverBitsColumns>;
+
+struct SolverBitsRow {
+  const char* backend;
+  int shard_count;
+  SolverBits hashes;
+};
+
+constexpr SolverBitsRow kSolverBits[] = {
+#include "solver_output_bits.inc"
+};
+
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const T& x : v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &x, sizeof bytes);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+SolverBits solver_bits(GravityBackend backend, int shard_count) {
+  SimConfig cfg;
+  cfg.np_side = 8;
+  cfg.box = 25.0;
+  cfg.pm_grid = 16;
+  cfg.n_steps = 2;
+  cfg.seed = 7;
+  cfg.gravity_backend = backend;
+  cfg.shard_count = shard_count;
+  util::ThreadPool pool(1);
+  Solver solver(cfg, pool);
+  solver.initialize();
+  solver.step();
+  const ParticleSet& g = solver.gas();
+  const ParticleSet& d = solver.dm();
+  return {fnv1a(g.m0),  fnv1a(g.V),    fnv1a(g.moments), fnv1a(g.crk),
+          fnv1a(g.rho), fnv1a(g.dvel), fnv1a(g.P),       fnv1a(g.cs),
+          fnv1a(g.ax),  fnv1a(g.ay),   fnv1a(g.az),      fnv1a(g.vsig),
+          fnv1a(g.du),  fnv1a(g.h),    fnv1a(g.u),       fnv1a(g.x),
+          fnv1a(g.y),   fnv1a(g.z),    fnv1a(g.vx),      fnv1a(g.vy),
+          fnv1a(g.vz),  fnv1a(d.x),    fnv1a(d.y),       fnv1a(d.z),
+          fnv1a(d.vx),  fnv1a(d.vy),   fnv1a(d.vz),
+          fnv1a(solver.gravity_accelerations())};
+}
+
+class SolverOutputBits
+    : public ::testing::TestWithParam<std::tuple<GravityBackend, int>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndShardCounts, SolverOutputBits,
+    ::testing::Values(std::make_tuple(GravityBackend::kPmPp, 1),
+                      std::make_tuple(GravityBackend::kFmm, 1),
+                      std::make_tuple(GravityBackend::kTreePm, 1),
+                      std::make_tuple(GravityBackend::kPmPp, 4),
+                      std::make_tuple(GravityBackend::kFmm, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<GravityBackend, int>>& info) {
+      return std::string(to_string(std::get<0>(info.param))) + "_shards" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST_P(SolverOutputBits, MatchesRecordedHashes) {
+  const auto [backend, shard_count] = GetParam();
+  const SolverBits got = solver_bits(backend, shard_count);
+  std::ostringstream row;
+  row << "{\"" << to_string(backend) << "\", " << shard_count << ", {";
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    row << (k ? ", " : "") << "0x" << std::hex << got[k] << std::dec << "ull";
+  }
+  row << "}},";
+  const SolverBitsRow* want = nullptr;
+  for (const auto& r : kSolverBits) {
+    if (r.backend == std::string(to_string(backend)) &&
+        r.shard_count == shard_count) {
+      want = &r;
+    }
+  }
+  if (want == nullptr) {
+    ADD_FAILURE() << "no snapshot row; measured:\n" << row.str();
+  } else {
+    EXPECT_EQ(got, want->hashes) << "measured:\n" << row.str();
   }
 }
 

@@ -17,6 +17,7 @@
 #include "core/particles.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "xsycl/queue.hpp"
 
 namespace hacc::shard {
 namespace {
@@ -340,6 +341,30 @@ TEST(ShardEngineTest, ShardedWalkCoversEverySingleDomainPair) {
           << pr.second << ")";
     }
   }
+}
+
+// run_sph scatters resident outputs by global gas id, so a gas set of
+// another size than the prepared one is refused before anything is written.
+TEST(ShardEngineTest, RunSphRejectsMismatchedGas) {
+  util::ThreadPool pool(2);
+  const core::ParticleSet dm;
+  core::ParticleSet gas = dm_set(random_positions(200, 5));
+  for (std::size_t i = 0; i < gas.size(); ++i) {
+    gas.h[i] = 0.3f;
+    gas.V[i] = 1.f;
+  }
+  ShardEngine engine(engine_options(pool, 4, 1.0));
+  engine.prepare(dm, gas, float_positions(gas));
+
+  xsycl::Queue q(pool);
+  core::ParticleSet smaller = dm_set(random_positions(150, 6));
+  const core::ParticleSet before = smaller;
+  EXPECT_THROW(engine.run_sph(smaller, q, SphParams{}), std::invalid_argument);
+  EXPECT_EQ(smaller.rho, before.rho);
+  EXPECT_EQ(smaller.ax, before.ax);
+  EXPECT_EQ(smaller.du, before.du);
+  EXPECT_EQ(smaller.crk, before.crk);
+  EXPECT_TRUE(q.history().empty()) << "no kernel may launch";
 }
 
 TEST(ShardEngineTest, RejectsBadOptions) {

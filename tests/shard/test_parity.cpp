@@ -56,7 +56,7 @@ double rel_rms(const std::vector<util::Vec3d>& test,
 
 // Engine-level parity on evolved (clustered) particle data: shard counts
 // 2/4/8 against the count-1 single-domain walk, double sums compared.
-// pm_pp and treepm share this exact short-range path in the sharded solver.
+// This is the short-range path of the sharded pm_pp solver.
 TEST(ShardParity, ShortRangeForcesMatchSingleDomainBelow1e10) {
   util::ThreadPool pool(4);
   SimConfig cfg = parity_config(GravityBackend::kPmPp);
@@ -106,14 +106,34 @@ TEST(ShardParity, ShortRangeForcesMatchSingleDomainBelow1e10) {
   }
 }
 
-// Solver-level parity for the PM+PP and TreePM backends: a sharded solver's
-// total gravity against the unsharded one, on identical ICs.  The legacy
-// path accumulates P-P terms in float, the engine in double, so the bar
-// here is float-accumulation noise, not 1e-10.
+// Solver-level parity for the PM+PP backend: a sharded solver's total
+// gravity against the unsharded one, on identical ICs.  The unsharded path
+// accumulates P-P terms in float, the engine in double, so the bar here is
+// float-accumulation noise, not 1e-10.
 TEST(ShardParity, SolverGravityMatchesUnshardedAtFloatLevel) {
   util::ThreadPool pool(4);
+  SimConfig cfg = parity_config(GravityBackend::kPmPp);
+  Solver plain(cfg, pool);
+  plain.initialize();
+  SimConfig sharded_cfg = cfg;
+  sharded_cfg.shard_count = 4;
+  Solver sharded(sharded_cfg, pool);
+  ASSERT_NE(sharded.shard_engine(), nullptr);
+  sharded.initialize();
+
+  const auto ref = plain.gravity_accelerations();
+  const auto got = sharded.gravity_accelerations();
+  ASSERT_EQ(got.size(), ref.size());
+  EXPECT_LT(rel_rms(got, ref), 1e-5);  // double vs float accumulation only
+}
+
+// The fmm and treepm backends keep their whole gravity chain global (only
+// hydro shards), so on identical ICs their accelerations must match the
+// unsharded run bit for bit — not merely to tolerance.
+TEST(ShardParity, FmmBackendGravityIsBitwiseUnsharded) {
+  util::ThreadPool pool(1);
   for (const GravityBackend backend :
-       {GravityBackend::kPmPp, GravityBackend::kTreePm}) {
+       {GravityBackend::kFmm, GravityBackend::kTreePm}) {
     SimConfig cfg = parity_config(backend);
     Solver plain(cfg, pool);
     plain.initialize();
@@ -126,35 +146,11 @@ TEST(ShardParity, SolverGravityMatchesUnshardedAtFloatLevel) {
     const auto ref = plain.gravity_accelerations();
     const auto got = sharded.gravity_accelerations();
     ASSERT_EQ(got.size(), ref.size());
-    const double tol = backend == GravityBackend::kTreePm
-                           ? 5e-3   // exact direct sum vs MAC approximation
-                           : 1e-5;  // double vs float accumulation only
-    EXPECT_LT(rel_rms(got, ref), tol)
-        << "backend " << to_string(backend);
-  }
-}
-
-// The fmm backend keeps its whole gravity chain global (only hydro shards),
-// so on identical ICs its accelerations must match the unsharded run
-// bit for bit — not merely to tolerance.
-TEST(ShardParity, FmmBackendGravityIsBitwiseUnsharded) {
-  util::ThreadPool pool(1);
-  SimConfig cfg = parity_config(GravityBackend::kFmm);
-  Solver plain(cfg, pool);
-  plain.initialize();
-  SimConfig sharded_cfg = cfg;
-  sharded_cfg.shard_count = 4;
-  Solver sharded(sharded_cfg, pool);
-  ASSERT_NE(sharded.shard_engine(), nullptr);
-  sharded.initialize();
-
-  const auto ref = plain.gravity_accelerations();
-  const auto got = sharded.gravity_accelerations();
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(got[i].x, ref[i].x) << i;
-    ASSERT_EQ(got[i].y, ref[i].y) << i;
-    ASSERT_EQ(got[i].z, ref[i].z) << i;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(got[i].x, ref[i].x) << to_string(backend) << " " << i;
+      ASSERT_EQ(got[i].y, ref[i].y) << to_string(backend) << " " << i;
+      ASSERT_EQ(got[i].z, ref[i].z) << to_string(backend) << " " << i;
+    }
   }
 }
 
