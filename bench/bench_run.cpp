@@ -10,11 +10,9 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "run/scenario.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -106,45 +104,7 @@ ScenarioRecord time_scenario(const std::string& name) {
   return rec;
 }
 
-// One paper-benchmark run per pool size: the thread-scaling record the CI
-// threads-sweep job compares.  Speedups are honest for the machine running
-// the bench — host_cores rides along so a 1-core container's flat curve is
-// readable as such.
-struct ThreadsRecord {
-  unsigned threads = 1;
-  int steps = 0;
-  double wall_seconds = 0.0;
-  double step_ms = 0.0;
-  double speedup = 1.0;       // wall(1 thread) / wall(this)
-  double overlap_seconds = 0.0;  // wall won by pm/short-range stage overlap
-};
-
-std::vector<ThreadsRecord> time_threads_sweep() {
-  std::vector<ThreadsRecord> recs;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const run::Scenario s = bench_scenario("paper-benchmark", 8);
-    util::ThreadPool pool(threads);
-    run::ScenarioRunner runner(s.sim, s.run, pool);
-    const auto result = runner.run();
-    ThreadsRecord rec;
-    rec.threads = threads;
-    rec.steps = result.steps;
-    rec.wall_seconds = result.wall_seconds;
-    rec.step_ms =
-        result.steps > 0 ? 1e3 * result.wall_seconds / result.steps : 0.0;
-    for (const auto& stats : result.history) {
-      rec.overlap_seconds += stats.overlap_seconds;
-    }
-    rec.speedup = recs.empty() || rec.wall_seconds <= 0.0
-                      ? 1.0
-                      : recs.front().wall_seconds / rec.wall_seconds;
-    recs.push_back(rec);
-  }
-  return recs;
-}
-
-void write_bench_json(const ScenarioRecord recs[3],
-                      const std::vector<ThreadsRecord>& sweep) {
+void write_bench_json(const ScenarioRecord recs[3]) {
   const char* path = std::getenv("HACC_BENCH_RUN_JSON");
   if (path == nullptr) path = "BENCH_run.json";
   std::FILE* f = std::fopen(path, "w");
@@ -164,19 +124,8 @@ void write_bench_json(const ScenarioRecord recs[3],
                  recs[i].tree_builds, recs[i].tree_reuses, i < 2 ? "," : "");
   }
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"host_cores\": %u,\n",
+  std::fprintf(f, "  \"host_cores\": %u\n}\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"threads_sweep\": {\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const ThreadsRecord& r = sweep[i];
-    std::fprintf(f,
-                 "    \"%u\": {\"steps\": %d, \"wall_s\": %.4f, "
-                 "\"step_ms\": %.3f, \"speedup\": %.3f, "
-                 "\"overlap_s\": %.4f}%s\n",
-                 r.threads, r.steps, r.wall_seconds, r.step_ms, r.speedup,
-                 r.overlap_seconds, i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }
@@ -195,15 +144,7 @@ void print_summary() {
                 recs[i].step_ms, recs[i].n_outputs, 1e3 * recs[i].tree_seconds,
                 recs[i].tree_builds, recs[i].tree_reuses);
   }
-  hacc::bench::print_header("Thread scaling (paper-benchmark, np=8)");
-  const std::vector<ThreadsRecord> sweep = time_threads_sweep();
-  std::printf("%-8s %7s %10s %10s %9s %10s\n", "threads", "steps", "wall s",
-              "step ms", "speedup", "overlap s");
-  for (const ThreadsRecord& r : sweep) {
-    std::printf("%-8u %7d %10.3f %10.2f %9.2f %10.4f\n", r.threads, r.steps,
-                r.wall_seconds, r.step_ms, r.speedup, r.overlap_seconds);
-  }
-  write_bench_json(recs, sweep);
+  write_bench_json(recs);
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     std::printf("  %-11s %8.3f ms  (%llu launches)\n", name.c_str(),
                 k.seconds * 1e3, static_cast<unsigned long long>(k.launches));
   }
-  std::printf("Per-stage walls (the step propagator):\n");
+  std::printf("Per-stage walls (force-evaluation stages):\n");
   for (const auto& [name, stage] : solver.stage_totals()) {
     std::printf("  %-11s %8.3f ms  (%llu runs)\n", name.c_str(),
                 stage.seconds * 1e3, static_cast<unsigned long long>(stage.runs));

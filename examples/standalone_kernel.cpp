@@ -63,7 +63,10 @@ int main(int argc, char** argv) try {
     hacc::sph::PipelineOptions popt;
     popt.hydro.box = static_cast<float>(box);
     hacc::sph::run_hydro_pipeline(q, gas, popt);
-    if (!hacc::core::write_checkpoint(path, gas, box, 1.0)) {
+    hacc::core::RunCheckpointMeta meta;
+    meta.box = box;
+    meta.scale_factor = 1.0;
+    if (!hacc::core::write_run_checkpoint(path, {}, gas, meta)) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return 1;
     }
@@ -72,9 +75,9 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  hacc::core::ParticleSet gas;
-  double box = 0.0, a = 0.0;
-  if (!hacc::core::read_checkpoint(path, gas, box, a)) {
+  hacc::core::ParticleSet dm, gas;
+  hacc::core::RunCheckpointMeta meta;
+  if (!hacc::core::read_run_checkpoint(path, dm, gas, meta)) {
     std::fprintf(stderr, "cannot read %s (generate first: mode=generate)\n",
                  path.c_str());
     return 1;
@@ -96,7 +99,7 @@ int main(int argc, char** argv) try {
   }
 
   hacc::sph::PipelineOptions popt;
-  popt.hydro.box = static_cast<float>(box);
+  popt.hydro.box = static_cast<float>(meta.box);
   popt.hydro.variant = variant;
   popt.hydro.launch.sub_group_size = static_cast<int>(cli.get_int("sg", 32));
   const auto pipe = hacc::sph::build_pipeline(gas, popt);

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <type_traits>
 #include <vector>
@@ -56,34 +55,11 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-// On-disk header of a v2 restart checkpoint.  All members are 8-byte sized
-// and aligned, so the struct has no padding surprises across compilers.
-struct RunCheckpointHeader {
-  std::uint64_t magic = CheckpointHeader{}.magic;
-  std::uint64_t version = 2;
-  std::uint64_t n_dm = 0;
-  std::uint64_t n_gas = 0;
-  double box = 0.0;
-  double scale_factor = 0.0;
-  std::uint64_t step = 0;
-  std::uint64_t config_hash = 0;
-};
-static_assert(sizeof(RunCheckpointHeader) == 8 * sizeof(std::uint64_t));
-
-// Headers/trailers are CRC'd as raw struct bytes, so padding (v1's header
-// has 4 bytes after `version`) must be deterministic: zero the storage
-// first, then assign fields.
-template <typename T>
-T zeroed() {
-  T value;
-  std::memset(&value, 0, sizeof(T));
-  return value;
-}
-
+// Headers and trailers are CRC'd as raw struct bytes; both are padding-free
+// (static_asserts in checkpoint.hpp), so every byte is a field.
 CheckpointTrailer make_trailer(std::uint32_t header_crc, std::uint32_t dm_crc,
                                std::uint32_t gas_crc) {
-  auto tr = zeroed<CheckpointTrailer>();
-  tr.magic = CheckpointTrailer{}.magic;
+  CheckpointTrailer tr;
   tr.header_crc = header_crc;
   tr.dm_crc = dm_crc;
   tr.gas_crc = gas_crc;
@@ -155,31 +131,29 @@ class SectionWriter {
   std::uint64_t offset_ = 0;
 };
 
-// Shared writer: header + one or two payload sections + CRC trailer, via
-// tmp + fsync + atomic rename.  On failure the partial tmp file is removed
-// best-effort (outside the fault layer: cleanup is not part of the
-// durability protocol under test).
-CkptResult write_checkpoint_file(const std::string& path, const void* header,
-                                 std::size_t header_size,
+// Header + dm payload + gas payload + CRC trailer, via tmp + fsync + atomic
+// rename.  On failure the partial tmp file is removed best-effort (outside
+// the fault layer: cleanup is not part of the durability protocol under
+// test).
+CkptResult write_checkpoint_file(const std::string& path,
+                                 const RunCheckpointHeader& hdr,
                                  const ParticleSet& dm,
-                                 const ParticleSet* gas) {
+                                 const ParticleSet& gas) {
   const std::string tmp = path + ".tmp";
   SectionWriter writer;
   CkptResult result = writer.open(tmp);
-  if (result.ok()) result = writer.write(header, header_size, CkptSection::kHeader);
+  if (result.ok()) result = writer.write(&hdr, sizeof(hdr), CkptSection::kHeader);
   std::uint32_t dm_crc = 0;
   std::uint32_t gas_crc = 0;
   if (result.ok()) {
-    result = writer.write_payload(
-        dm, gas != nullptr ? CkptSection::kDmPayload : CkptSection::kPayload,
-        dm_crc);
+    result = writer.write_payload(dm, CkptSection::kDmPayload, dm_crc);
   }
-  if (result.ok() && gas != nullptr) {
-    result = writer.write_payload(*gas, CkptSection::kGasPayload, gas_crc);
+  if (result.ok()) {
+    result = writer.write_payload(gas, CkptSection::kGasPayload, gas_crc);
   }
   if (result.ok()) {
     const CheckpointTrailer tr =
-        make_trailer(io::crc32(header, header_size), dm_crc, gas_crc);
+        make_trailer(io::crc32(&hdr, sizeof(hdr)), dm_crc, gas_crc);
     result = writer.write(&tr, sizeof(tr), CkptSection::kTrailer);
   }
   if (result.ok()) result = writer.commit(tmp, path);
@@ -196,10 +170,11 @@ struct FileLayout {
   CheckpointTrailer trailer{};
 };
 
-// Structural checks common to both versions: open, sizes, trailer
-// self-integrity.  Fills `layout` and leaves `f` positioned at byte 0.
+// Structural checks: open, sizes, trailer self-integrity.  Fills `layout`
+// and leaves `f` positioned at byte 0.
 CkptResult open_and_check(std::ifstream& f, const std::string& path,
-                          std::size_t header_size, FileLayout& layout) {
+                          FileLayout& layout) {
+  constexpr std::size_t header_size = sizeof(RunCheckpointHeader);
   f.open(path, std::ios::binary);
   if (!f) {
     return {CkptStatus::kOpenFailed, CkptSection::kNone,
@@ -257,16 +232,6 @@ CkptResult check_header_crc(const void* header, std::size_t header_size,
                 std::to_string(header_size) + "))"};
   }
   return {};
-}
-
-CkptResult size_mismatch(const FileLayout& layout, const std::string& claims,
-                         std::uint64_t expected_payload) {
-  return {CkptStatus::kSizeMismatch, CkptSection::kNone,
-          "file is " + std::to_string(layout.file_size) + " bytes with " +
-              std::to_string(layout.payload_bytes) + " payload bytes, but " +
-              claims + " implies " + std::to_string(expected_payload) +
-              " payload bytes (" + std::to_string(per_particle_bytes()) +
-              " per particle)"};
 }
 
 // Reads one species' payload into `p` (already resized), CRC-checking it
@@ -358,7 +323,6 @@ const char* to_string(CkptSection section) {
   switch (section) {
     case CkptSection::kNone: return "none";
     case CkptSection::kHeader: return "header";
-    case CkptSection::kPayload: return "payload";
     case CkptSection::kDmPayload: return "dm_payload";
     case CkptSection::kGasPayload: return "gas_payload";
     case CkptSection::kTrailer: return "trailer";
@@ -376,84 +340,26 @@ std::string CkptResult::message() const {
   return out;
 }
 
-CkptResult write_checkpoint(const std::string& path, const ParticleSet& p,
-                            double box, double scale_factor) {
-  auto hdr = zeroed<CheckpointHeader>();
-  hdr.magic = CheckpointHeader{}.magic;
-  hdr.version = CheckpointHeader{}.version;
-  hdr.n_particles = p.size();
-  hdr.box = box;
-  hdr.scale_factor = scale_factor;
-  return write_checkpoint_file(path, &hdr, sizeof(hdr), p, nullptr);
-}
-
-CkptResult read_checkpoint(const std::string& path, ParticleSet& p,
-                           double& box, double& scale_factor) {
-  std::ifstream f;
-  FileLayout layout;
-  CkptResult result = open_and_check(f, path, sizeof(CheckpointHeader), layout);
-  if (!result.ok()) return result;
-
-  auto hdr = zeroed<CheckpointHeader>();
-  f.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
-  if (!f) {
-    return {CkptStatus::kReadFailed, CkptSection::kHeader,
-            "cannot read the header at bytes [0, " +
-                std::to_string(sizeof(hdr)) + ")"};
-  }
-  if (hdr.magic != CheckpointHeader{}.magic) {
-    return {CkptStatus::kBadMagic, CkptSection::kHeader,
-            "header magic " + hex64(hdr.magic) + " != " +
-                hex64(CheckpointHeader{}.magic)};
-  }
-  if (hdr.version != 1) {
-    return {CkptStatus::kBadVersion, CkptSection::kHeader,
-            "header version " + std::to_string(hdr.version) +
-                " (this reader handles v1)"};
-  }
-  if (result = check_header_crc(&hdr, sizeof(hdr), layout); !result.ok()) {
-    return result;
-  }
-  // Never trust the on-disk particle count blindly: a corrupt or truncated
-  // header would otherwise trigger a multi-GB resize.  The payload size the
-  // header implies must match what is actually on disk.
-  const std::uint64_t ppb = per_particle_bytes();
-  if (layout.payload_bytes % ppb != 0 ||
-      hdr.n_particles != layout.payload_bytes / ppb) {
-    return size_mismatch(layout,
-                         "n_particles=" + std::to_string(hdr.n_particles),
-                         hdr.n_particles * ppb);
-  }
-  p.resize(hdr.n_particles);
-  box = hdr.box;
-  scale_factor = hdr.scale_factor;
-  return read_payload(f, p, CkptSection::kPayload, layout.trailer.dm_crc,
-                      layout.payload_offset, layout.payload_bytes);
-}
-
 CkptResult write_run_checkpoint(const std::string& path, const ParticleSet& dm,
                                 const ParticleSet& gas,
                                 const RunCheckpointMeta& meta) {
-  auto hdr = zeroed<RunCheckpointHeader>();
-  hdr.magic = RunCheckpointHeader{}.magic;
-  hdr.version = RunCheckpointHeader{}.version;
+  RunCheckpointHeader hdr;
   hdr.n_dm = dm.size();
   hdr.n_gas = gas.size();
   hdr.box = meta.box;
   hdr.scale_factor = meta.scale_factor;
   hdr.step = meta.step;
   hdr.config_hash = meta.config_hash;
-  return write_checkpoint_file(path, &hdr, sizeof(hdr), dm, &gas);
+  return write_checkpoint_file(path, hdr, dm, gas);
 }
 
 namespace {
 
-// Shared v2 front half: structure, header checks, payload split.  Leaves
-// `f` positioned at the payload start.
+// Shared reader front half: structure, header checks, payload split.
+// Leaves `f` positioned at the payload start.
 CkptResult open_run_checkpoint(std::ifstream& f, const std::string& path,
                                FileLayout& layout, RunCheckpointHeader& hdr) {
-  CkptResult result =
-      open_and_check(f, path, sizeof(RunCheckpointHeader), layout);
+  CkptResult result = open_and_check(f, path, layout);
   if (!result.ok()) return result;
   f.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
   if (!f) {
@@ -469,20 +375,25 @@ CkptResult open_run_checkpoint(std::ifstream& f, const std::string& path,
   if (hdr.version != 2) {
     return {CkptStatus::kBadVersion, CkptSection::kHeader,
             "header version " + std::to_string(hdr.version) +
-                " (this reader handles v2)"};
+                " (this reader handles version 2)"};
   }
   if (result = check_header_crc(&hdr, sizeof(hdr), layout); !result.ok()) {
     return result;
   }
-  // Same size discipline as the v1 reader: both species' payloads must
-  // match the file exactly before any allocation happens.
+  // Never trust the on-disk counts blindly: a corrupt header would
+  // otherwise trigger a multi-GB resize.  Both species' payloads must match
+  // the file exactly before any allocation happens, compared per count so
+  // a wrapping n_dm + n_gas cannot pass.
   const std::uint64_t ppb = per_particle_bytes();
-  if (layout.payload_bytes % ppb != 0 ||
-      hdr.n_dm + hdr.n_gas != layout.payload_bytes / ppb) {
-    return size_mismatch(layout,
-                         "n_dm=" + std::to_string(hdr.n_dm) +
-                             ", n_gas=" + std::to_string(hdr.n_gas),
-                         (hdr.n_dm + hdr.n_gas) * ppb);
+  const std::uint64_t n = layout.payload_bytes / ppb;
+  if (layout.payload_bytes % ppb != 0 || hdr.n_dm > n ||
+      hdr.n_gas != n - hdr.n_dm) {
+    return {CkptStatus::kSizeMismatch, CkptSection::kNone,
+            "file is " + std::to_string(layout.file_size) + " bytes with " +
+                std::to_string(layout.payload_bytes) + " payload bytes (" +
+                std::to_string(ppb) + " per particle), but the header " +
+                "claims n_dm=" + std::to_string(hdr.n_dm) +
+                ", n_gas=" + std::to_string(hdr.n_gas)};
   }
   return {};
 }

@@ -1,20 +1,17 @@
 #pragma once
 
 /// \file
-/// Crash-consistent binary particle checkpoints.  Two formats share one
-/// magic number:
+/// Crash-consistent binary particle checkpoints in one format (version 2,
+/// `write_run_checkpoint`/`read_run_checkpoint`): a full solver restart
+/// record — both species, the step counter, the scale factor, and a config
+/// signature so a resume against a different configuration is rejected
+/// loudly instead of silently diverging.  The same files drive the
+/// standalone-kernel workflow of §7.2 (a gas-only checkpoint with an empty
+/// dark-matter set): hot spots extracted into standalone applications driven
+/// by checkpoint files, so a single kernel can be recompiled and re-run
+/// quickly while experimenting with variants.
 ///
-/// - **v1** (`write_checkpoint`/`read_checkpoint`): one ParticleSet plus box
-///   and scale factor.  Besides restart support, these drive the
-///   standalone-kernel workflow of §7.2: hot spots extracted into standalone
-///   applications driven by checkpoint files, so a single kernel can be
-///   recompiled and re-run quickly while experimenting with variants.
-/// - **v2** (`write_run_checkpoint`/`read_run_checkpoint`): a full solver
-///   restart record — both species, the step counter, the scale factor, and
-///   a config signature so a resume against a different configuration is
-///   rejected loudly instead of silently diverging.
-///
-/// Both formats are written crash-consistently through the io fault layer:
+/// Files are written crash-consistently through the io fault layer:
 /// the bytes stream into `<path>.tmp`, the file is fsynced, atomically
 /// renamed into place, and the directory fsynced — a crash at any point
 /// leaves either the complete new file or no file at `<path>`, never a torn
@@ -22,7 +19,7 @@
 /// section (header, dm payload, gas payload) plus a CRC of the trailer
 /// itself, so readers can name exactly which section a corruption hit.
 ///
-/// All readers bound the header's particle counts against the actual file
+/// Readers bound the header's particle counts against the actual file
 /// size before allocating, so corrupt or truncated files fail cleanly; all
 /// entry points return a typed CkptResult naming the failing section and
 /// byte offsets instead of a bare bool.
@@ -34,24 +31,28 @@
 
 namespace hacc::core {
 
-/// On-disk header of a v1 single-species checkpoint.
-struct CheckpointHeader {
+/// On-disk header at byte 0 of a checkpoint file.  All members are 8-byte
+/// sized and aligned, so the struct has no padding to CRC.
+struct RunCheckpointHeader {
   std::uint64_t magic = 0x4352'4b48'4143'4321ull;  ///< "CRKHACC!"
-  std::uint32_t version = 1;
-  std::uint64_t n_particles = 0;
+  std::uint64_t version = 2;
+  std::uint64_t n_dm = 0;
+  std::uint64_t n_gas = 0;
   double box = 0.0;
   double scale_factor = 0.0;
+  std::uint64_t step = 0;
+  std::uint64_t config_hash = 0;
 };
+static_assert(sizeof(RunCheckpointHeader) == 8 * sizeof(std::uint64_t));
 
-/// On-disk trailer closing every checkpoint file (v1 and v2): one CRC-32
-/// per section, then a CRC of the trailer itself so a torn trailer is
-/// detected before any of its claims are trusted.  v1 files carry their
-/// single payload CRC in `dm_crc` and zero in `gas_crc`.
+/// On-disk trailer closing every checkpoint file: one CRC-32 per section,
+/// then a CRC of the trailer itself so a torn trailer is detected before
+/// any of its claims are trusted.
 struct CheckpointTrailer {
   std::uint64_t magic = 0x4352'4b54'524c'5221ull;  ///< "CRKTRLR!"-ish tag
   std::uint32_t header_crc = 0;   ///< CRC-32 of the header bytes
-  std::uint32_t dm_crc = 0;       ///< CRC-32 of the dm (v1: only) payload
-  std::uint32_t gas_crc = 0;      ///< CRC-32 of the gas payload (v1: 0)
+  std::uint32_t dm_crc = 0;       ///< CRC-32 of the dm payload
+  std::uint32_t gas_crc = 0;      ///< CRC-32 of the gas payload
   std::uint32_t self_crc = 0;     ///< CRC-32 of the preceding trailer bytes
 };
 static_assert(sizeof(CheckpointTrailer) == 3 * sizeof(std::uint64_t));
@@ -75,9 +76,8 @@ enum class CkptStatus {
 enum class CkptSection {
   kNone,       ///< not section-specific (open/rename/size errors)
   kHeader,     ///< the fixed-size header struct
-  kPayload,    ///< the single v1 payload
-  kDmPayload,  ///< the v2 dark-matter payload
-  kGasPayload, ///< the v2 gas payload
+  kDmPayload,  ///< the dark-matter payload
+  kGasPayload, ///< the gas payload
   kTrailer,    ///< the CRC trailer
 };
 
@@ -102,17 +102,8 @@ struct CkptResult {
   std::string message() const;
 };
 
-/// Writes the full hydro state of `p` crash-consistently (tmp + fsync +
-/// rename + dir fsync, CRC trailer).
-CkptResult write_checkpoint(const std::string& path, const ParticleSet& p,
-                            double box, double scale_factor);
-
-/// Reads a v1 checkpoint, verifying every section CRC.
-CkptResult read_checkpoint(const std::string& path, ParticleSet& p,
-                           double& box, double& scale_factor);
-
-/// Run metadata carried by a v2 restart checkpoint alongside the two
-/// particle species.
+/// Run metadata carried by a restart checkpoint alongside the two particle
+/// species.
 struct RunCheckpointMeta {
   double box = 0.0;
   double scale_factor = 0.0;
@@ -120,19 +111,20 @@ struct RunCheckpointMeta {
   std::uint64_t config_hash = 0;  ///< config_signature() of the writing run
 };
 
-/// Writes a v2 restart checkpoint (dark matter + baryons + run metadata)
-/// crash-consistently; see write_checkpoint for the protocol.
+/// Writes a restart checkpoint (dark matter + baryons + run metadata, every
+/// field of both sets) crash-consistently: tmp + fsync + rename + dir fsync,
+/// CRC trailer.
 CkptResult write_run_checkpoint(const std::string& path, const ParticleSet& dm,
                                 const ParticleSet& gas,
                                 const RunCheckpointMeta& meta);
 
-/// Reads a v2 restart checkpoint, verifying every section CRC.
+/// Reads a restart checkpoint, verifying every section CRC.
 /// Config-hash validation is the caller's job — compare `meta.config_hash`
 /// against config_signature() of the resuming run.
 CkptResult read_run_checkpoint(const std::string& path, ParticleSet& dm,
                                ParticleSet& gas, RunCheckpointMeta& meta);
 
-/// Full integrity scan of a v2 checkpoint without materializing the
+/// Full integrity scan of a checkpoint without materializing the
 /// particle state: structure, sizes, and every section CRC are verified by
 /// streaming the file once.  On success `meta` (when non-null) is filled so
 /// the caller can check the config signature and step.  This is what

@@ -38,31 +38,6 @@ bool parse_gravity_backend(const std::string& name, GravityBackend& out) {
   return true;
 }
 
-const char* to_string(OverlapMode mode) {
-  switch (mode) {
-    case OverlapMode::kAuto:
-      return "auto";
-    case OverlapMode::kOn:
-      return "on";
-    case OverlapMode::kOff:
-      return "off";
-  }
-  return "auto";
-}
-
-bool parse_overlap_mode(const std::string& name, OverlapMode& out) {
-  if (name == "auto") {
-    out = OverlapMode::kAuto;
-  } else if (name == "on") {
-    out = OverlapMode::kOn;
-  } else if (name == "off") {
-    out = OverlapMode::kOff;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* to_string(InitialConditions ic) {
   switch (ic) {
     case InitialConditions::kZeldovich:
@@ -202,14 +177,6 @@ Solver::Solver(const SimConfig& cfg, util::ThreadPool& pool)
       engine_ = std::make_unique<shard::ShardEngine>(sopt);
     }
   }
-
-  // Propagator: overlap needs a lane thread for the pm stage; with a
-  // 1-thread pool (or overlap off) zero lanes keeps execution strictly
-  // serial in declaration order — the determinism oracle.
-  overlap_enabled_ =
-      cfg_.sched_overlap == OverlapMode::kOn ||
-      (cfg_.sched_overlap == OverlapMode::kAuto && pool.size() > 1);
-  exec_ = std::make_unique<sched::StageExecutor>(overlap_enabled_ ? 1u : 0u);
 }
 
 void Solver::require_initialized(const char* what) const {
@@ -461,25 +428,31 @@ gravity::PpOptions Solver::pp_options(double g_code) const {
   return ppopt;
 }
 
+template <typename Body>
+void Solver::run_stage(const char* span_name, Body&& body) {
+  constexpr std::string_view kPrefix = "sched.";
+  const obs::TraceSpan span(span_name);
+  const double t0 = util::wtime();
+  body();
+  const double wall = util::wtime() - t0;
+  StageTotal& total = stage_totals_[span_name + kPrefix.size()];
+  total.seconds += wall;
+  ++total.runs;
+}
+
 void Solver::compute_forces(bool corrector) {
-  // One force evaluation = one propagator graph.  One combined-species
-  // gather (dm then gas) feeds the WHOLE evaluation: the shared interaction
-  // domain builds — or Verlet-skin-reuses — exactly one tree over it, and
-  // both the SPH kernels and the short-range gravity kernels consume
-  // species-filtered views of that tree.
+  // One force evaluation is a fixed list of stages, run one after another.
+  // One combined-species gather (dm then gas) feeds the WHOLE evaluation:
+  // the shared interaction domain builds — or Verlet-skin-reuses — exactly
+  // one tree over it, and both the SPH kernels and the short-range gravity
+  // kernels consume species-filtered views of that tree.
   //
-  // Stage dependencies (also docs/ARCHITECTURE.md):
+  //   assemble → tree → shard_update → sph → pm
+  //            → (short_range | fmm_build → short_range → far_field)
   //
-  //   assemble ──► tree ──► sph ──► [fmm_build ──►] short_range [──► far_field]
-  //       │
-  //       └──────► pm                  (long-range mesh: needs only the gather;
-  //                                     absent without a mesh, fmm backend)
-  //
-  // The pm stage reads grav_pos_/grav_mass_d_ and writes grav_accel_pm_ —
-  // disjoint from everything the chain touches — so with overlap enabled it
-  // runs concurrently with the tree walk and the short-range batch stream.
-  // Declaration order IS today's serial order, so the zero-lane executor
-  // reproduces the pre-propagator step bit-for-bit.
+  // tree is skipped when only the shards build trees (sharded pm_pp),
+  // shard_update without a shard engine, sph without hydro work, and pm
+  // without a mesh (fmm backend).
   //
   // Restart: the checkpointed kernel outputs stand in for this evaluation's
   // sph stage; gravity is a pure function of the checkpointed positions and
@@ -492,31 +465,25 @@ void Solver::compute_forces(bool corrector) {
   const bool sharded_pp =
       engine_ != nullptr && cfg_.gravity_backend == GravityBackend::kPmPp;
 
-  sched::TaskGraph graph;
-  const std::size_t s_assemble =
-      graph.add("assemble", {}, [this, run_sph_stage] {
-        // h sets the SPH pair cutoff and feeds the shard ghost loads, so it
-        // is updated once, ahead of both the tree and the shard exchange.
-        if (run_sph_stage) update_smoothing_lengths();
-        assemble_gravity_inputs();
-      });
-  std::size_t chain = s_assemble;
-
+  run_stage("sched.assemble", [&] {
+    // h sets the SPH pair cutoff and feeds the shard ghost loads, so it is
+    // updated once, ahead of both the tree and the shard exchange.
+    if (run_sph_stage) update_smoothing_lengths();
+    assemble_gravity_inputs();
+  });
   if (!sharded_pp) {
-    chain = graph.add("tree", {chain},
-                      [this] { domain_->update(grav_pos_, dm_.size()); });
+    run_stage("sched.tree", [&] { domain_->update(grav_pos_, dm_.size()); });
   }
-
   if (engine_) {
-    chain = graph.add("shard_update", {chain},
-                      [this] { engine_->prepare(dm_, gas_, grav_pos_); });
+    run_stage("sched.shard_update",
+              [&] { engine_->prepare(dm_, gas_, grav_pos_); });
   }
 
   // ---- Hydro (baryons): the SPH chain, per shard or over the shared
   // domain.  Five kernels read the same pairs, so they are collected once
   // (gravity, a single consumer, streams its pairs instead). ----
   if (run_sph_stage) {
-    chain = graph.add("sph", {chain}, [this, corrector] {
+    run_stage("sched.sph", [&] {
       const sph::ChainOptions opt = chain_options(cfg_, corrector);
       if (engine_) {
         engine_->run_sph(gas_, queue_, opt);
@@ -536,20 +503,16 @@ void Solver::compute_forces(bool corrector) {
   // with rhobar = 1 by the mass normalization. ----
   const double g_code = 3.0 * cfg_.cosmo.omega_m / (8.0 * M_PI * a_);
   if (pm_) {
-    graph.add("pm", {s_assemble}, [this, g_code] {
+    run_stage("sched.pm", [&] {
       pm_->set_gravitational_constant(g_code);
       pm_->compute_forces(grav_pos_, grav_mass_d_, grav_accel_pm_);
     });
   }
 
-  // Stage bodies run inside exec_->run() below, so stack locals shared by
-  // the fmm stages stay alive for the whole graph.
-  std::optional<fmm::FmmEvaluator> evaluator;
-  fmm::InteractionLists lists;
   if (sharded_pp) {
     // Per-shard P-P over the full cutoff sphere: the same pair set as the
     // unsharded walk, term for term in float.
-    graph.add("short_range", {chain}, [this, g_code] {
+    run_stage("sched.short_range", [&] {
       shard::PpParams pp;
       pp.poly = poly_.get();
       pp.box = static_cast<float>(cfg_.box);
@@ -559,27 +522,25 @@ void Solver::compute_forces(bool corrector) {
       engine_->run_pp(pp, grav_ax_, grav_ay_, grav_az_);
     });
   } else if (cfg_.gravity_backend == GravityBackend::kPmPp) {
-    graph.add("short_range", {chain}, [this, g_code] {
+    run_stage("sched.short_range", [&] {
       run_pp_short(queue_, gravity_arrays(), domain_->all(),
                    domain_->pairs(poly_->r_cut()), *poly_, pp_options(g_code));
     });
   } else {
     const bool treepm = cfg_.gravity_backend == GravityBackend::kTreePm;
-    const std::size_t s_fmm = graph.add("fmm_build", {chain}, [this, treepm,
-                                                              &evaluator,
-                                                              &lists] {
+    std::optional<fmm::FmmEvaluator> evaluator;
+    fmm::InteractionLists lists;
+    run_stage("sched.fmm_build", [&] {
       const double r_cut =
           treepm ? poly_->r_cut() : std::numeric_limits<double>::infinity();
       evaluator.emplace(domain_->tree(), grav_pos_, grav_mass_d_, *pool_);
       lists = evaluator->build_interactions(cfg_.fmm_theta, r_cut);
     });
-    const std::size_t s_short =
-        graph.add("short_range", {s_fmm}, [this, g_code, &lists] {
-          run_pp_short(queue_, gravity_arrays(), domain_->all(), lists.near,
-                       *poly_, pp_options(g_code));
-        });
-    graph.add("far_field", {s_short}, [this, g_code, treepm, &evaluator,
-                                       &lists] {
+    run_stage("sched.short_range", [&] {
+      run_pp_short(queue_, gravity_arrays(), domain_->all(), lists.near,
+                   *poly_, pp_options(g_code));
+    });
+    run_stage("sched.far_field", [&] {
       fmm::FarOptions fopt;
       fopt.box = cfg_.box;
       fopt.G = g_code;
@@ -589,15 +550,6 @@ void Solver::compute_forces(bool corrector) {
       evaluator->evaluate_far(lists, gravity_arrays(), fopt, &fmm_ops_);
     });
   }
-
-  const sched::RunResult result = exec_->run(graph);
-  for (const sched::StageTiming& t : result.stages) {
-    if (!t.ran) continue;
-    StageTotal& total = stage_totals_[t.name];
-    total.seconds += t.wall_seconds();
-    ++total.runs;
-  }
-  overlap_seconds_total_ += result.overlap_seconds();
   forces_ready_ = true;
 }
 
@@ -698,7 +650,6 @@ StepStats Solver::step() {
   const double tree_t0 = stage_seconds("tree");
   const double pm_t0 = stage_seconds("pm");
   const double short_t0 = chain_seconds();
-  const double overlap_t0 = overlap_seconds_total_;
   if (!forces_ready_) compute_forces(false);
   const double a0 = a_;
   const double a1 = a_ + da_;
@@ -748,7 +699,6 @@ StepStats Solver::step() {
   }
   stats.pm_seconds = stage_seconds("pm") - pm_t0;
   stats.short_range_seconds = chain_seconds() - short_t0;
-  stats.overlap_seconds = overlap_seconds_total_ - overlap_t0;
   const auto tally = [&stats](const ParticleSet& p, bool hydro) {
     for (std::size_t i = 0; i < p.size(); ++i) {
       const double m = p.mass[i];

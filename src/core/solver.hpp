@@ -31,7 +31,6 @@
 #include "ic/cosmology.hpp"
 #include "ic/power_spectrum.hpp"
 #include "ic/zeldovich.hpp"
-#include "sched/task_graph.hpp"
 #include "shard/engine.hpp"
 #include "sph/pipeline.hpp"
 #include "xsycl/queue.hpp"
@@ -72,22 +71,6 @@ const char* to_string(GravityBackend backend);
 /// Parses "pm_pp" | "fmm" | "treepm"; returns false (out untouched) for
 /// unknown names — the util::Config wiring used by examples and tools.
 bool parse_gravity_backend(const std::string& name, GravityBackend& out);
-
-/// Stage-overlap policy for the step propagator (config key sched.overlap):
-///   - `kAuto` — overlap iff the pool has more than one worker (the default:
-///               a 1-thread run stays strictly serial, so it is bit-identical
-///               to the pre-propagator code and serves as the determinism
-///               oracle).
-///   - `kOn`   — always run the long-range PM stage concurrently with the
-///               tree/SPH/short-range chain.
-///   - `kOff`  — strictly serial declaration-order execution.
-enum class OverlapMode { kAuto, kOn, kOff };
-
-/// The config-key spelling of a mode ("auto" | "on" | "off").
-const char* to_string(OverlapMode mode);
-
-/// Parses "auto" | "on" | "off"; returns false (out untouched) otherwise.
-bool parse_overlap_mode(const std::string& name, OverlapMode& out);
 
 /// Initial-condition family (config key ic.kind):
 ///   - `kZeldovich` — cosmological Zel'dovich displacements (the default).
@@ -157,12 +140,6 @@ struct SimConfig {
   double domain_skin = 0.0;  ///< Verlet skin; reuse while drift <= skin / 2
   domain::RebuildPolicy domain_rebuild = domain::RebuildPolicy::kAlways;
 
-  /// Step-propagator stage overlap (config key sched.overlap).  Execution
-  /// tuning, not physics: the stage graph's dependency edges cover every
-  /// read-after-write, so overlap changes wall-clock only — like `variants`
-  /// it is excluded from config_signature().
-  OverlapMode sched_overlap = OverlapMode::kAuto;
-
   /// Multi-domain spatial sharding (config keys shard.count /
   /// shard.ghost_factor).  With count > 1 the box is decomposed into that
   /// many sub-domains, each owning its own interaction domain over resident
@@ -201,13 +178,10 @@ struct StepStats {
   int tree_builds = 0;           ///< shared-domain tree rebuilds this step
   int tree_reuses = 0;           ///< Verlet-skin reuses this step
   double tree_seconds = 0.0;     ///< wall seconds in tree build/refresh
-  double pm_seconds = 0.0;       ///< wall seconds in the propagator's pm stage
+  double pm_seconds = 0.0;       ///< wall seconds in the pm stage
   /// Wall seconds in the tree-walk chain stages (sph + fmm build +
   /// short-range P-P + far field).
   double short_range_seconds = 0.0;
-  /// Wall-clock won by stage overlap this step: the back-to-back sum of
-  /// stage walls minus the actual graph walls (zero when running serially).
-  double overlap_seconds = 0.0;
   /// Sharded-run accounting (all zero when shard.count == 1): particles that
   /// changed owner, halo slots filled, and the wall cost of migration and
   /// ghost traffic this step.
@@ -217,8 +191,8 @@ struct StepStats {
   double shard_exchange_seconds = 0.0;
 };
 
-/// Cumulative wall of one propagator stage (sched::StageTiming) over every
-/// force evaluation so far.
+/// Cumulative wall of one force-evaluation stage over every force
+/// evaluation so far.
 struct StageTotal {
   double seconds = 0.0;
   std::uint64_t runs = 0;
@@ -289,9 +263,9 @@ class Solver {
   /// Per-kernel walls live in the queue's LaunchStats history.
   xsycl::Queue& queue() { return queue_; }
 
-  /// Per-stage walls: every propagator stage's cumulative total, filled
-  /// from each force evaluation's sched::RunResult.  StepStats'
-  /// tree/pm/short_range seconds are per-step diffs of these.
+  /// Per-stage walls: every force-evaluation stage's cumulative total.
+  /// Stages run one after another, so their walls are disjoint;
+  /// StepStats' tree/pm/short_range seconds are per-step diffs of these.
   const StageTotals& stage_totals() const { return stage_totals_; }
   /// Cumulative seconds of one stage (0 when it never ran).
   double stage_seconds(std::string_view stage) const;
@@ -311,11 +285,6 @@ class Solver {
 
   /// Far-field M2P work performed by the fmm/treepm backends so far.
   const xsycl::OpCounters& fmm_ops() const { return fmm_ops_; }
-
-  /// True when the step propagator runs the PM stage concurrently with the
-  /// tree/SPH/short-range chain (resolved from SimConfig::sched_overlap and
-  /// the pool size at construction).
-  bool overlap_enabled() const { return overlap_enabled_; }
 
   /// The shared interaction domain: one tree build (or Verlet-skin reuse)
   /// per force evaluation, consumed by SPH and gravity alike.
@@ -342,6 +311,10 @@ class Solver {
 
  private:
   void compute_forces(bool corrector);
+  // Runs one force-evaluation stage under its "sched.<stage>" trace span and
+  // adds its wall to stage_totals_ under "<stage>".
+  template <typename Body>
+  void run_stage(const char* span_name, Body&& body);
   void initialize_zeldovich();
   void initialize_sedov();
   void assemble_gravity_inputs();
@@ -394,17 +367,8 @@ class Solver {
   std::unique_ptr<shard::ShardEngine> engine_;
   xsycl::OpCounters fmm_ops_;
 
-  // The step propagator: each force evaluation is a named-stage task graph
-  // (assemble → tree → sph → short-range chain, with the long-range pm stage
-  // hanging off assemble alone) run by this executor.  With overlap enabled
-  // the executor owns one lane thread, so pm executes concurrently with the
-  // chain; otherwise zero lanes — strict declaration-order serial execution,
-  // bit-identical to the pre-propagator code path.
-  std::unique_ptr<sched::StageExecutor> exec_;
-  bool overlap_enabled_ = false;
-  // Cumulative propagator stage walls; step() diffs them.
+  // Cumulative force-evaluation stage walls; step() diffs them.
   StageTotals stage_totals_;
-  double overlap_seconds_total_ = 0.0;
 };
 
 }  // namespace hacc::core

@@ -10,7 +10,7 @@
 /// `run_summary` event.  The registry aggregates; it times nothing itself.
 /// Kernel and stage walls reach it from the two records the runtime keeps:
 /// per-kernel walls from xsycl::Queue's LaunchStats (ops.kernel_s) and
-/// per-stage walls from the step propagator via core::StepStats
+/// per-stage walls from the solver's force-evaluation stages via core::StepStats
 /// (sched.pm_s, sched.short_s, tree.build_s).
 ///
 /// Handles: name lookup happens once, at registration

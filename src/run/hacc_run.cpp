@@ -142,8 +142,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "hacc_run: %s\n", e.what());
     return 1;
   }
-  n_threads = static_cast<unsigned>(
-      cli.get_int("threads", static_cast<long>(n_threads)));
+  if (cli.has("threads")) {
+    const std::string threads = cli.get_string("threads", "");
+    try {
+      n_threads = hacc::util::ThreadPool::parse_thread_count(threads.c_str());
+    } catch (const std::invalid_argument&) {
+      std::fprintf(stderr,
+                   "hacc_run: invalid threads '%s' (need an integer in "
+                   "[0, %ld], 0 = hardware concurrency)\n",
+                   threads.c_str(), hacc::util::ThreadPool::kMaxThreads);
+      return 1;
+    }
+  }
   // Tracing must be armed BEFORE the pool exists: the worker-start hook
   // names each worker's lane as its thread launches.
   if (!trace_path.empty()) {

@@ -29,7 +29,7 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// The propagator stages the cascade ranks beside the kernels: the ones whose
+// The solver stages the cascade ranks beside the kernels: the ones whose
 // work runs outside the queue.  The sph and short_range stages are left out;
 // their walls are the kernels' own launches.
 constexpr const char* kCascadeStages[] = {"pm", "tree", "fmm_build",
@@ -66,7 +66,6 @@ ScenarioRunner::ScenarioRunner(const core::SimConfig& sim, const RunOptions& opt
   m_tree_s_ = m.counter("tree.build_s");
   m_sched_pm_s_ = m.counter("sched.pm_s");
   m_sched_short_s_ = m.counter("sched.short_s");
-  m_sched_overlap_s_ = m.counter("sched.overlap_s");
   m_shard_migrated_ = m.counter("shard.migrated");
   m_shard_ghosts_ = m.counter("shard.ghosts");
   m_shard_migrate_s_ = m.counter("shard.migrate_s");
@@ -399,7 +398,6 @@ void ScenarioRunner::record_step_metrics(const core::StepStats& stats) {
   m.inc(m_tree_s_, stats.tree_seconds);
   m.inc(m_sched_pm_s_, stats.pm_seconds);
   m.inc(m_sched_short_s_, stats.short_range_seconds);
-  m.inc(m_sched_overlap_s_, stats.overlap_seconds);
   m.inc(m_shard_migrated_, static_cast<double>(stats.shard_migrated));
   m.inc(m_shard_ghosts_, static_cast<double>(stats.shard_ghosts));
   m.inc(m_shard_migrate_s_, stats.shard_migrate_seconds);

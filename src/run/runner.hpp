@@ -85,7 +85,7 @@ struct CascadeEntry {
 };
 
 /// The cascade's inputs, by name: every kernel in `kernels` (seconds and
-/// launch count from the queue's LaunchStats), then the propagator stages
+/// launch count from the queue's LaunchStats), then the force-evaluation stages
 /// whose work launches no kernel — pm, tree, fmm_build, far_field — from
 /// `stages`, for those that ran.
 std::vector<CascadeEntry> cascade_entries(
@@ -185,7 +185,6 @@ class ScenarioRunner {
   obs::MetricsRegistry::Handle m_tree_s_;
   obs::MetricsRegistry::Handle m_sched_pm_s_;       // counter: pm stage wall
   obs::MetricsRegistry::Handle m_sched_short_s_;    // counter: chain stages wall
-  obs::MetricsRegistry::Handle m_sched_overlap_s_;  // counter: wall won by overlap
   obs::MetricsRegistry::Handle m_shard_migrated_;   // counter: residency handovers
   obs::MetricsRegistry::Handle m_shard_ghosts_;     // counter: halo slots filled
   obs::MetricsRegistry::Handle m_shard_migrate_s_;  // counter: migration wall

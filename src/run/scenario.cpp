@@ -1,5 +1,7 @@
 #include "run/scenario.hpp"
 
+#include <climits>
+#include <cmath>
 #include <sstream>
 
 namespace hacc::run {
@@ -105,6 +107,63 @@ bool parse_double_list(const std::string& text, std::vector<double>& out) {
   return true;
 }
 
+// Strict reads of one present key into a typed field; an absent key keeps
+// the preset's value.  The util::Config getters fall back silently on text
+// that does not parse (the examples' lenient CLIs rely on that), so a
+// getter that returns the same value under two different fallbacks is what
+// proves the text parsed.
+bool bad_value(const util::Config& cfg, const char* key, const char* want,
+               std::string& error) {
+  error = std::string("invalid ") + key + " '" + cfg.get_string(key, "") +
+          "' (need " + want + ")";
+  return false;
+}
+
+bool read_key(const util::Config& cfg, const char* key, double& field,
+              std::string& error) {
+  if (!cfg.has(key)) return true;
+  const double v = cfg.get_double(key, 0.0);
+  if (v != cfg.get_double(key, 1.0) && !std::isnan(v)) {
+    return bad_value(cfg, key, "a number", error);
+  }
+  field = v;
+  return true;
+}
+
+bool read_key(const util::Config& cfg, const char* key, int& field,
+              std::string& error) {
+  if (!cfg.has(key)) return true;
+  const long v = cfg.get_int(key, 0);
+  if (v != cfg.get_int(key, 1) || v < INT_MIN || v > INT_MAX) {
+    return bad_value(cfg, key, "a 32-bit integer", error);
+  }
+  field = static_cast<int>(v);
+  return true;
+}
+
+bool read_key(const util::Config& cfg, const char* key, std::uint64_t& field,
+              std::string& error) {
+  if (!cfg.has(key)) return true;
+  const long v = cfg.get_int(key, 0);
+  if (v != cfg.get_int(key, 1) || v < 0) {
+    return bad_value(cfg, key, "a non-negative integer", error);
+  }
+  field = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+bool read_key(const util::Config& cfg, const char* key, bool& field,
+              std::string& error) {
+  if (!cfg.has(key)) return true;
+  const bool v = cfg.get_bool(key, false);
+  if (v != cfg.get_bool(key, true)) {
+    return bad_value(cfg, key, "true | false | 1 | 0 | yes | no | on | off",
+                     error);
+  }
+  field = v;
+  return true;
+}
+
 }  // namespace
 
 const std::vector<Scenario>& scenarios() {
@@ -127,19 +186,25 @@ bool find_scenario(const std::string& name, Scenario& out) {
 bool apply_config(const util::Config& cfg, core::SimConfig& sim,
                   RunOptions& run, std::string& error) {
   // ---- simulation physics ----
-  sim.np_side = static_cast<int>(cfg.get_int("np", sim.np_side));
-  sim.box = cfg.get_double("box", sim.box);
-  sim.z_init = cfg.get_double("z_init", sim.z_init);
-  sim.z_final = cfg.get_double("z_final", sim.z_final);
-  sim.n_steps = static_cast<int>(cfg.get_int("steps", sim.n_steps));
-  sim.sigma_norm = cfg.get_double("sigma", sim.sigma_norm);
-  sim.seed = static_cast<std::uint64_t>(cfg.get_int("seed", static_cast<long>(sim.seed)));
-  sim.hydro = cfg.get_bool("hydro", sim.hydro);
-  sim.baryon_fraction = cfg.get_double("baryon_fraction", sim.baryon_fraction);
-  sim.u_init = cfg.get_double("u_init", sim.u_init);
-  sim.pm_grid = static_cast<int>(cfg.get_int("pm_grid", sim.pm_grid));
-  sim.fmm_theta = cfg.get_double("gravity.theta", sim.fmm_theta);
-  sim.leaf_size = static_cast<int>(cfg.get_int("leaf", sim.leaf_size));
+  if (!read_key(cfg, "np", sim.np_side, error) ||
+      !read_key(cfg, "box", sim.box, error) ||
+      !read_key(cfg, "z_init", sim.z_init, error) ||
+      !read_key(cfg, "z_final", sim.z_final, error) ||
+      !read_key(cfg, "steps", sim.n_steps, error) ||
+      !read_key(cfg, "sigma", sim.sigma_norm, error) ||
+      !read_key(cfg, "seed", sim.seed, error) ||
+      !read_key(cfg, "hydro", sim.hydro, error) ||
+      !read_key(cfg, "baryon_fraction", sim.baryon_fraction, error) ||
+      !read_key(cfg, "u_init", sim.u_init, error) ||
+      !read_key(cfg, "pm_grid", sim.pm_grid, error) ||
+      !read_key(cfg, "gravity.theta", sim.fmm_theta, error) ||
+      !read_key(cfg, "leaf", sim.leaf_size, error) ||
+      !read_key(cfg, "ic.sedov_energy", sim.sedov_energy, error) ||
+      !read_key(cfg, "domain.skin", sim.domain_skin, error) ||
+      !read_key(cfg, "shard.count", sim.shard_count, error) ||
+      !read_key(cfg, "shard.ghost_factor", sim.shard_ghost_factor, error)) {
+    return false;
+  }
   if (cfg.has("gravity.backend") &&
       !core::parse_gravity_backend(cfg.get_string("gravity.backend", ""),
                                    sim.gravity_backend)) {
@@ -162,19 +227,10 @@ bool apply_config(const util::Config& cfg, core::SimConfig& sim,
             "' (zeldovich | sedov)";
     return false;
   }
-  sim.sedov_energy = cfg.get_double("ic.sedov_energy", sim.sedov_energy);
   if (!(sim.sedov_energy > 0.0)) {
     error = "invalid ic.sedov_energy (need ic.sedov_energy > 0)";
     return false;
   }
-  if (cfg.has("sched.overlap") &&
-      !core::parse_overlap_mode(cfg.get_string("sched.overlap", ""),
-                                sim.sched_overlap)) {
-    error = "unknown sched.overlap '" + cfg.get_string("sched.overlap", "") +
-            "' (auto | on | off)";
-    return false;
-  }
-  sim.domain_skin = cfg.get_double("domain.skin", sim.domain_skin);
   if (cfg.has("domain.rebuild") &&
       !domain::parse_rebuild_policy(cfg.get_string("domain.rebuild", ""),
                                     sim.domain_rebuild)) {
@@ -186,13 +242,10 @@ bool apply_config(const util::Config& cfg, core::SimConfig& sim,
     error = "invalid domain.skin (need domain.skin >= 0)";
     return false;
   }
-  sim.shard_count = static_cast<int>(cfg.get_int("shard.count", sim.shard_count));
   if (sim.shard_count < 1) {
     error = "invalid shard.count (need shard.count >= 1)";
     return false;
   }
-  sim.shard_ghost_factor =
-      cfg.get_double("shard.ghost_factor", sim.shard_ghost_factor);
   if (!(sim.shard_ghost_factor >= 1.0)) {  // NaN-robust
     error = "invalid shard.ghost_factor (need shard.ghost_factor >= 1)";
     return false;
@@ -211,26 +264,22 @@ bool apply_config(const util::Config& cfg, core::SimConfig& sim,
             "' (fixed | adaptive)";
     return false;
   }
-  run.stepping.displacement_fraction =
-      cfg.get_double("run.displacement_fraction",
-                     run.stepping.displacement_fraction);
-  run.stepping.da_min = cfg.get_double("run.da_min", run.stepping.da_min);
-  run.stepping.da_max = cfg.get_double("run.da_max", run.stepping.da_max);
-  run.max_steps = static_cast<int>(cfg.get_int("run.max_steps", run.max_steps));
+  if (!read_key(cfg, "run.displacement_fraction",
+                run.stepping.displacement_fraction, error) ||
+      !read_key(cfg, "run.da_min", run.stepping.da_min, error) ||
+      !read_key(cfg, "run.da_max", run.stepping.da_max, error) ||
+      !read_key(cfg, "run.max_steps", run.max_steps, error) ||
+      !read_key(cfg, "run.checkpoint_every", run.checkpoint_every, error) ||
+      !read_key(cfg, "run.checkpoint_final", run.checkpoint_final, error) ||
+      !read_key(cfg, "run.checkpoint_keep", run.checkpoint_keep, error) ||
+      !read_key(cfg, "run.checkpoint_on_error_continue",
+                run.checkpoint_continue_on_error, error) ||
+      !read_key(cfg, "run.fof_b", run.fof_b, error) ||
+      !read_key(cfg, "run.fof_min_members", run.fof_min_members, error)) {
+    return false;
+  }
   run.checkpoint_path = cfg.get_string("run.checkpoint", run.checkpoint_path);
-  run.checkpoint_every =
-      static_cast<int>(cfg.get_int("run.checkpoint_every", run.checkpoint_every));
-  run.checkpoint_final =
-      cfg.get_bool("run.checkpoint_final", run.checkpoint_final);
-  run.checkpoint_keep =
-      static_cast<int>(cfg.get_int("run.checkpoint_keep", run.checkpoint_keep));
-  run.checkpoint_continue_on_error =
-      cfg.get_bool("run.checkpoint_on_error_continue",
-                   run.checkpoint_continue_on_error);
   run.restart_from = cfg.get_string("run.restart", run.restart_from);
-  run.fof_b = cfg.get_double("run.fof_b", run.fof_b);
-  run.fof_min_members =
-      static_cast<int>(cfg.get_int("run.fof_min_members", run.fof_min_members));
   run.log_path = cfg.get_string("run.log", run.log_path);
   if (cfg.has("run.outputs_z") &&
       !parse_double_list(cfg.get_string("run.outputs_z", ""), run.outputs_z)) {

@@ -40,9 +40,11 @@ const std::vector<Scenario>& scenarios();
 bool find_scenario(const std::string& name, Scenario& out);
 
 /// Overlays config keys (np, box, steps, gravity.backend, run.mode, ...)
-/// onto a scenario's defaults.  Returns false and fills `error` on an
-/// invalid value; unknown keys are ignored (they may belong to the caller,
-/// e.g. `threads`).
+/// onto a scenario's defaults.  Returns false and fills `error` (naming the
+/// key) on an invalid value, including a numeric or boolean key whose text
+/// does not parse in full or does not fit its field (`np=16x`,
+/// `np=4294967304`, `steps=1e3`, `hydro=ture`); unknown keys are ignored
+/// (they may belong to the caller, e.g. `threads`).
 bool apply_config(const util::Config& cfg, core::SimConfig& sim,
                   RunOptions& run, std::string& error);
 

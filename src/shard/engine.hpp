@@ -7,7 +7,7 @@
 /// from neighboring shards through the `Transport` seam.
 ///
 /// The engine is driven by the solver once per force evaluation, in three
-/// phases that map one-to-one onto step-propagator stages:
+/// phases that map one-to-one onto force-evaluation stages:
 ///
 ///   prepare()  — particle migration (residency handover messages) when the
 ///                rebuild policy demands it, ghost-halo exchange, and the

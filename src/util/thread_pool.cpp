@@ -112,7 +112,7 @@ void ThreadPool::parallel_for_chunks(std::int64_t n, std::int64_t chunk,
     // Wait until every chunk completed AND every worker left run_chunks;
     // only then is it safe to destroy the stack-allocated job.
     while (!(job.remaining == 0 && job.active == 0)) cv_done_.wait(lock);
-    // A concurrent submitter (stage overlap: two drivers sharing one pool)
+    // A concurrent submitter (two driver threads sharing one pool)
     // may have published its own job while this one drained — only clear
     // the slot if it still points at OUR job, or idle workers would stop
     // being offered the other submitter's chunks.

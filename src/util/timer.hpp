@@ -4,7 +4,7 @@
 // MPI_Wtime()-based timers (paper §3.4.4).  The records themselves live
 // where the work is launched: per-kernel walls (upGeo, upCor, upBarEx,
 // upBarAc, upBarAcF, upBarDu, upBarDuF, grav_pp) in xsycl::Queue's
-// LaunchStats history, per-stage walls in sched::RunResult.
+// LaunchStats history, per-stage walls in core::Solver::stage_totals().
 
 namespace hacc::util {
 

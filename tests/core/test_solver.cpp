@@ -139,7 +139,7 @@ TEST(Solver, TimersCoverAllPaperKernels) {
   solver.run();
   auto kernels = solver.queue().aggregate_by_kernel();
   // The seven SPH kernels of Figs. 9-11 plus the short-range gravity kernel
-  // time their launches; the PM solve is timed by its propagator stage.
+  // time their launches; the PM solve is timed by its pm stage.
   for (const char* name : {"upGeo", "upCor", "upBarEx", "upBarAc", "upBarDu",
                            "upBarAcF", "upBarDuF", "grav_pp"}) {
     EXPECT_GT(kernels[name].launches, 0u) << name;
@@ -151,8 +151,8 @@ TEST(Solver, TimersCoverAllPaperKernels) {
 }
 
 TEST(Solver, StepStageSecondsAreDiffsOfStageTotals) {
-  // StepStats' tree/pm/short_range seconds come from the propagator's stage
-  // records and nowhere else: each is this step's diff of the stage totals.
+  // StepStats' tree/pm/short_range seconds come from the stage records and
+  // nowhere else: each is this step's diff of the stage totals.
   for (const GravityBackend backend :
        {GravityBackend::kPmPp, GravityBackend::kTreePm}) {
     SimConfig cfg = small_config();
@@ -185,6 +185,50 @@ TEST(Solver, StepStageSecondsAreDiffsOfStageTotals) {
       EXPECT_EQ(total.runs, 1u + cfg.n_steps) << name;
     }
   }
+}
+
+struct StageWallsCase {
+  const char* name;
+  GravityBackend backend;
+  bool hydro;
+  int shard_count;
+};
+
+class SolverStageWalls : public ::testing::TestWithParam<StageWallsCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SolverStageWalls,
+    ::testing::Values(StageWallsCase{"pm_pp_hydro", GravityBackend::kPmPp, true, 1},
+                      StageWallsCase{"fmm", GravityBackend::kFmm, false, 1},
+                      StageWallsCase{"treepm", GravityBackend::kTreePm, false, 1},
+                      StageWallsCase{"pm_pp_hydro_shards4", GravityBackend::kPmPp,
+                                     true, 4}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(SolverStageWalls, StagesSumWithinTheStepWall) {
+  // The stages of a force evaluation run one after another, so on any pool
+  // their walls are disjoint slices of the step: one step's stage-total
+  // deltas sum to at most StepStats::wall_seconds.
+  const StageWallsCase& c = GetParam();
+  SimConfig cfg = small_config();
+  cfg.np_side = 8;
+  cfg.pm_grid = 16;
+  cfg.gravity_backend = c.backend;
+  cfg.hydro = c.hydro;
+  cfg.shard_count = c.shard_count;
+  util::ThreadPool pool(4);
+  Solver solver(cfg, pool);
+  solver.initialize();
+  const auto stage_sum = [&solver] {
+    double sum = 0.0;
+    for (const auto& [name, total] : solver.stage_totals()) sum += total.seconds;
+    return sum;
+  };
+  const double before = stage_sum();
+  const StepStats st = solver.step();
+  const double stages = stage_sum() - before;
+  EXPECT_GT(stages, 0.0);
+  EXPECT_LE(stages, st.wall_seconds);
 }
 
 TEST(Solver, MassIsExactlyBoxVolume) {

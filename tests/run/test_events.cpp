@@ -99,7 +99,7 @@ TEST_F(EventSchemaTest, EveryEventCarriesTypeStepAndTheMetricsSnapshot) {
   // ones check_events.py requires on every step event).
   const std::vector<std::string> required_metrics = {
       "tree.builds",      "tree.reuses",     "tree.build_s",
-      "sched.pm_s",       "sched.short_s",   "sched.overlap_s",
+      "sched.pm_s",       "sched.short_s",
       "step.wall_s.count", "step.wall_s.sum", "step.wall_s.p50",
       "step.wall_s.p95",  "step.wall_s.p99", "step.da.count",
       "ops.launches",     "ops.kernel_s",    "ops.interactions",

@@ -91,6 +91,27 @@ TEST(Scenario, ApplyConfigRejectsBadValues) {
   rejects("domain.skin", "-0.5");
   rejects("domain.skin", "nan");
   rejects("domain.rebuild", "sometimes");
+  // Malformed or out-of-range numbers fail loudly instead of keeping the
+  // preset's value or wrapping into the field.
+  rejects("np", "16x");
+  rejects("np", "4294967304");
+  rejects("shard.count", "4294967297");
+  rejects("hydro", "ture");
+  rejects("steps", "1e3");
+  rejects("box", "25abc");
+  rejects("seed", "-1");
+  rejects("run.max_steps", "");
+}
+
+TEST(Scenario, ApplyConfigErrorNamesTheKey) {
+  Scenario s;
+  ASSERT_TRUE(find_scenario("paper-benchmark", s));
+  util::Config cfg;
+  cfg.set("np", "16x");
+  std::string error;
+  EXPECT_FALSE(apply_config(cfg, s.sim, s.run, error));
+  EXPECT_NE(error.find("np"), std::string::npos) << error;
+  EXPECT_NE(error.find("16x"), std::string::npos) << error;
 }
 
 TEST(Scenario, DomainKeysRoundTripThroughConfig) {

@@ -11,10 +11,6 @@
 // smooth near-linear state amplify that reordering noise only weakly, so
 // multi-thread runs must match the 1-thread run to a small relative
 // tolerance, not bitwise.
-//
-// The stage-overlap knob, by contrast, only changes *when* the PM stage
-// runs relative to the tree-walk chain, never what it reads or writes —
-// with a serial pool underneath, overlap on vs off must be bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -55,16 +51,13 @@ SimConfig parity_config(GravityBackend backend, bool hydro) {
   return cfg;
 }
 
-Snapshot run_case(const SimConfig& cfg, unsigned threads,
-                  OverlapMode overlap = OverlapMode::kAuto) {
-  SimConfig c = cfg;
-  c.sched_overlap = overlap;
+Snapshot run_case(const SimConfig& cfg, unsigned threads) {
   util::ThreadPool pool(threads);
-  Solver solver(c, pool);
+  Solver solver(cfg, pool);
   solver.run();
   Snapshot s;
   append_state(solver.dm(), s.dm_x, s.dm_v);
-  if (c.hydro) {
+  if (cfg.hydro) {
     append_state(solver.gas(), s.gas_x, s.gas_v);
     s.gas_u = solver.gas().u;
   }
@@ -126,17 +119,6 @@ TEST_P(ThreadParity, GravityOnlyMatchesSerialAcrossThreadCounts) {
   }
 }
 
-TEST_P(ThreadParity, OverlapOnSerialPoolIsBitIdentical) {
-  // With one pool thread every kernel is deterministic, so flipping the
-  // overlap knob (PM stage on its own lane vs inline) must not move a bit:
-  // the stage graph declares every data dependency.
-  const SimConfig cfg = parity_config(GetParam(), /*hydro=*/GetParam() ==
-                                                      GravityBackend::kPmPp);
-  const Snapshot off = run_case(cfg, 1, OverlapMode::kOff);
-  const Snapshot on = run_case(cfg, 1, OverlapMode::kOn);
-  expect_identical(off, on, to_string(GetParam()));
-}
-
 INSTANTIATE_TEST_SUITE_P(AllBackends, ThreadParity,
                          ::testing::Values(GravityBackend::kPmPp,
                                            GravityBackend::kFmm,
@@ -161,21 +143,6 @@ TEST(ThreadParitySph, RepeatedSerialRunsAreBitIdentical) {
   // must agree bitwise — the anchor the tolerance comparisons hang off.
   const SimConfig cfg = parity_config(GravityBackend::kPmPp, /*hydro=*/true);
   expect_identical(run_case(cfg, 1), run_case(cfg, 1), "serial repeat");
-}
-
-TEST(OverlapMode, AutoFollowsThePoolAndOffWins) {
-  const SimConfig cfg = parity_config(GravityBackend::kPmPp, /*hydro=*/false);
-  {
-    util::ThreadPool pool(1);
-    EXPECT_FALSE(Solver(cfg, pool).overlap_enabled());
-  }
-  {
-    util::ThreadPool pool(2);
-    EXPECT_TRUE(Solver(cfg, pool).overlap_enabled());
-    SimConfig off = cfg;
-    off.sched_overlap = OverlapMode::kOff;
-    EXPECT_FALSE(Solver(off, pool).overlap_enabled());
-  }
 }
 
 }  // namespace

@@ -19,19 +19,14 @@ Two modes:
 
   Chrome trace (--trace)
       python3 tools/check_events.py --trace trace.json [--min-threads N]
-                                    [--min-workers N] [--assert-overlap A,B]
+                                    [--min-workers N]
     The file must be a trace_event JSON object Perfetto can load: "X"
     duration events with non-negative ts/dur, span names following the
     `module.phase` convention, and thread_name metadata for every lane.
     --min-threads requires that many distinct lanes recorded spans;
     --min-workers requires that many of them to be pool workers
     ("worker-<i>" lanes) — the CI smoke run uses it to prove multi-thread
-    tracing end to end.  --assert-overlap A,B requires at least one span
-    matching token A to overlap in time with one matching token B (a span
-    matches a token when the token equals one of its dot-separated name
-    segments, so `pm` matches both `sched.pm` and `pm.deposit`) — the CI
-    proof that the step propagator really runs the PM stage concurrently
-    with the short-range chain.
+    tracing end to end.
 
 Exit status is 0 when the artifact is valid, 1 otherwise (one line per
 problem, `path:line: message`).
@@ -50,7 +45,7 @@ from pathlib import Path
 # producers (e.g. the pm.* family) are intentionally not required here.
 REQUIRED_STEP_METRICS = [
     "tree.builds", "tree.reuses", "tree.build_s",
-    "sched.pm_s", "sched.short_s", "sched.overlap_s",
+    "sched.pm_s", "sched.short_s",
     "step.wall_s.count", "step.wall_s.sum",
     "step.wall_s.p50", "step.wall_s.p95", "step.wall_s.p99",
     "step.da.count", "step.da.sum", "step.da.p50", "step.da.p95", "step.da.p99",
@@ -166,20 +161,11 @@ def check_jsonl(path: Path) -> list[str]:
     return problems
 
 
-def check_trace(path: Path, min_threads: int, min_workers: int,
-                assert_overlap: str | None = None) -> list[str]:
+def check_trace(path: Path, min_threads: int, min_workers: int) -> list[str]:
     problems: list[str] = []
 
     def problem(message: str) -> None:
         problems.append(f"{path}:0: {message}")
-
-    overlap_tokens: tuple[str, str] | None = None
-    if assert_overlap is not None:
-        parts = [t.strip() for t in assert_overlap.split(",")]
-        if len(parts) != 2 or not all(parts):
-            return [f"{path}:0: --assert-overlap needs exactly two "
-                    f"comma-separated span tokens, got {assert_overlap!r}"]
-        overlap_tokens = (parts[0], parts[1])
 
     try:
         trace = json.loads(path.read_text(encoding="utf-8"))
@@ -199,7 +185,6 @@ def check_trace(path: Path, min_threads: int, min_workers: int,
     lane_names: dict[int, str] = {}
     lanes_with_spans: set[int] = set()
     bad_names: set[str] = set()
-    overlap_intervals: tuple[list, list] = ([], [])
     for i, e in enumerate(events):
         if not isinstance(e, dict):
             problem(f"traceEvents[{i}] is not an object")
@@ -228,12 +213,6 @@ def check_trace(path: Path, min_threads: int, min_workers: int,
             bad_names.add(name)
             problem(f'span name "{name}" violates the module.phase convention')
         lanes_with_spans.add(e["tid"])
-        if overlap_tokens and isinstance(ts, (int, float)) \
-                and isinstance(dur, (int, float)):
-            segments = name.split(".")
-            for token, intervals in zip(overlap_tokens, overlap_intervals):
-                if token in segments:
-                    intervals.append((ts, ts + dur))
 
     for tid in sorted(lanes_with_spans):
         if tid not in lane_names:
@@ -248,18 +227,6 @@ def check_trace(path: Path, min_threads: int, min_workers: int,
         problem(f"only {workers} worker lane(s) recorded spans; "
                 f"--min-workers {min_workers} required")
 
-    if overlap_tokens:
-        a_token, b_token = overlap_tokens
-        a_spans, b_spans = overlap_intervals
-        if not a_spans or not b_spans:
-            missing = a_token if not a_spans else b_token
-            problem(f'--assert-overlap: no span matches token "{missing}"')
-        elif not any(a0 < b1 and b0 < a1
-                     for a0, a1 in a_spans for b0, b1 in b_spans):
-            problem(f'--assert-overlap: no "{a_token}" span overlaps a '
-                    f'"{b_token}" span ({len(a_spans)} vs {len(b_spans)} '
-                    f'spans, all disjoint in time)')
-
     return problems
 
 
@@ -273,14 +240,10 @@ def main(argv: list[str]) -> int:
                         help="trace mode: lanes that must have spans (default 1)")
     parser.add_argument("--min-workers", type=int, default=0,
                         help="trace mode: worker-* lanes that must have spans")
-    parser.add_argument("--assert-overlap", metavar="A,B", default=None,
-                        help="trace mode: require a span matching token A to "
-                             "overlap in time with one matching token B")
     args = parser.parse_args(argv)
 
     if args.trace:
-        problems = check_trace(args.path, args.min_threads, args.min_workers,
-                               args.assert_overlap)
+        problems = check_trace(args.path, args.min_threads, args.min_workers)
     else:
         problems = check_jsonl(args.path)
     for p in problems:

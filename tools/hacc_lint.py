@@ -21,8 +21,9 @@ the determinism and concurrency conventions documented in docs/CONCURRENCY.md:
   nolint-justified Every NOLINT marker must name the suppressed check(s) and
                    carry a `: <reason>` justification.  Bare NOLINT is an
                    error.
-  span-name        Every string literal handed to obs::TraceSpan or to
-                   Tracer::record()/intern() must follow the `module.phase`
+  span-name        Every string literal handed to obs::TraceSpan, to
+                   Tracer::record()/intern(), or to the solver's
+                   run_stage() (which opens its span) must follow the `module.phase`
                    naming convention from docs/OBSERVABILITY.md
                    (lowercase, dotted, e.g. `pm.deposit`, `core.step`), so
                    traces group cleanly by subsystem.
@@ -87,13 +88,15 @@ NOLINT_ACTIVE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?(?:\(|\s*$|\s*\*/)")
 USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\b")
 PRAGMA_ONCE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
-# Literal span names: `TraceSpan("...")` constructions, plus literals handed
-# straight to a Tracer's record()/intern() on the same line.  Dynamic names
+# Literal span names: `TraceSpan("...")` constructions, literals handed
+# straight to a Tracer's record()/intern() on the same line, and the first
+# argument of Solver::run_stage(), which opens that span.  Dynamic names
 # (strings built at runtime, e.g. the queue's "xsycl." + kernel) are out of
 # reach of a text lint and are covered by convention in docs/OBSERVABILITY.md.
 SPAN_LITERAL_PATTERNS = [
     re.compile(r"\bTraceSpan\s*\w*\s*\(\s*\"([^\"]*)\""),
     re.compile(r"\b[Tt]racer\w*\b[^;\"]*\b(?:record|intern)\s*\(\s*\"([^\"]*)\""),
+    re.compile(r"\brun_stage\s*\(\s*\"([^\"]*)\""),
 ]
 # `module.phase`: lowercase module segment, then at least one phase segment;
 # further dots allow sub-phases (`fft.r2c_z`).  Phase segments keep their own

@@ -72,13 +72,11 @@ def check_lines(events: list) -> list[str]:
         return check_events.check_jsonl(path)
 
 
-def check_trace_obj(trace, min_threads=1, min_workers=0,
-                    assert_overlap=None) -> list[str]:
+def check_trace_obj(trace, min_threads=1, min_workers=0) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.json"
         path.write_text(json.dumps(trace), encoding="utf-8")
-        return check_events.check_trace(path, min_threads, min_workers,
-                                        assert_overlap)
+        return check_events.check_trace(path, min_threads, min_workers)
 
 
 def lane_meta(tid: int, name: str) -> dict:
@@ -283,45 +281,6 @@ class ChromeTrace(unittest.TestCase):
     def test_missing_trace_events_flagged(self):
         problems = check_trace_obj({"displayTimeUnit": "ms"})
         self.assertTrue(any('"traceEvents"' in p for p in problems))
-
-    def overlap_trace(self) -> dict:
-        # sched.pm on a lane while the short-range chain runs on main.
-        return {"traceEvents": [
-            lane_meta(0, "main"),
-            lane_meta(3, "sched-0"),
-            span(0, "core.step", 0.0, 100.0),
-            span(0, "sched.short_range", 10.0, 30.0),
-            span(3, "sched.pm", 20.0, 40.0),
-        ]}
-
-    def test_assert_overlap_passes_on_concurrent_spans(self):
-        self.assertEqual(
-            check_trace_obj(self.overlap_trace(),
-                            assert_overlap="pm,short_range"), [])
-
-    def test_assert_overlap_matches_dot_segments_not_substrings(self):
-        # "pm" must match sched.pm but not a hypothetical sched.pmx.
-        trace = self.overlap_trace()
-        trace["traceEvents"][4] = span(3, "sched.pmx", 20.0, 40.0)
-        problems = check_trace_obj(trace, assert_overlap="pm,short_range")
-        self.assertTrue(any('no span matches token "pm"' in p
-                            for p in problems))
-
-    def test_assert_overlap_flags_disjoint_spans(self):
-        trace = self.overlap_trace()
-        trace["traceEvents"][4] = span(3, "sched.pm", 50.0, 40.0)
-        problems = check_trace_obj(trace, assert_overlap="pm,short_range")
-        self.assertTrue(any("all disjoint in time" in p for p in problems))
-
-    def test_assert_overlap_flags_missing_token(self):
-        problems = check_trace_obj(self.overlap_trace(),
-                                   assert_overlap="pm,far_field")
-        self.assertTrue(any('no span matches token "far_field"' in p
-                            for p in problems))
-
-    def test_assert_overlap_rejects_malformed_argument(self):
-        problems = check_trace_obj(self.overlap_trace(), assert_overlap="pm")
-        self.assertTrue(any("exactly two" in p for p in problems))
 
     def test_not_json_flagged(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -155,6 +155,14 @@ class SpanNameRule(unittest.TestCase):
         self.assertIn("span-name",
                       lint_source("a.cpp", 'tracer.intern("Kernel");\n'))
 
+    def test_run_stage_literal_checked(self):
+        self.assertIn("span-name",
+                      lint_source("a.cpp", 'run_stage("pm", [&] {});\n'))
+
+    def test_run_stage_good_literal_clean(self):
+        self.assertEqual(
+            lint_source("a.cpp", 'run_stage("sched.pm", [&] {});\n'), [])
+
     def test_dynamic_name_not_flagged(self):
         # Runtime-built names are out of a text lint's reach by design.
         src = 'tracer.intern("xsycl." + kernel_name);\n'
