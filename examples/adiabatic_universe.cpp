@@ -11,12 +11,15 @@
 #include <string>
 
 #include "core/solver.hpp"
+#include "example_threads.hpp"
 #include "util/config.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) try {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
+  const auto threads = hacc::examples::threads_arg(cli, "adiabatic_universe");
+  if (!threads) return 1;
 
   hacc::core::SimConfig cfg;
   cfg.np_side = static_cast<int>(cli.get_int("np", 12));
@@ -41,7 +44,7 @@ int main(int argc, char** argv) try {
   }
   cfg.variants = hacc::core::VariantSelection::uniform(variant);
 
-  hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  hacc::util::ThreadPool pool(*threads);
   hacc::core::Solver solver(cfg, pool);
 
   std::printf("adiabatic universe: 2 x %d^3 particles, %s variant, sub-group %d\n",

@@ -10,12 +10,15 @@
 #include <string>
 
 #include "core/solver.hpp"
+#include "example_threads.hpp"
 #include "util/config.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
+  const auto threads = hacc::examples::threads_arg(cli, "gravity_scaling");
+  if (!threads) return 1;
 
   hacc::core::SimConfig cfg;
   cfg.hydro = false;
@@ -40,7 +43,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  hacc::util::ThreadPool pool(*threads);
   hacc::core::Solver solver(cfg, pool);
 
   const std::size_t n = static_cast<std::size_t>(cfg.np_side) * cfg.np_side *

@@ -8,12 +8,15 @@
 #include <cstdio>
 
 #include "core/solver.hpp"
+#include "example_threads.hpp"
 #include "halo/fof.hpp"
 #include "util/config.hpp"
 
 int main(int argc, char** argv) {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
+  const auto threads = hacc::examples::threads_arg(cli, "halo_finding");
+  if (!threads) return 1;
 
   hacc::core::SimConfig cfg;
   cfg.np_side = static_cast<int>(cli.get_int("np", 14));
@@ -24,7 +27,7 @@ int main(int argc, char** argv) {
   cfg.pm_grid = 32;
   cfg.sigma_norm = cli.get_double("sigma", 2.5);  // boosted power -> visible halos
 
-  hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  hacc::util::ThreadPool pool(*threads);
   hacc::core::Solver solver(cfg, pool);
   std::printf("evolving %d^3 dark-matter particles to z=%.1f...\n", cfg.np_side,
               cfg.z_final);

@@ -7,11 +7,14 @@
 #include <cstdio>
 
 #include "core/solver.hpp"
+#include "example_threads.hpp"
 #include "util/config.hpp"
 
 int main(int argc, char** argv) {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
+  const auto threads = hacc::examples::threads_arg(cli, "quickstart");
+  if (!threads) return 1;
 
   hacc::core::SimConfig cfg;
   cfg.np_side = static_cast<int>(cli.get_int("np", 8));
@@ -25,7 +28,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  hacc::util::ThreadPool pool(*threads);
   hacc::core::Solver solver(cfg, pool);
 
   std::printf("CRK-HACC quickstart: 2 x %d^3 particles, box %.1f, z=%.0f -> z=%.0f in %d steps\n",

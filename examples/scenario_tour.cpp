@@ -6,14 +6,17 @@
 
 #include <cstdio>
 
+#include "example_threads.hpp"
 #include "run/scenario.hpp"
 #include "util/config.hpp"
 
 int main(int argc, char** argv) {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
+  const auto threads = hacc::examples::threads_arg(cli, "scenario_tour");
+  if (!threads) return 1;
   const int np = static_cast<int>(cli.get_int("np", 8));
-  hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  hacc::util::ThreadPool pool(*threads);
 
   for (const auto& preset : hacc::run::scenarios()) {
     hacc::run::Scenario s = preset;

@@ -16,6 +16,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/launch.hpp"
+#include "example_threads.hpp"
 #include "sph/pipeline.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -51,6 +52,8 @@ hacc::core::ParticleSet generate_gas(int n_side, double box, std::uint64_t seed)
 int main(int argc, char** argv) try {
   hacc::util::Config cli;
   cli.apply_overrides(argc - 1, argv + 1);
+  const auto threads = hacc::examples::threads_arg(cli, "standalone_kernel");
+  if (!threads) return 1;
   const std::string path = cli.get_string("checkpoint", "/tmp/crkhacc_gas.ckpt");
 
   if (cli.get_string("mode", "run") == "generate") {
@@ -104,7 +107,7 @@ int main(int argc, char** argv) try {
   popt.hydro.launch.sub_group_size = static_cast<int>(cli.get_int("sg", 32));
   const auto pipe = hacc::sph::build_pipeline(gas, popt);
 
-  hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  hacc::util::ThreadPool pool(*threads);
   hacc::xsycl::Queue q(pool);
 
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));

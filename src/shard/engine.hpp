@@ -4,7 +4,17 @@
 /// The sharded force-evaluation engine: N in-process spatial domains over
 /// the periodic box, each owning an `InteractionDomain` (tree, Verlet skin,
 /// species views) over its resident particles plus a ghost halo imported
-/// from neighboring shards through the `Transport` seam.
+/// from neighboring shards through the transport.
+///
+/// Dark matter and gas run one species-indexed path (species 0 and 1, the
+/// combined dm-then-gas id order): residency, export plans, ghost lists and
+/// local stores are arrays of two, and every shard-local gather is
+/// [dm res, dm gho, gas res, gas gho].  What crosses a shard boundary is
+/// declared once, in engine.cpp's field tables — the engine's wire format:
+/// each (message kind, tag) names a table of `ParticleSet` fields and
+/// widths (a ghost load per species, a refresh per SPH round), read by one
+/// pack and one unpack routine.  One more table lists the kernel outputs
+/// the resident scatter copies back to the canonical gas set.
 ///
 /// The engine is driven by the solver once per force evaluation, in three
 /// phases that map one-to-one onto force-evaluation stages:
@@ -22,11 +32,9 @@
 ///                makes the cross-shard-count force parity < 1e-10 instead
 ///                of float-reorder noise.
 ///   run_sph()  — the CRK-SPH chain (`sph::run_chain`) with one part per
-///                non-empty shard and the ghost field refreshes through the
-///                transport as its between-kernel hook (V after Geometry,
-///                CRK coefficients after Corrections, rho/P/cs after
-///                Extras), then a resident-output scatter back to the
-///                canonical particle set.
+///                non-empty shard and the three ghost refresh rounds as its
+///                between-kernel hook, then the resident scatter back to
+///                the canonical particle set.
 ///
 /// The solver shards short-range gravity only for pm_pp: the fmm and
 /// treepm backends keep their gravity chain on the global tree (a far
@@ -39,7 +47,6 @@
 /// sharded run bit for bit at one thread.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -96,7 +103,6 @@ struct PpParams {
 
 /// Cumulative engine counters; the solver diffs them per step.
 struct EngineStats {
-  std::uint64_t evaluations = 0;
   std::uint64_t reshards = 0;       ///< residency (re)distributions
   std::uint64_t migrated = 0;       ///< particles that changed owner
   std::uint64_t ghost_copies = 0;   ///< halo slots filled across all loads
@@ -105,15 +111,12 @@ struct EngineStats {
   double migrate_seconds = 0.0;     ///< residency + migration messaging
   double exchange_seconds = 0.0;    ///< ghost loads, refreshes, scatter
   double domain_seconds = 0.0;      ///< per-shard tree build/refresh
-  double pp_seconds = 0.0;
 };
 
 class ShardEngine {
  public:
-  /// A null `transport` means an owned InProcTransport of `opt.count`
-  /// endpoints; an external transport must have exactly that many.
-  explicit ShardEngine(const ShardOptions& opt,
-                       std::unique_ptr<Transport> transport = nullptr);
+  /// Owns an in-process transport with one endpoint per shard.
+  explicit ShardEngine(const ShardOptions& opt);
   ~ShardEngine();
 
   /// Phase 1: migration + ghost exchange + per-shard domain updates for the
@@ -137,7 +140,7 @@ class ShardEngine {
   const ShardLayout& layout() const { return layout_; }
   const ShardOptions& options() const { return opt_; }
   const EngineStats& stats() const { return stats_; }
-  TransportStats transport_stats() const { return transport_->stats(); }
+  TransportStats transport_stats() const { return transport_.stats(); }
   double ghost_radius() const { return ghost_radius_; }
 
   /// Last run_pp() double sums, combined global indexing (parity suite).
@@ -151,13 +154,19 @@ class ShardEngine {
     std::span<const std::int64_t> gho_gas;  ///< global combined ids
     const core::ParticleSet* gas_local;     ///< residents then ghosts
     const domain::InteractionDomain* dom;
-    double pp_seconds = 0.0;  ///< this shard's accumulated P-P walk time
   };
   ShardView shard_view(int shard) const;
 
  private:
   struct Shard;
 
+  /// Runs f(shard) for every shard over the pool, one shard per chunk; f
+  /// writes only its own shard unless its call site says otherwise.
+  template <typename F>
+  void for_each_shard(F&& f);
+  /// Sends the exported residents of `species` to every neighbor, packed
+  /// with the field table of (kind, tag).
+  void send_exports(Shard& s, MsgKind kind, int species, std::uint32_t tag);
   bool reshard_needed(std::span<const util::Vec3d> pos) const;
   void reshard(std::span<const util::Vec3d> pos);
   void plan_ghosts(std::span<const util::Vec3d> pos);
@@ -170,7 +179,7 @@ class ShardEngine {
   ShardOptions opt_;
   ShardLayout layout_;
   double ghost_radius_ = 0.0;
-  std::unique_ptr<Transport> transport_;
+  InProcTransport transport_;
   std::vector<Shard> shards_;
   EngineStats stats_;
   std::size_t n_dm_ = 0, n_gas_ = 0;

@@ -4,11 +4,14 @@
 /// Message passing between shards.  Shards never touch each other's state:
 /// every cross-shard byte — migrating particles, ghost-halo loads, the
 /// per-kernel ghost field refreshes of the SPH chain — travels as a typed
-/// `Message` through a `Transport`.  The in-process implementation is a
-/// mailbox per endpoint behind an annotated mutex; an MPI transport is a
-/// drop-in replacement of this one interface (SPH-EXA's USE_MPI seam is
-/// the model), which is why the engine is written strictly in
-/// pack / send / barrier / drain phases.
+/// `Message` through the `InProcTransport`, one mailbox per endpoint behind
+/// an annotated mutex.  Which fields a message carries is the engine's
+/// wire format, declared once in its field tables (shard/engine.hpp).
+///
+/// The transport is concrete: it has one implementation, so it has no
+/// interface.  An MPI transport would reintroduce one beside its second
+/// implementation (SPH-EXA's USE_MPI seam is the model); the engine is
+/// already written strictly in pack / send / barrier / drain phases for it.
 ///
 /// Delivery discipline: the engine alternates send and drain phases with a
 /// barrier between them (a pool join in-process; MPI_Waitall under MPI), so
@@ -24,7 +27,7 @@
 
 namespace hacc::shard {
 
-/// What a message carries — the tag decides how the payload is unpacked.
+/// What a message carries; with the tag it names the payload's field table.
 enum class MsgKind : std::uint8_t {
   kMigrate,       ///< resident handover: global particle ids
   kGhostLoad,     ///< halo build: ids + packed per-particle fields
@@ -33,7 +36,7 @@ enum class MsgKind : std::uint8_t {
 
 /// One typed shard-to-shard message.  `ids` are global particle ids (the
 /// combined dm-then-gas addressing of the engine); `payload` is the packed
-/// field data, `words` floats per particle, in id order.
+/// field data, `words` floats per particle, particle by particle.
 struct Message {
   MsgKind kind = MsgKind::kMigrate;
   int from = -1;
@@ -49,7 +52,7 @@ struct Message {
   }
 };
 
-/// Cumulative traffic counters (BENCH_shard.json and the shard metrics).
+/// Cumulative traffic counters (the shard.messages / shard.bytes metrics).
 struct TransportStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
@@ -68,29 +71,20 @@ class Mailbox {
   std::vector<Message> queue_ HACC_GUARDED_BY(mu_);
 };
 
-/// The seam: endpoints 0..size()-1, one mailbox each.  send() may be called
-/// concurrently from any thread; receive(rank) must not race itself for the
-/// same rank (the engine's phase barriers guarantee that).
-class Transport {
- public:
-  virtual ~Transport() = default;
-  virtual int size() const = 0;
-  /// Routes m to endpoint m.to; throws std::out_of_range on a bad rank.
-  virtual void send(Message&& m) = 0;
-  /// Drains endpoint `rank`'s mailbox (sorted — see Mailbox::drain).
-  virtual std::vector<Message> receive(int rank) = 0;
-  virtual TransportStats stats() const = 0;
-};
-
-/// The in-process implementation: N mailboxes, zero copies beyond the move.
-class InProcTransport final : public Transport {
+/// Endpoints 0..size()-1, one mailbox each, zero copies beyond the move.
+/// send() may be called concurrently from any thread; receive(rank) must
+/// not race itself for the same rank (the engine's phase barriers
+/// guarantee that).
+class InProcTransport {
  public:
   explicit InProcTransport(int size);
 
-  int size() const override { return static_cast<int>(boxes_.size()); }
-  void send(Message&& m) override;
-  std::vector<Message> receive(int rank) override;
-  TransportStats stats() const override;
+  int size() const { return static_cast<int>(boxes_.size()); }
+  /// Routes m to endpoint m.to; throws std::out_of_range on a bad rank.
+  void send(Message&& m);
+  /// Drains endpoint `rank`'s mailbox (sorted — see Mailbox::drain).
+  std::vector<Message> receive(int rank);
+  TransportStats stats() const;
 
  private:
   std::vector<Mailbox> boxes_;

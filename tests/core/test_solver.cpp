@@ -194,6 +194,10 @@ struct StageWallsCase {
   int shard_count;
 };
 
+// Without a printer gtest shows the case as raw bytes, and ctest's test name
+// would carry the address of `name`, which moves with every build and run.
+void PrintTo(const StageWallsCase& c, std::ostream* os) { *os << c.name; }
+
 class SolverStageWalls : public ::testing::TestWithParam<StageWallsCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -661,9 +665,10 @@ TEST(Solver, ConstructsAtEveryValidSubGroupSize) {
 
 // Solver-level bit snapshot: FNV-1a hashes of the particle state after
 // initialize() plus one step() on a 1-thread pool, per gravity backend and
-// shard count.  It pins the solver's whole force path (the SPH chain, the
-// shard engine and every gravity backend), so a change that only moves
-// code must reproduce every row.  A mismatch prints the measured row in the
+// shard count, with hydro on (and once gravity-only, which pins the engine's
+// dark-matter-only path).  It pins the solver's whole force path (the SPH
+// chain, the shard engine and every gravity backend), so a change that only
+// moves code must reproduce every row.  A mismatch prints the measured row in the
 // format of solver_output_bits.inc.  At this size treepm's MAC accepts no
 // cell inside the cutoff, so its row equals pm_pp's; it still pins the
 // fmm_build -> short_range -> far_field chain.
@@ -677,6 +682,7 @@ struct SolverBitsRow {
   const char* backend;
   int shard_count;
   SolverBits hashes;
+  bool hydro = true;
 };
 
 constexpr SolverBitsRow kSolverBits[] = {
@@ -697,7 +703,7 @@ std::uint64_t fnv1a(const std::vector<T>& v) {
   return h;
 }
 
-SolverBits solver_bits(GravityBackend backend, int shard_count) {
+SolverBits solver_bits(GravityBackend backend, int shard_count, bool hydro) {
   SimConfig cfg;
   cfg.np_side = 8;
   cfg.box = 25.0;
@@ -706,6 +712,7 @@ SolverBits solver_bits(GravityBackend backend, int shard_count) {
   cfg.seed = 7;
   cfg.gravity_backend = backend;
   cfg.shard_count = shard_count;
+  cfg.hydro = hydro;
   util::ThreadPool pool(1);
   Solver solver(cfg, pool);
   solver.initialize();
@@ -723,33 +730,37 @@ SolverBits solver_bits(GravityBackend backend, int shard_count) {
 }
 
 class SolverOutputBits
-    : public ::testing::TestWithParam<std::tuple<GravityBackend, int>> {};
+    : public ::testing::TestWithParam<std::tuple<GravityBackend, int, bool>> {};
 
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndShardCounts, SolverOutputBits,
-    ::testing::Values(std::make_tuple(GravityBackend::kPmPp, 1),
-                      std::make_tuple(GravityBackend::kFmm, 1),
-                      std::make_tuple(GravityBackend::kTreePm, 1),
-                      std::make_tuple(GravityBackend::kPmPp, 4),
-                      std::make_tuple(GravityBackend::kFmm, 4)),
-    [](const ::testing::TestParamInfo<std::tuple<GravityBackend, int>>& info) {
+    ::testing::Values(std::make_tuple(GravityBackend::kPmPp, 1, true),
+                      std::make_tuple(GravityBackend::kFmm, 1, true),
+                      std::make_tuple(GravityBackend::kTreePm, 1, true),
+                      std::make_tuple(GravityBackend::kPmPp, 4, true),
+                      std::make_tuple(GravityBackend::kFmm, 4, true),
+                      std::make_tuple(GravityBackend::kTreePm, 4, true),
+                      std::make_tuple(GravityBackend::kPmPp, 4, false)),
+    [](const ::testing::TestParamInfo<std::tuple<GravityBackend, int, bool>>&
+           info) {
       return std::string(to_string(std::get<0>(info.param))) + "_shards" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "" : "_gravity");
     });
 
 TEST_P(SolverOutputBits, MatchesRecordedHashes) {
-  const auto [backend, shard_count] = GetParam();
-  const SolverBits got = solver_bits(backend, shard_count);
+  const auto [backend, shard_count, hydro] = GetParam();
+  const SolverBits got = solver_bits(backend, shard_count, hydro);
   std::ostringstream row;
   row << "{\"" << to_string(backend) << "\", " << shard_count << ", {";
   for (std::size_t k = 0; k < got.size(); ++k) {
     row << (k ? ", " : "") << "0x" << std::hex << got[k] << std::dec << "ull";
   }
-  row << "}},";
+  row << "}" << (hydro ? "" : ", false") << "},";
   const SolverBitsRow* want = nullptr;
   for (const auto& r : kSolverBits) {
     if (r.backend == std::string(to_string(backend)) &&
-        r.shard_count == shard_count) {
+        r.shard_count == shard_count && r.hydro == hydro) {
       want = &r;
     }
   }

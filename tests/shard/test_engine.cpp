@@ -367,6 +367,31 @@ TEST(ShardEngineTest, RunSphRejectsMismatchedGas) {
   EXPECT_TRUE(q.history().empty()) << "no kernel may launch";
 }
 
+// The wire format, pinned: a fixed mixed dm + gas configuration on four
+// shards sends exactly these migrate/ghost-load/refresh messages and bytes
+// through one prepare() and one run_sph().  A field added to or dropped
+// from any message moves the byte count.
+TEST(ShardEngineTest, WireTrafficIsPinned) {
+  util::ThreadPool pool(2);
+  const core::ParticleSet dm = dm_set(random_positions(300, 41));
+  core::ParticleSet gas = dm_set(random_positions(200, 43));
+  for (std::size_t i = 0; i < gas.size(); ++i) {
+    gas.h[i] = 0.3f;
+    gas.u[i] = 1.f;
+  }
+  auto pos = float_positions(dm);
+  const auto gas_pos = float_positions(gas);
+  pos.insert(pos.end(), gas_pos.begin(), gas_pos.end());
+
+  ShardEngine engine(engine_options(pool, 4, 1.0));
+  engine.prepare(dm, gas, pos);
+  xsycl::Queue q(pool);
+  engine.run_sph(gas, q, SphParams{});
+  const TransportStats t = engine.transport_stats();
+  EXPECT_EQ(t.messages, 60u);
+  EXPECT_EQ(t.bytes, 31456u);
+}
+
 TEST(ShardEngineTest, RejectsBadOptions) {
   util::ThreadPool pool(2);
   ShardOptions opt = engine_options(pool, 4, 1.0);
@@ -378,10 +403,6 @@ TEST(ShardEngineTest, RejectsBadOptions) {
   opt = engine_options(pool, 4, 1.0);
   opt.range = -1.0;
   EXPECT_THROW(ShardEngine{opt}, std::invalid_argument);
-  // A transport whose endpoint count mismatches the layout is refused.
-  EXPECT_THROW(ShardEngine(engine_options(pool, 4, 1.0),
-                           std::make_unique<InProcTransport>(3)),
-               std::invalid_argument);
 }
 
 }  // namespace

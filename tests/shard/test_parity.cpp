@@ -13,12 +13,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/solver.hpp"
+#include "domain/domain.hpp"
 #include "shard/engine.hpp"
+#include "sph/pipeline.hpp"
 #include "util/thread_pool.hpp"
+#include "xsycl/queue.hpp"
 
 namespace hacc::core {
 namespace {
@@ -184,6 +191,70 @@ TEST(ShardParity, HydroForcesMatchUnshardedAtFloatLevel) {
   ASSERT_GT(den, 0.0);
   EXPECT_LT(std::sqrt(num / den), 1e-4);
   if (du_den > 0.0) EXPECT_LT(std::sqrt(du_num / du_den), 1e-4);
+}
+
+// A one-shard engine holds every particle as a resident, in global id
+// order, with no ghosts — the same local arrays, tree and pair walk as the
+// unsharded chain over one InteractionDomain.  So prepare() + run_sph() must
+// reproduce sph::run_chain bit for bit, in every kernel-output array.  The
+// outputs are NaN on input, so an output the engine fails to scatter back
+// stays NaN and fails the comparison.  One thread: the kernels' float
+// atomics commit in scheduling order on more.
+TEST(ShardParity, CountOneSphIsBitwiseSingleDomain) {
+  util::ThreadPool pool(1);
+  SimConfig cfg = parity_config(GravityBackend::kPmPp);
+  Solver solver(cfg, pool);
+  solver.initialize();
+  solver.step();
+
+  const std::pair<const char*, std::vector<float> ParticleSet::*> outputs[] = {
+      {"m0", &ParticleSet::m0},     {"V", &ParticleSet::V},
+      {"moments", &ParticleSet::moments}, {"crk", &ParticleSet::crk},
+      {"rho", &ParticleSet::rho},   {"dvel", &ParticleSet::dvel},
+      {"P", &ParticleSet::P},       {"cs", &ParticleSet::cs},
+      {"ax", &ParticleSet::ax},     {"ay", &ParticleSet::ay},
+      {"az", &ParticleSet::az},     {"vsig", &ParticleSet::vsig},
+      {"du", &ParticleSet::du}};
+  ParticleSet gas = solver.gas();
+  for (const auto& [name, field] : outputs) {
+    std::fill((gas.*field).begin(), (gas.*field).end(),
+              std::numeric_limits<float>::quiet_NaN());
+  }
+  const auto pos = combined_positions(solver);
+  xsycl::Queue q(pool);
+  const sph::ChainOptions opt;
+
+  ParticleSet ref = gas;
+  domain::DomainOptions dopt;
+  dopt.box = cfg.box;
+  dopt.leaf_size = cfg.leaf_size;
+  domain::InteractionDomain dom(dopt);
+  dom.update(pos, solver.dm().size());
+  std::vector<tree::LeafPair> pairs;
+  sph::collect_gas_pairs(dom, sph::support_cutoff(ref), pairs);
+  const sph::ChainPart part{&ref, dom.second(), pairs};
+  sph::run_chain(q, {&part, 1}, opt);
+
+  shard::ShardOptions sopt;
+  sopt.box = cfg.box;
+  sopt.count = 1;
+  sopt.range = sph::support_cutoff(gas);
+  sopt.leaf_size = cfg.leaf_size;
+  sopt.pool = &pool;
+  shard::ShardEngine engine(sopt);
+  ParticleSet got = gas;
+  engine.prepare(solver.dm(), got, pos);
+  engine.run_sph(got, q, opt);
+
+  const auto same_bits = [](const std::vector<float>& a,
+                            const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  for (const auto& [name, field] : outputs) {
+    EXPECT_FALSE(std::isnan((ref.*field)[0])) << name << " must be written";
+    EXPECT_TRUE(same_bits(got.*field, ref.*field)) << name;
+  }
 }
 
 void expect_bitwise_equal(const ParticleSet& a, const ParticleSet& b) {
