@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <thread>
 
 #define HACC_BENCH_MAIN(print_figure)                                \
   int main(int argc, char** argv) {                                  \
@@ -30,6 +31,14 @@ inline void print_header(const char* title) {
   print_rule('=');
   std::printf("%s\n", title);
   print_rule('=');
+}
+
+// The provenance lines of a BENCH_*.json record, each ending in a comma: a
+// threads sweep only means multi-core scaling when the host has the cores,
+// and timings only compare within one build type.
+inline void write_provenance(std::FILE* f) {
+  std::fprintf(f, "  \"host_cores\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", HACC_BUILD_TYPE);
 }
 
 }  // namespace hacc::bench

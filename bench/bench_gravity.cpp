@@ -235,10 +235,7 @@ void write_bench_json(const PmRun runs[3], const AccuracyRow rows[3],
   std::fprintf(f, "  \"grid\": %d,\n  \"particles\": 4096,\n  \"box\": %.1f,\n",
                kBreakdownGrid, kBox);
   std::fprintf(f, "  \"threads\": %u,\n", threads);
-  // Provenance: a threads sweep only means multi-core scaling when the host
-  // has the cores, and timings only compare within one build type.
-  std::fprintf(f, "  \"host_cores\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"build_type\": \"%s\",\n", HACC_BUILD_TYPE);
+  hacc::bench::write_provenance(f);
   std::fprintf(f, "  \"threads_sweep\": [\n");
   for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
     std::fprintf(f, "    {\"threads\": %d, \"spectral_total_ms\": %.3f}%s\n",

@@ -256,6 +256,7 @@ void write_bench_json(const NeighborReport& rep) {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"neighbor_domain\",\n");
+  hacc::bench::write_provenance(f);
   std::fprintf(f, "  \"n\": %d,\n", rep.n_side * rep.n_side * rep.n_side);
   std::fprintf(f, "  \"leaf_size\": %d,\n", kLeafSize);
   std::fprintf(f, "  \"build_ms\": %.4f,\n", rep.build_ms);

@@ -11,26 +11,24 @@
 #include <string>
 
 #include "core/solver.hpp"
-#include "example_threads.hpp"
-#include "util/config.hpp"
+#include "example_args.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) try {
-  hacc::util::Config cli;
-  cli.apply_overrides(argc - 1, argv + 1);
-  const auto threads = hacc::examples::threads_arg(cli, "adiabatic_universe");
-  if (!threads) return 1;
+  hacc::examples::Args args(argc, argv, "adiabatic_universe");
+  const unsigned threads = args.threads();
 
   hacc::core::SimConfig cfg;
-  cfg.np_side = static_cast<int>(cli.get_int("np", 12));
-  cfg.n_steps = static_cast<int>(cli.get_int("steps", 5));
-  cfg.box = cli.get_double("box", 25.0);
-  cfg.pm_grid = static_cast<int>(cli.get_int("pm_grid", 32));
-  cfg.z_init = cli.get_double("z_init", 200.0);
-  cfg.z_final = cli.get_double("z_final", 50.0);
-  cfg.sub_group_size = static_cast<int>(cli.get_int("sg", 32));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  const std::string grad = cli.get_string("gravity.pm_gradient", "spectral");
+  cfg.np_side = args.get<int>("np", 12);
+  cfg.n_steps = args.get<int>("steps", 5);
+  cfg.box = args.get("box", 25.0);
+  cfg.pm_grid = args.get<int>("pm_grid", 32);
+  cfg.z_init = args.get("z_init", 200.0);
+  cfg.z_final = args.get("z_final", 50.0);
+  cfg.sub_group_size = args.get<int>("sg", 32);
+  cfg.seed = args.get<std::uint64_t>("seed", 42);
+  if (!args.ok()) return 1;
+  const std::string grad = args.text("gravity.pm_gradient", "spectral");
   if (!hacc::gravity::parse_pm_gradient(grad, cfg.pm_gradient)) {
     std::fprintf(stderr, "unknown pm gradient '%s' (spectral | fd4 | fd6)\n",
                  grad.c_str());
@@ -38,13 +36,13 @@ int main(int argc, char** argv) try {
   }
 
   hacc::xsycl::CommVariant variant = hacc::xsycl::CommVariant::kSelect;
-  if (!hacc::xsycl::parse_variant(cli.get_string("variant", "select"), variant)) {
-    std::fprintf(stderr, "unknown variant '%s'\n", cli.get_string("variant", "").c_str());
+  if (!hacc::xsycl::parse_variant(args.text("variant", "select"), variant)) {
+    std::fprintf(stderr, "unknown variant '%s'\n", args.text("variant", "").c_str());
     return 1;
   }
   cfg.variants = hacc::core::VariantSelection::uniform(variant);
 
-  hacc::util::ThreadPool pool(*threads);
+  hacc::util::ThreadPool pool(threads);
   hacc::core::Solver solver(cfg, pool);
 
   std::printf("adiabatic universe: 2 x %d^3 particles, %s variant, sub-group %d\n",

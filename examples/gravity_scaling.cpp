@@ -10,40 +10,38 @@
 #include <string>
 
 #include "core/solver.hpp"
-#include "example_threads.hpp"
-#include "util/config.hpp"
+#include "example_args.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
-  hacc::util::Config cli;
-  cli.apply_overrides(argc - 1, argv + 1);
-  const auto threads = hacc::examples::threads_arg(cli, "gravity_scaling");
-  if (!threads) return 1;
+  hacc::examples::Args args(argc, argv, "gravity_scaling");
+  const unsigned threads = args.threads();
 
   hacc::core::SimConfig cfg;
   cfg.hydro = false;
-  cfg.np_side = static_cast<int>(cli.get_int("np", 16));
-  cfg.n_steps = static_cast<int>(cli.get_int("steps", 2));
-  cfg.box = cli.get_double("box", 25.0);
-  cfg.pm_grid = static_cast<int>(cli.get_int("pm_grid", 32));
-  cfg.leaf_size = static_cast<int>(cli.get_int("leaf", 8));
-  cfg.fmm_theta = cli.get_double("gravity.theta", 0.5);
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+  cfg.np_side = args.get<int>("np", 16);
+  cfg.n_steps = args.get<int>("steps", 2);
+  cfg.box = args.get("box", 25.0);
+  cfg.pm_grid = args.get<int>("pm_grid", 32);
+  cfg.leaf_size = args.get<int>("leaf", 8);
+  cfg.fmm_theta = args.get("gravity.theta", 0.5);
+  cfg.seed = args.get<std::uint64_t>("seed", 42);
+  if (!args.ok()) return 1;
 
-  const std::string backend = cli.get_string("gravity.backend", "fmm");
+  const std::string backend = args.text("gravity.backend", "fmm");
   if (!hacc::core::parse_gravity_backend(backend, cfg.gravity_backend)) {
     std::fprintf(stderr, "unknown gravity backend '%s' (pm_pp | fmm | treepm)\n",
                  backend.c_str());
     return 1;
   }
-  const std::string grad = cli.get_string("gravity.pm_gradient", "spectral");
+  const std::string grad = args.text("gravity.pm_gradient", "spectral");
   if (!hacc::gravity::parse_pm_gradient(grad, cfg.pm_gradient)) {
     std::fprintf(stderr, "unknown pm gradient '%s' (spectral | fd4 | fd6)\n",
                  grad.c_str());
     return 1;
   }
 
-  hacc::util::ThreadPool pool(*threads);
+  hacc::util::ThreadPool pool(threads);
   hacc::core::Solver solver(cfg, pool);
 
   const std::size_t n = static_cast<std::size_t>(cfg.np_side) * cfg.np_side *

@@ -8,26 +8,26 @@
 #include <cstdio>
 
 #include "core/solver.hpp"
-#include "example_threads.hpp"
+#include "example_args.hpp"
 #include "halo/fof.hpp"
-#include "util/config.hpp"
 
 int main(int argc, char** argv) {
-  hacc::util::Config cli;
-  cli.apply_overrides(argc - 1, argv + 1);
-  const auto threads = hacc::examples::threads_arg(cli, "halo_finding");
-  if (!threads) return 1;
+  hacc::examples::Args args(argc, argv, "halo_finding");
+  const unsigned threads = args.threads();
 
   hacc::core::SimConfig cfg;
-  cfg.np_side = static_cast<int>(cli.get_int("np", 14));
-  cfg.n_steps = static_cast<int>(cli.get_int("steps", 8));
-  cfg.z_final = cli.get_double("z_final", 10.0);  // run deeper for clustering
+  cfg.np_side = args.get<int>("np", 14);
+  cfg.n_steps = args.get<int>("steps", 8);
+  cfg.z_final = args.get("z_final", 10.0);  // run deeper for clustering
   cfg.hydro = false;
-  cfg.box = cli.get_double("box", 25.0);
+  cfg.box = args.get("box", 25.0);
   cfg.pm_grid = 32;
-  cfg.sigma_norm = cli.get_double("sigma", 2.5);  // boosted power -> visible halos
+  cfg.sigma_norm = args.get("sigma", 2.5);  // boosted power -> visible halos
+  const double b = args.get("b", 0.28);
+  const auto min_members = args.get<std::int32_t>("min_members", 8);
+  if (!args.ok()) return 1;
 
-  hacc::util::ThreadPool pool(*threads);
+  hacc::util::ThreadPool pool(threads);
   hacc::core::Solver solver(cfg, pool);
   std::printf("evolving %d^3 dark-matter particles to z=%.1f...\n", cfg.np_side,
               cfg.z_final);
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   const double mean_sep = cfg.box / cfg.np_side;
 
   hacc::halo::FofOptions fof_opt;
-  fof_opt.linking_length = cli.get_double("b", 0.28) * mean_sep;
-  fof_opt.min_members = static_cast<std::int32_t>(cli.get_int("min_members", 8));
+  fof_opt.linking_length = b * mean_sep;
+  fof_opt.min_members = min_members;
   const auto fof = hacc::halo::friends_of_friends(pos, cfg.box, fof_opt);
 
   std::printf("\nFOF (b = %.2f mean separations, min %d members): %d halos\n",

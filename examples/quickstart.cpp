@@ -7,28 +7,26 @@
 #include <cstdio>
 
 #include "core/solver.hpp"
-#include "example_threads.hpp"
-#include "util/config.hpp"
+#include "example_args.hpp"
 
 int main(int argc, char** argv) {
-  hacc::util::Config cli;
-  cli.apply_overrides(argc - 1, argv + 1);
-  const auto threads = hacc::examples::threads_arg(cli, "quickstart");
-  if (!threads) return 1;
+  hacc::examples::Args args(argc, argv, "quickstart");
+  const unsigned threads = args.threads();
 
   hacc::core::SimConfig cfg;
-  cfg.np_side = static_cast<int>(cli.get_int("np", 8));
-  cfg.n_steps = static_cast<int>(cli.get_int("steps", 3));
-  cfg.box = cli.get_double("box", 25.0);
-  cfg.pm_grid = static_cast<int>(cli.get_int("pm_grid", 32));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+  cfg.np_side = args.get<int>("np", 8);
+  cfg.n_steps = args.get<int>("steps", 3);
+  cfg.box = args.get("box", 25.0);
+  cfg.pm_grid = args.get<int>("pm_grid", 32);
+  cfg.seed = args.get<std::uint64_t>("seed", 42);
+  if (!args.ok()) return 1;
   if (!hacc::gravity::parse_pm_gradient(
-          cli.get_string("gravity.pm_gradient", "spectral"), cfg.pm_gradient)) {
+          args.text("gravity.pm_gradient", "spectral"), cfg.pm_gradient)) {
     std::fprintf(stderr, "unknown gravity.pm_gradient (spectral | fd4 | fd6)\n");
     return 1;
   }
 
-  hacc::util::ThreadPool pool(*threads);
+  hacc::util::ThreadPool pool(threads);
   hacc::core::Solver solver(cfg, pool);
 
   std::printf("CRK-HACC quickstart: 2 x %d^3 particles, box %.1f, z=%.0f -> z=%.0f in %d steps\n",

@@ -6,17 +6,15 @@
 
 #include <cstdio>
 
-#include "example_threads.hpp"
+#include "example_args.hpp"
 #include "run/scenario.hpp"
-#include "util/config.hpp"
 
 int main(int argc, char** argv) {
-  hacc::util::Config cli;
-  cli.apply_overrides(argc - 1, argv + 1);
-  const auto threads = hacc::examples::threads_arg(cli, "scenario_tour");
-  if (!threads) return 1;
-  const int np = static_cast<int>(cli.get_int("np", 8));
-  hacc::util::ThreadPool pool(*threads);
+  hacc::examples::Args args(argc, argv, "scenario_tour");
+  const unsigned threads = args.threads();
+  const int np = args.get<int>("np", 8);
+  if (!args.ok()) return 1;
+  hacc::util::ThreadPool pool(threads);
 
   for (const auto& preset : hacc::run::scenarios()) {
     hacc::run::Scenario s = preset;

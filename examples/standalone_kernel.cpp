@@ -16,9 +16,8 @@
 
 #include "core/checkpoint.hpp"
 #include "core/launch.hpp"
-#include "example_threads.hpp"
+#include "example_args.hpp"
 #include "sph/pipeline.hpp"
-#include "util/config.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -50,16 +49,18 @@ hacc::core::ParticleSet generate_gas(int n_side, double box, std::uint64_t seed)
 }  // namespace
 
 int main(int argc, char** argv) try {
-  hacc::util::Config cli;
-  cli.apply_overrides(argc - 1, argv + 1);
-  const auto threads = hacc::examples::threads_arg(cli, "standalone_kernel");
-  if (!threads) return 1;
-  const std::string path = cli.get_string("checkpoint", "/tmp/crkhacc_gas.ckpt");
+  hacc::examples::Args args(argc, argv, "standalone_kernel");
+  const unsigned threads = args.threads();
+  const std::string path = args.text("checkpoint", "/tmp/crkhacc_gas.ckpt");
+  const int np = args.get<int>("np", 12);
+  const double box = args.get("box", 1.0);
+  const auto seed = args.get<std::uint64_t>("seed", 7);
+  const int sg = args.get<int>("sg", 32);
+  const int repeats = args.get<int>("repeats", 3);
+  if (!args.ok()) return 1;
 
-  if (cli.get_string("mode", "run") == "generate") {
-    const int np = static_cast<int>(cli.get_int("np", 12));
-    const double box = cli.get_double("box", 1.0);
-    auto gas = generate_gas(np, box, static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+  if (args.text("mode", "run") == "generate") {
+    auto gas = generate_gas(np, box, seed);
     // Prime the derived state so any kernel can run in isolation.
     hacc::util::ThreadPool pool;
     hacc::xsycl::Queue q(pool);
@@ -86,7 +87,7 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  const std::string kernel = cli.get_string("kernel", "upBarAc");
+  const std::string kernel = args.text("kernel", "upBarAc");
   const auto& registry = hacc::core::KernelRegistry::instance();
   if (!registry.has(kernel)) {
     std::fprintf(stderr, "unknown kernel '%s'; available:", kernel.c_str());
@@ -96,7 +97,7 @@ int main(int argc, char** argv) try {
   }
 
   hacc::xsycl::CommVariant variant = hacc::xsycl::CommVariant::kSelect;
-  if (!hacc::xsycl::parse_variant(cli.get_string("variant", "select"), variant)) {
+  if (!hacc::xsycl::parse_variant(args.text("variant", "select"), variant)) {
     std::fprintf(stderr, "unknown variant\n");
     return 1;
   }
@@ -104,13 +105,12 @@ int main(int argc, char** argv) try {
   hacc::sph::PipelineOptions popt;
   popt.hydro.box = static_cast<float>(meta.box);
   popt.hydro.variant = variant;
-  popt.hydro.launch.sub_group_size = static_cast<int>(cli.get_int("sg", 32));
+  popt.hydro.launch.sub_group_size = sg;
   const auto pipe = hacc::sph::build_pipeline(gas, popt);
 
-  hacc::util::ThreadPool pool(*threads);
+  hacc::util::ThreadPool pool(threads);
   hacc::xsycl::Queue q(pool);
 
-  const int repeats = static_cast<int>(cli.get_int("repeats", 3));
   std::printf("standalone %s: %zu particles, %zu leaf pairs, %s, sg %d, %d repeats\n",
               kernel.c_str(), gas.size(), pipe.pairs.size(), to_string(variant),
               popt.hydro.launch.sub_group_size, repeats);

@@ -19,10 +19,7 @@ inline constexpr double kAccelerationFlops = 320.0;
 // Pair Traits of the PairInteractionKernel (contract in half_warp.hpp).
 struct AccelerationTraits {
   using State = HydroState;
-  struct Accum {
-    float fx = 0.f, fy = 0.f, fz = 0.f;
-    float vsig = 0.f;
-  };
+  using Accum = AccelTerm<float>;
   static constexpr int kAccumWords = 4;
 
   const core::ParticleSet* p;
@@ -35,7 +32,8 @@ struct AccelerationTraits {
 
   State load(std::int32_t i) const { return load_hydro_state(*p, i); }
 
-  bool reaches(const State& own, const State& other) const {
+  template <typename Lanes>
+  auto reaches(const Lanes& own, const Lanes& other) const {
     return reaches_pair_support(own, other, box);
   }
 
@@ -43,18 +41,15 @@ struct AccelerationTraits {
     return kSupport * std::max(double(own.h), double(hmax_other));
   }
 
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    const auto term = accel_term(to_side(own), to_side(other), box, visc);
-    a.fx += term.accel.x;
-    a.fy += term.accel.y;
-    a.fz += term.accel.z;
-    a.vsig = std::max(a.vsig, term.vsig);  // signal velocity combines by max
+  template <typename Lanes>
+  auto term(const Lanes& own, const Lanes& other) const {
+    return accel_term(to_side(own), to_side(other), box, visc);
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float>(ax_out[idx], sg.counters()).fetch_add(a.fx);
-    xsycl::atomic_ref<float>(ay_out[idx], sg.counters()).fetch_add(a.fy);
-    xsycl::atomic_ref<float>(az_out[idx], sg.counters()).fetch_add(a.fz);
+    xsycl::atomic_ref<float>(ax_out[idx], sg.counters()).fetch_add(a.accel.x);
+    xsycl::atomic_ref<float>(ay_out[idx], sg.counters()).fetch_add(a.accel.y);
+    xsycl::atomic_ref<float>(az_out[idx], sg.counters()).fetch_add(a.accel.z);
     xsycl::atomic_ref<float>(vsig_out[idx], sg.counters()).fetch_max(a.vsig);
   }
 

@@ -27,14 +27,16 @@ struct CorrectionsTraits {
 
   State load(std::int32_t i) const { return load_cor_state(*p, i); }
 
-  bool reaches(const State& own, const State& other) const {
+  template <typename Lanes>
+  auto reaches(const Lanes& own, const Lanes& other) const {
     return reaches_own_support(own, other, box);
   }
 
   double reach_radius(const State& own, float) const { return kSupport * own.h; }
 
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    corrections_term(a, to_side(own), to_side(other), box);
+  template <typename Lanes>
+  auto term(const Lanes& own, const Lanes& other) const {
+    return corrections_term(to_side(own), to_side(other), box);
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {

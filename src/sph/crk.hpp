@@ -53,28 +53,37 @@ struct CrkMoments {
   Real dm1(int alpha, int gamma) const { return v[core::mom_idx::dm1(alpha, gamma)]; }
   Real dm2(int comp, int gamma) const { return v[core::mom_idx::dm2(comp, gamma)]; }
 
-  // Adds one neighbor's contribution.  vj: neighbor volume; xij = x_i - x_j.
-  void accumulate(Real vj, const util::Vec3<Real>& xij, Real w,
-                  const util::Vec3<Real>& gw) {
+  // One neighbor's contribution, which add() adds to a sum.  vj: neighbor
+  // volume; xij = x_i - x_j.
+  static CrkMoments pair_term(Real vj, const util::Vec3<Real>& xij, Real w,
+                              const util::Vec3<Real>& gw) {
     namespace mi = core::mom_idx;
     // Symmetric components: (0,0)(0,1)(0,2)(1,1)(1,2)(2,2).
     constexpr int rows[6] = {0, 0, 0, 1, 1, 2};
     constexpr int cols[6] = {0, 1, 2, 1, 2, 2};
-    v[mi::kM0] += vj * w;
-    for (int a = 0; a < 3; ++a) v[mi::kM1 + a] += xij[a] * (vj * w);
-    for (int c = 0; c < 6; ++c) v[mi::m2(c)] += xij[rows[c]] * xij[cols[c]] * (vj * w);
-    for (int g = 0; g < 3; ++g) v[mi::kDM0 + g] += gw[g] * vj;
+    CrkMoments t;
+    t.v[mi::kM0] = vj * w;
+    for (int a = 0; a < 3; ++a) t.v[mi::kM1 + a] = xij[a] * (vj * w);
+    for (int c = 0; c < 6; ++c) t.v[mi::m2(c)] = xij[rows[c]] * xij[cols[c]] * (vj * w);
+    for (int g = 0; g < 3; ++g) t.v[mi::kDM0 + g] = gw[g] * vj;
     for (int g = 0; g < 3; ++g) {
       for (int a = 0; a < 3; ++a) {
-        v[mi::dm1(a, g)] += vj * ((a == g ? w : Real(0)) + xij[a] * gw[g]);
+        t.v[mi::dm1(a, g)] = vj * ((a == g ? w : Real(0)) + xij[a] * gw[g]);
       }
       for (int c = 0; c < 6; ++c) {
         const int a = rows[c], b = cols[c];
-        v[mi::dm2(c, g)] += vj * ((a == g ? xij[b] * w : Real(0)) +
-                                  (b == g ? xij[a] * w : Real(0)) +
-                                  xij[a] * xij[b] * gw[g]);
+        t.v[mi::dm2(c, g)] = vj * ((a == g ? xij[b] * w : Real(0)) +
+                                   (b == g ? xij[a] * w : Real(0)) +
+                                   xij[a] * xij[b] * gw[g]);
       }
     }
+    return t;
+  }
+
+  // Adds lane k of a pair term (the whole of a one-lane term).
+  template <typename From>
+  void add(const CrkMoments<From>& t, int k = 0) {
+    for (int w = 0; w < core::mom_idx::kCount; ++w) v[w] += lanes::lane(t.v[w], k);
   }
 
  private:

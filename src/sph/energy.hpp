@@ -17,9 +17,17 @@ inline constexpr double kEnergyFlops = 240.0;
 // Pair Traits of the PairInteractionKernel (contract in half_warp.hpp).
 struct EnergyTraits {
   using State = HydroState;
-  struct Accum {
-    float du = 0.f;
+  // A lane's sum (float), or the pair terms of four lanes (Floats4).
+  template <typename Real>
+  struct Sum {
+    Real du{};
+
+    template <typename From>
+    void add(const Sum<From>& t, int k = 0) {
+      du += lanes::lane(t.du, k);
+    }
   };
+  using Accum = Sum<float>;
   static constexpr int kAccumWords = 1;
 
   const core::ParticleSet* p;
@@ -29,7 +37,8 @@ struct EnergyTraits {
 
   State load(std::int32_t i) const { return load_hydro_state(*p, i); }
 
-  bool reaches(const State& own, const State& other) const {
+  template <typename Lanes>
+  auto reaches(const Lanes& own, const Lanes& other) const {
     return reaches_pair_support(own, other, box);
   }
 
@@ -37,8 +46,10 @@ struct EnergyTraits {
     return kSupport * std::max(double(own.h), double(hmax_other));
   }
 
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    a.du += energy_term(to_side(own), to_side(other), box, visc);
+  template <typename Lanes>
+  auto term(const Lanes& own, const Lanes& other) const {
+    auto du = energy_term(to_side(own), to_side(other), box, visc);
+    return Sum<decltype(du)>{du};
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {

@@ -17,10 +17,7 @@ inline constexpr double kExtrasFlops = 190.0;
 // Pair Traits of the PairInteractionKernel (contract in half_warp.hpp).
 struct ExtrasTraits {
   using State = HydroState;
-  struct Accum {
-    float rho = 0.f;
-    float dv[9] = {};
-  };
+  using Accum = ExtrasTerm<float>;
   static constexpr int kAccumWords = 10;
 
   const core::ParticleSet* p;
@@ -32,18 +29,16 @@ struct ExtrasTraits {
   // plain load of p->rho here would race the atomic commits below.
   State load(std::int32_t i) const { return load_extras_state(*p, i); }
 
-  bool reaches(const State& own, const State& other) const {
+  template <typename Lanes>
+  auto reaches(const Lanes& own, const Lanes& other) const {
     return reaches_own_support(own, other, box);
   }
 
   double reach_radius(const State& own, float) const { return kSupport * own.h; }
 
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    const auto term = extras_term(to_side(own), to_side(other), box);
-    a.rho += term.rho;
-    for (int r = 0; r < 3; ++r) {
-      for (int c = 0; c < 3; ++c) a.dv[3 * r + c] += term.dv[r][c];
-    }
+  template <typename Lanes>
+  auto term(const Lanes& own, const Lanes& other) const {
+    return extras_term(to_side(own), to_side(other), box);
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
@@ -52,7 +47,7 @@ struct ExtrasTraits {
     float* dv = dvel_out + 9 * static_cast<std::size_t>(idx);
     for (int k = 0; k < 9; ++k) {
       xsycl::atomic_ref<float> ref(dv[k], sg.counters());
-      ref.fetch_add(a.dv[k]);
+      ref.fetch_add(a.dv[k / 3][k % 3]);
     }
   }
 

@@ -18,9 +18,17 @@ inline constexpr double kGeometryFlops = 24.0;
 // Pair Traits of the PairInteractionKernel (contract in half_warp.hpp).
 struct GeometryTraits {
   using State = GeoState;
-  struct Accum {
-    float m0 = 0.f;
+  // A lane's sum (float), or the pair terms of four lanes (Floats4).
+  template <typename Real>
+  struct Sum {
+    Real m0{};
+
+    template <typename From>
+    void add(const Sum<From>& t, int k = 0) {
+      m0 += lanes::lane(t.m0, k);
+    }
   };
+  using Accum = Sum<float>;
   static constexpr int kAccumWords = 1;
 
   const core::ParticleSet* p;
@@ -29,14 +37,17 @@ struct GeometryTraits {
 
   State load(std::int32_t i) const { return load_geo_state(*p, i); }
 
-  bool reaches(const State& own, const State& other) const {
+  template <typename Lanes>
+  auto reaches(const Lanes& own, const Lanes& other) const {
     return reaches_own_support(own, other, box);
   }
 
   double reach_radius(const State& own, float) const { return kSupport * own.h; }
 
-  void accumulate(Accum& a, const State& own, const State& other) const {
-    a.m0 += geometry_term(to_side(own), to_side(other), box);
+  template <typename Lanes>
+  auto term(const Lanes& own, const Lanes& other) const {
+    auto m0 = geometry_term(to_side(own), to_side(other), box);
+    return Sum<decltype(m0)>{m0};
   }
 
   void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {

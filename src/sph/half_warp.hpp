@@ -34,13 +34,21 @@ namespace hacc::sph {
 //   static constexpr int kAccumWords;  // floats committed per particle
 //   float box;                         // periodic box the pair terms wrap in
 //   State load(std::int32_t i) const;
-//   // False only where the pair term of `own` with `other` is exactly zero.
+//   // False only where the pair term of `own` with `other` is exactly zero
+//   // (with a term form below: a template over the lane type, a Mask4 for
+//   // a Gather4).
 //   bool reaches(const State& own, const State& other) const;
 //   // Bound on the distance at which `own` reaches any partner whose h is
 //   // at most `hmax_other`; never decreases as `hmax_other` grows.
 //   double reach_radius(const State& own, float hmax_other) const;
-//   // Adds the pair term to `acc`; called only for pairs that reach.
+//   // The pair term, called only for pairs that reach, in one of two forms.
+//   // Either it is added in place:
 //   void accumulate(Accum& acc, const State& own, const State& other) const;
+//   // or it is returned, written once over the lane type (BatchTraits below):
+//   // Lanes is a State (one pair, a term of floats) or a Gather4<State>
+//   // (four pairs, a term of Floats4), and Accum::add(term, k) adds lane k
+//   // of a term to a sum.
+//   template <typename Lanes> Term term(const Lanes& own, const Lanes& other) const;
 //   void commit(xsycl::SubGroup&, std::int32_t idx, const Accum&) const;
 //   // Exactly the counters `commit` charges.
 //   static void charge_commit(xsycl::OpCounters&);
@@ -59,7 +67,7 @@ namespace hacc::sph {
 // one counts as an interaction, reached or not, and every exchange round is
 // charged in full even where the CPU reads the partner lane in place.
 //
-// Four more pieces spare the CPU work, and change no output bit and no
+// Five more pieces spare the CPU work, and change no output bit and no
 // counter:
 //   - Bounds cull.  After a tile loads, each lane is tested against the
 //     bounds of the other half (half_tile_bounds / beyond_reach).  A lane
@@ -70,6 +78,21 @@ namespace hacc::sph {
 //     lane in place.  Each lane's sum still receives its terms in round
 //     order, so no bit changes.  Memory32 and MemoryObject keep the
 //     round-major loop: each round's local-memory exchange fills `theirs`.
+//     A tile whose lanes were all culled runs no rounds at all.
+//   - Reach-compacted batches.  Under Select and vISA, Traits with a term
+//     form (the five SPH kernels) run in two passes once a half holds at
+//     least four lanes (batch_rounds).  Pass 1 tests each live lane's
+//     partners four rounds at a time with a four-lane `reaches` and lists
+//     the pairs that reach, lane by lane in round order.  Pass 2 evaluates
+//     the list four pairs at a time as one Floats4 term and adds lane k of
+//     it to pair k's own scalar sum, in list order: every sum receives the
+//     float operations of lane_rounds in the same order.  The last batch
+//     repeats its final pair in its empty slots and drops their terms.
+//     Own-lane blocks (below) do not pay for these kernels: on hydro-paper
+//     a tile with a live lane holds ~6 of 32 after the bounds cull, and a
+//     live lane reaches ~4 of its 16 candidates, so a block of four own
+//     lanes fills ~1.7 lanes of each term vector while every field of the
+//     tile (up to 28) is transposed; the batches are 98% full.
 //   - Vector blocks.  Under Select and vISA, Traits with a four-lane form
 //     run four own lanes at a time once a half holds at least four lanes
 //     (block_rounds).  The tile is stored as per-field arrays (LaneTile),
@@ -83,7 +106,9 @@ namespace hacc::sph {
 //     x86-64, which has no FMA to contract into, and sqrtps and divps round
 //     correctly, as the scalar instructions do.  A -march, -mfma or
 //     -ffast-math change may move these bits, and must re-record the
-//     output bit snapshots explicitly.
+//     output bit snapshots explicitly.  P-P keeps these blocks: its term is
+//     light and most of its candidates reach, and on the batch path its
+//     pp.short_s was 5% slower on cosmo-treepm (median of 6 traced pairs).
 //   - Charge-only commits.  An accumulator that received no term is all +0
 //     and is not committed; charge_commit adds the counts commit would have.
 //     This is exact because every pair-kernel output is zero-filled (+0)
@@ -177,6 +202,17 @@ bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
   return d2 > reach * reach;
 }
 
+// Traits whose reach test and pair term are written once over the lane
+// type.
+template <typename Traits>
+concept BatchTraits = requires(const Traits& t, typename Traits::Accum& acc,
+                               const typename Traits::State& s,
+                               const Gather4<typename Traits::State>& g) {
+  { t.reaches(g, g) } -> std::same_as<Mask4>;
+  acc.add(t.term(s, s), 0);
+  acc.add(t.term(g, g), 0);
+};
+
 // Adds the term of `own` with `other` to `acc` and counts the candidate
 // pair, unless `other` is an empty lane or `own` itself.  Returns whether a
 // term was added.
@@ -187,7 +223,11 @@ bool add_pair(const Traits& traits, std::uint64_t& interactions,
   if (!other.valid || other.idx == own.idx) return false;
   ++interactions;
   if (!traits.reaches(own, other)) return false;
-  traits.accumulate(acc, own, other);
+  if constexpr (BatchTraits<Traits>) {
+    acc.add(traits.term(own, other), 0);
+  } else {
+    traits.accumulate(acc, own, other);
+  }
   return true;
 }
 
@@ -229,11 +269,60 @@ void lane_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
   }
 }
 
+// The same rounds as reach-compacted batches of four pairs (see
+// "Reach-compacted batches" above).  Needs sg_size >= 8.  Flattened, so
+// that the terms inline into the batch loop (2-7% faster per kernel than
+// calls).
+template <BatchTraits Traits>
+[[gnu::flatten]] void batch_rounds(const Traits& traits, xsycl::CommVariant v,
+                                   int sg_size, TileRegisters<Traits>& t) {
+  constexpr int kMaxPairs = xsycl::kMaxLanes * xsycl::kMaxLanes / 2;
+  std::uint8_t own[kMaxPairs];
+  std::uint8_t other[kMaxPairs];
+  int n = 0;
+  for (int l = 0; l < sg_size; ++l) {
+    if (!t.live[l]) continue;
+    const auto& me = t.mine[l];
+    const Gather4<typename Traits::State> owner{{&me, &me, &me, &me}};
+    for (int r0 = 0; r0 < sg_size / 2; r0 += kBlockLanes) {
+      // Rounds r0 .. r0 + 3 of lane l: the candidates as one Mask4.
+      Gather4<typename Traits::State> partners;
+      int o[kBlockLanes];
+      bool pair[kBlockLanes];
+      for (int k = 0; k < kBlockLanes; ++k) {
+        o[k] = xsycl::partner_lane(v, l, r0 + k, sg_size);
+        partners.s[k] = &t.mine[o[k]];
+        pair[k] = t.mine[o[k]].valid && t.mine[o[k]].idx != me.idx;
+        t.interactions += pair[k] ? 1 : 0;
+      }
+      const Mask4 reach = Floats4([&](auto k) { return pair[k] ? 1.f : 0.f; }) != 0.f &&
+                          traits.reaches(owner, partners);
+      for (int k = 0; k < kBlockLanes; ++k) {
+        own[n] = static_cast<std::uint8_t>(l);
+        other[n] = static_cast<std::uint8_t>(o[k]);
+        n += reach[k] ? 1 : 0;
+      }
+      if (stdx::any_of(reach)) t.touched[l] = true;
+    }
+  }
+  for (int b = 0; b < n; b += kBlockLanes) {
+    Gather4<typename Traits::State> owners, partners;
+    for (int k = 0; k < kBlockLanes; ++k) {
+      const int p = std::min(b + k, n - 1);
+      owners.s[k] = &t.mine[own[p]];
+      partners.s[k] = &t.mine[other[p]];
+    }
+    const auto term = traits.term(owners, partners);
+    for (int k = 0; k < std::min(kBlockLanes, n - b); ++k) t.acc[own[b + k]].add(term, k);
+  }
+}
+
 // The same rounds four own lanes at a time: each round of a block is one
 // masked vector op (see "Vector blocks" above).  Needs sg_size >= 8.
 template <BlockTraits Traits>
 void block_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
                   TileRegisters<Traits>& t) {
+  if (std::none_of(t.live.data(), t.live.data() + sg_size, [](bool b) { return b; })) return;
   const int H = sg_size / 2;
   const LaneTile<typename Traits::State, Traits::kLaneFields> tile(t.mine, sg_size);
   for (int l0 = 0; l0 < sg_size; l0 += kBlockLanes) {
@@ -260,13 +349,17 @@ void block_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
   }
 }
 
-// Select and vISA: vector blocks where the Traits and the sub-group size
-// allow them, else one lane at a time.
+// Select and vISA: reach-compacted batches or vector blocks where the
+// Traits and the sub-group size allow them, else one lane at a time.
 template <typename Traits>
 void register_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
                      TileRegisters<Traits>& t) {
-  if constexpr (BlockTraits<Traits>) {
-    if (sg_size / 2 >= kBlockLanes) return block_rounds(traits, v, sg_size, t);
+  if (sg_size / 2 >= kBlockLanes) {
+    if constexpr (BatchTraits<Traits>) {
+      return batch_rounds(traits, v, sg_size, t);
+    } else if constexpr (BlockTraits<Traits>) {
+      return block_rounds(traits, v, sg_size, t);
+    }
   }
   lane_rounds(traits, v, sg_size, t);
 }
@@ -374,6 +467,7 @@ class PairInteractionKernel {
         }
         const HalfTileBounds half[2] = {half_tile_bounds(&mine[0], H),
                                         half_tile_bounds(&mine[H], H)};
+        bool any_live = false;
         for (int l = 0; l < S; ++l) {
           t.live[l] = false;
           t.touched[l] = false;
@@ -387,6 +481,7 @@ class PairInteractionKernel {
           }
           t.live[l] = true;
           t.acc[l] = Accum{};
+          any_live = true;
         }
 
         if (xsycl::permutes_registers(variant_)) {
@@ -394,7 +489,7 @@ class PairInteractionKernel {
           for (int r = 0; r < H; ++r) {
             xsycl::charge_register_exchange(sg, variant_, sizeof(State));
           }
-          register_rounds(traits_, variant_, S, t);
+          if (any_live) register_rounds(traits_, variant_, S, t);
         } else {
           // The SLM variants round-trip the partner through local memory.
           for (int r = 0; r < H; ++r) {

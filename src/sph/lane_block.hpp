@@ -3,57 +3,17 @@
 // Four-lane vector blocks of the pair harness (half_warp.hpp).  After a
 // tile loads, its lane states are written once into per-field arrays, so
 // that four own lanes read one partner round of every field with one
-// vector load.  Written with <experimental/simd>: on baseline x86-64 a
-// Floats4 is one SSE register, and its sqrt and division are the correctly
-// rounded sqrtps and divps, so a lane of a block computes exactly what the
-// scalar code computes.
+// vector load.  The lane types are those of lanes.hpp.
 
 #include <array>
 #include <cstdint>
-#include <experimental/simd>
 #include <type_traits>
 
-#include "util/periodic.hpp"
-#include "util/vec3.hpp"
+#include "sph/lanes.hpp"
 #include "xsycl/comm_variant.hpp"
 #include "xsycl/varying.hpp"
 
 namespace hacc::sph {
-
-namespace stdx = std::experimental;
-
-inline constexpr int kBlockLanes = 4;
-using Floats4 = stdx::simd<float, stdx::simd_abi::deduce_t<float, kBlockLanes>>;
-using Ints4 = stdx::simd<std::int32_t, stdx::simd_abi::deduce_t<std::int32_t, kBlockLanes>>;
-using Mask4 = Floats4::mask_type;
-
-// The float mask of the lanes set in an int mask.
-inline Mask4 float_mask(Ints4::mask_type m) {
-  Ints4 bits(0);
-  where(m, bits) = 1;
-  return stdx::static_simd_cast<Floats4>(bits) != 0.f;
-}
-
-// util::min_image of four lanes: d + 0 inside the identity bound, else
-// d - box * round(d / box), the same float operations lane by lane.  The
-// SSE2 stdx::round may return +0 where std::round returns -0, which does
-// not change d - box * round(d / box): past the bound d is not zero.
-inline Floats4 min_image(const Floats4& d, float box) {
-  Floats4 wrapped = d - box * stdx::round(d / box);
-  where(stdx::abs(d) < util::min_image_identity_bound(box), wrapped) = d + 0.f;
-  return wrapped;
-}
-
-// The same for a displacement, with a fast path for the common block that
-// has every lane of every axis inside the bound.
-inline util::Vec3<Floats4> min_image(const util::Vec3<Floats4>& d, float box) {
-  const float bound = util::min_image_identity_bound(box);
-  if (stdx::all_of(stdx::abs(d.x) < bound && stdx::abs(d.y) < bound &&
-                   stdx::abs(d.z) < bound)) {
-    return {d.x + 0.f, d.y + 0.f, d.z + 0.f};
-  }
-  return {min_image(d.x, box), min_image(d.y, box), min_image(d.z, box)};
-}
 
 // Four lanes of a lane state: the float members a Traits' four-lane form
 // reads (its kLaneFields, in order), then idx and valid.

@@ -68,7 +68,7 @@ ReferenceResults reference_hydro(const core::ParticleSet& p, double box,
     CrkMoments<double> m;
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
-      corrections_term(m, side[i], side[j], box);
+      m.add(corrections_term(side[i], side[j], box));
     }
     corrections_self(m, out.V[i], double(p.h[i]));
     out.crk[i] = solve_crk(m);

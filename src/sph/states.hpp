@@ -6,9 +6,11 @@
 // selected, local-memory traffic, broadcast count) and the register
 // pressure model.  All structs are trivially copyable 4-byte multiples.
 
+#include <concepts>
 #include <cstdint>
 
 #include "core/particles.hpp"
+#include "sph/lanes.hpp"
 #include "sph/physics.hpp"
 
 namespace hacc::sph {
@@ -88,60 +90,59 @@ inline HydroState load_extras_state(const core::ParticleSet& p, std::int32_t i) 
 
 // ---- Pair geometry and conversions to the templated physics side ----
 
-// Minimum-image x_own - x_other of any lane state with a position, computed
-// as the pair terms compute it.
-template <typename State>
-inline util::Vec3<float> separation(const State& own, const State& other, float box) {
-  return min_image(util::Vec3<float>{own.px, own.py, own.pz} -
-                       util::Vec3<float>{other.px, other.py, other.pz},
-                   box);
+// Minimum-image x_own - x_other of one lane state with a position, or of
+// four (a Gather4), computed as the pair terms compute it.
+template <typename Lanes>
+inline auto separation(const Lanes& own, const Lanes& other, float box) {
+  using State = typename StateOf<Lanes>::type;
+  const auto position = [](const Lanes& s) {
+    return util::Vec3{read(s, &State::px), read(s, &State::py), read(s, &State::pz)};
+  };
+  return min_image(position(own) - position(other), box);
 }
 
-// The harness's cull tests on lane states (see physics.hpp).
-template <typename State>
-inline bool reaches_own_support(const State& own, const State& other, float box) {
-  return in_own_support(norm(separation(own, other, box)), own.h);
+// The harness's reach tests on lane states (see physics.hpp): a bool for
+// one pair, a Mask4 for four.
+template <typename Lanes>
+inline auto reaches_own_support(const Lanes& own, const Lanes& other, float box) {
+  using State = typename StateOf<Lanes>::type;
+  return in_own_support(norm(separation(own, other, box)), read(own, &State::h));
 }
 
-template <typename State>
-inline bool reaches_pair_support(const State& own, const State& other, float box) {
-  return in_pair_support(norm(separation(own, other, box)), own.h, other.h);
+template <typename Lanes>
+inline auto reaches_pair_support(const Lanes& own, const Lanes& other, float box) {
+  using State = typename StateOf<Lanes>::type;
+  return in_pair_support(norm(separation(own, other, box)), read(own, &State::h),
+                         read(other, &State::h));
 }
 
-inline HydroSide<float> to_side(const GeoState& s) {
-  HydroSide<float> out;
-  out.pos = {s.px, s.py, s.pz};
-  out.h = s.h;
-  return out;
-}
-
-inline HydroSide<float> to_side(const CorState& s) {
-  HydroSide<float> out;
-  out.pos = {s.px, s.py, s.pz};
-  out.h = s.h;
-  out.V = s.V;
-  return out;
-}
-
-inline HydroSide<float> to_side(const HydroState& s) {
-  HydroSide<float> out;
-  out.pos = {s.px, s.py, s.pz};
-  out.vel = {s.vx, s.vy, s.vz};
-  out.mass = s.mass;
-  out.h = s.h;
-  out.V = s.V;
-  out.rho = s.rho;
-  out.P = s.P;
-  out.cs = s.cs;
-  using core::crk_idx::dB;
-  using core::crk_idx::kA;
-  using core::crk_idx::kB;
-  using core::crk_idx::kdA;
-  out.crk.A = s.crk[kA];
-  out.crk.B = {s.crk[kB], s.crk[kB + 1], s.crk[kB + 2]};
-  out.crk.dA = {s.crk[kdA], s.crk[kdA + 1], s.crk[kdA + 2]};
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) out.crk.dB[r][c] = s.crk[dB(r, c)];
+// The physics side of one lane state (float) or of four (a Gather4 of
+// them, Floats4), holding the members the state carries.
+template <typename Lanes>
+inline auto to_side(const Lanes& s) {
+  using State = typename StateOf<Lanes>::type;
+  const auto get = [&](auto field) { return read(s, field); };
+  HydroSide<decltype(get(&State::px))> out;
+  out.pos = {get(&State::px), get(&State::py), get(&State::pz)};
+  out.h = get(&State::h);
+  if constexpr (requires { &State::V; }) out.V = get(&State::V);
+  if constexpr (std::same_as<State, HydroState>) {
+    out.vel = {get(&State::vx), get(&State::vy), get(&State::vz)};
+    out.mass = get(&State::mass);
+    out.rho = get(&State::rho);
+    out.P = get(&State::P);
+    out.cs = get(&State::cs);
+    const auto crk = [&](int k) { return get([k](const State& x) { return x.crk[k]; }); };
+    using core::crk_idx::dB;
+    using core::crk_idx::kA;
+    using core::crk_idx::kB;
+    using core::crk_idx::kdA;
+    out.crk.A = crk(kA);
+    out.crk.B = {crk(kB), crk(kB + 1), crk(kB + 2)};
+    out.crk.dA = {crk(kdA), crk(kdA + 1), crk(kdA + 2)};
+    for (int r = 0; r < 3; ++r) {
+      for (int c = 0; c < 3; ++c) out.crk.dB[r][c] = crk(dB(r, c));
+    }
   }
   return out;
 }

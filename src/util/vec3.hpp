@@ -38,7 +38,10 @@ struct Vec3 {
   friend constexpr Vec3 cross(const Vec3& a, const Vec3& b) {
     return {a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x};
   }
-  friend T norm(const Vec3& a) { return std::sqrt(dot(a, a)); }
+  friend T norm(const Vec3& a) {
+    using std::sqrt;  // a vector lane type brings its own sqrt
+    return sqrt(dot(a, a));
+  }
   friend constexpr T norm2(const Vec3& a) { return dot(a, a); }
 
   friend std::ostream& operator<<(std::ostream& os, const Vec3& v) {

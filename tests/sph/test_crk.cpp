@@ -172,7 +172,7 @@ TEST(CrkSolve, SingularMomentsFallBackToZerothOrder) {
     if (k == 0) continue;
     const util::Vec3d xij{0.3 * k, 0.0, 0.0};
     const double r = norm(xij);
-    m.accumulate(0.1, xij, kernel_w(r, h), kernel_grad(xij, r, h));
+    m.add(CrkMoments<double>::pair_term(0.1, xij, kernel_w(r, h), kernel_grad(xij, r, h)));
   }
   m.m0() += 0.1 * kernel_self(h);
   const auto c = solve_crk(m);
