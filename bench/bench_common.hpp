@@ -35,10 +35,13 @@ inline void print_header(const char* title) {
 
 // The provenance lines of a BENCH_*.json record, each ending in a comma: a
 // threads sweep only means multi-core scaling when the host has the cores,
-// and timings only compare within one build type.
+// timings only compare within one build type, and git_rev names the source
+// the binary was configured from (a commit hash, "-dirty" when tracked files
+// differed from it, "none" outside a git checkout).
 inline void write_provenance(std::FILE* f) {
   std::fprintf(f, "  \"host_cores\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", HACC_BUILD_TYPE);
+  std::fprintf(f, "  \"git_rev\": \"%s\",\n", HACC_GIT_REV);
 }
 
 }  // namespace hacc::bench

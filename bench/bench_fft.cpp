@@ -54,7 +54,7 @@ void BM_Fft3DR2CRoundTrip(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(n) + "^3 r2c+c2r (half spectrum)");
 }
-BENCHMARK(BM_Fft3DR2CRoundTrip)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fft3DR2CRoundTrip)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_Fft3DRoundTrip(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

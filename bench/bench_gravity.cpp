@@ -6,8 +6,10 @@
 // phase breakdown and accuracy rows are also emitted as BENCH_pm.json so
 // later PRs have a perf trajectory to compare against.
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -126,9 +128,14 @@ BENCHMARK(BM_PolyFit)->DenseRange(2, 7);
 // ---------------------------------------------------------------------------
 // Figure output: PM phase breakdown + gradient accuracy table + BENCH_pm.json
 
+// Timed solves per measured point, after one warm-up solve.
+constexpr int kReps = 9;
+
 struct PmRun {
-  gravity::PmPhaseTimes times;
-  double best_total = 0.0;  // best of the timed repetitions, seconds
+  gravity::PmPhaseTimes times;  // phases of the median solve
+  double min_total = 0.0;       // seconds, over the kReps solves
+  double median_total = 0.0;
+  double max_total = 0.0;
 };
 
 PmRun time_pm(int grid, gravity::PmGradient grad, util::ThreadPool& pool) {
@@ -136,18 +143,20 @@ PmRun time_pm(int grid, gravity::PmGradient grad, util::ThreadPool& pool) {
   const auto pos = random_positions(4096, kBox);
   const std::vector<double> mass(pos.size(), 1.0);
   std::vector<Vec3d> accel(pos.size());
-  PmRun run;
   pm.compute_forces(pos, mass, accel);  // warm-up: sizes the workspace
-  run.best_total = 1e30;
-  for (int r = 0; r < 3; ++r) {
+  std::vector<std::pair<double, gravity::PmPhaseTimes>> solves;
+  for (int r = 0; r < kReps; ++r) {
     const double t0 = util::wtime();
     pm.compute_forces(pos, mass, accel);
-    const double dt = util::wtime() - t0;
-    if (dt < run.best_total) {
-      run.best_total = dt;
-      run.times = pm.phase_times();
-    }
+    solves.emplace_back(util::wtime() - t0, pm.phase_times());
   }
+  std::sort(solves.begin(), solves.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  PmRun run;
+  run.times = solves[kReps / 2].second;
+  run.min_total = solves.front().first;
+  run.median_total = solves[kReps / 2].first;
+  run.max_total = solves.back().first;
   return run;
 }
 
@@ -216,7 +225,7 @@ void gradient_accuracy(util::ThreadPool& pool, AccuracyRow rows[3]) {
 
 struct ThreadPoint {
   int threads = 1;
-  double total_ms = 0.0;  // best spectral 128^3 solve on that pool width
+  PmRun run;  // spectral 128^3 solves on that pool width
 };
 
 void write_bench_json(const PmRun runs[3], const AccuracyRow rows[3],
@@ -236,11 +245,15 @@ void write_bench_json(const PmRun runs[3], const AccuracyRow rows[3],
                kBreakdownGrid, kBox);
   std::fprintf(f, "  \"threads\": %u,\n", threads);
   hacc::bench::write_provenance(f);
+  std::fprintf(f, "  \"reps\": %d,\n", kReps);
   std::fprintf(f, "  \"threads_sweep\": [\n");
   for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
-    std::fprintf(f, "    {\"threads\": %d, \"spectral_total_ms\": %.3f}%s\n",
-                 thread_sweep[i].threads, thread_sweep[i].total_ms,
-                 i + 1 < thread_sweep.size() ? "," : "");
+    const PmRun& r = thread_sweep[i].run;
+    std::fprintf(f,
+                 "    {\"threads\": %d, \"spectral_min_ms\": %.3f, "
+                 "\"spectral_median_ms\": %.3f, \"spectral_max_ms\": %.3f}%s\n",
+                 thread_sweep[i].threads, r.min_total * 1e3, r.median_total * 1e3,
+                 r.max_total * 1e3, i + 1 < thread_sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"gradients\": {\n");
@@ -249,10 +262,12 @@ void write_bench_json(const PmRun runs[3], const AccuracyRow rows[3],
     std::fprintf(f,
                  "    \"%s\": {\"deposit_ms\": %.3f, \"forward_ms\": %.3f, "
                  "\"green_ms\": %.3f, \"inverse_ms\": %.3f, \"gradient_ms\": %.3f, "
-                 "\"interp_ms\": %.3f, \"total_ms\": %.3f}%s\n",
+                 "\"interp_ms\": %.3f, \"total_min_ms\": %.3f, "
+                 "\"total_median_ms\": %.3f, \"total_max_ms\": %.3f}%s\n",
                  names[g], t.deposit * 1e3, t.forward * 1e3, t.green * 1e3,
                  t.inverse * 1e3, t.gradient * 1e3, t.interp * 1e3,
-                 runs[g].best_total * 1e3, g < 2 ? "," : "");
+                 runs[g].min_total * 1e3, runs[g].median_total * 1e3,
+                 runs[g].max_total * 1e3, g < 2 ? "," : "");
   }
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"accuracy_16cubed_grid32\": {\n");
@@ -273,7 +288,7 @@ void write_bench_json(const PmRun runs[3], const AccuracyRow rows[3],
     std::fprintf(f, "  \"speedup_vs_baseline\": {");
     for (int g = 0; g < 3; ++g) {
       std::fprintf(f, "\"%s\": %.2f%s", names[g],
-                   base_ms / (runs[g].best_total * 1e3), g < 2 ? ", " : "");
+                   base_ms / (runs[g].median_total * 1e3), g < 2 ? ", " : "");
     }
     std::fprintf(f, "}\n");
   } else {
@@ -292,17 +307,20 @@ void print_summary() {
   const gravity::PmGradient grads[3] = {gravity::PmGradient::kSpectral,
                                         gravity::PmGradient::kFd4,
                                         gravity::PmGradient::kFd6};
-  std::printf("%-9s %9s %9s %9s %9s %9s %9s %10s\n", "gradient", "deposit",
-              "forward", "green", "inverse", "fd-grad", "interp", "total ms");
+  std::printf("%-9s %9s %9s %9s %9s %9s %9s %10s %17s\n", "gradient", "deposit",
+              "forward", "green", "inverse", "fd-grad", "interp", "total ms",
+              "(min - max)");
   for (int g = 0; g < 3; ++g) {
     runs[g] = time_pm(kBreakdownGrid, grads[g], pool);
     const auto& t = runs[g].times;
-    std::printf("%-9s %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %10.2f\n",
+    std::printf("%-9s %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %10.2f (%6.2f - %6.2f)\n",
                 to_string(grads[g]), t.deposit * 1e3, t.forward * 1e3,
                 t.green * 1e3, t.inverse * 1e3, t.gradient * 1e3, t.interp * 1e3,
-                runs[g].best_total * 1e3);
+                runs[g].median_total * 1e3, runs[g].min_total * 1e3,
+                runs[g].max_total * 1e3);
   }
-  std::printf("\nspectral runs 1 r2c + 3 c2r half-spectrum transforms; fd4/fd6 run\n"
+  std::printf("\nPhases and totals are of the median of %d solves.\n", kReps);
+  std::printf("spectral runs 1 r2c + 3 c2r half-spectrum transforms; fd4/fd6 run\n"
               "1 r2c + 1 c2r + a finite-difference gradient (the one-FFT path).\n");
 
   hacc::bench::print_header("PM gradient accuracy (16^3 particles, grid 32^3)");
@@ -321,11 +339,11 @@ void print_summary() {
     util::ThreadPool tp(static_cast<unsigned>(n_threads));
     ThreadPoint pt;
     pt.threads = n_threads;
-    pt.total_ms =
-        1e3 * time_pm(kBreakdownGrid, gravity::PmGradient::kSpectral, tp)
-                  .best_total;
+    pt.run = time_pm(kBreakdownGrid, gravity::PmGradient::kSpectral, tp);
     thread_sweep.push_back(pt);
-    std::printf("%d threads: %.2f ms\n", pt.threads, pt.total_ms);
+    std::printf("%d threads: %.2f ms (%.2f - %.2f)\n", pt.threads,
+                pt.run.median_total * 1e3, pt.run.min_total * 1e3,
+                pt.run.max_total * 1e3);
   }
 
   write_bench_json(runs, rows, thread_sweep, pool.size());

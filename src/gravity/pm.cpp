@@ -139,17 +139,20 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   times_.green = t1 - t0;
   obs::Tracer::global().record("pm.green", t0, t1);
 
-  // Spectral: one scratch spectrum per component, phi(k) left intact for a
-  // lazy potential().  fd: phi(k) is inverted in place into the potential
-  // the stencil differentiates.
+  // Spectral: each component's c2r reads phi(k) as -i k_a phi(k) (zero on
+  // that axis' Nyquist plane, where -i k breaks Hermitian symmetry; the
+  // full-spectrum transform's real part discarded exactly that part too)
+  // and works in one scratch spectrum, so phi(k) stays intact for a lazy
+  // potential().  fd: phi(k) is inverted in place into the potential the
+  // stencil differentiates.
   t0 = util::wtime();
   for (auto& grid : force_) {
     if (grid.n() != n) grid = mesh::GridD(n);
   }
   if (spectral) {
     for (int a = 0; a < 3; ++a) {
-      force_spectrum(a);
-      fft_.inverse_c2r(scratch_k_, force_[a].data());
+      const fft::Derivative d{a, k_};
+      fft_.inverse_c2r(phi_k_, force_[a].data(), scratch_k_, &d);
     }
   } else {
     if (potential_.n() != n) potential_ = mesh::GridD(n);
@@ -196,35 +199,12 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
 
 const mesh::GridD& PmSolver::potential() {
   if (!potential_ready_ && !phi_k_.empty()) {
-    // inverse_c2r consumes its input; phi(k) must survive for later calls.
-    scratch_k_ = phi_k_;
+    // phi(k) must survive for later calls: the c2r only reads it.
     if (potential_.n() != opt_.grid_n) potential_ = mesh::GridD(opt_.grid_n);
-    fft_.inverse_c2r(scratch_k_, potential_.data());
+    fft_.inverse_c2r(phi_k_, potential_.data(), scratch_k_);
     potential_ready_ = true;
   }
   return potential_;
-}
-
-void PmSolver::force_spectrum(int axis) {
-  // a(k) = -i k_a phi(k).  -i k breaks Hermitian symmetry on the
-  // differentiated axis' Nyquist plane, so that plane is zeroed (the
-  // full-spectrum transform's real part discarded exactly that part too).
-  const int n = opt_.grid_n;
-  const int nh = fft_.half_nz();
-  scratch_k_.resize(fft_.half_size());
-  // shared: scratch_k_ (disjoint kx-plane rows per index; phi_k_, k_ read-only).
-  pool_->parallel_for_chunks(n, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t ix = b; ix < e; ++ix) {
-      for (int iy = 0; iy < n; ++iy) {
-        const std::size_t row = (static_cast<std::size_t>(ix) * n + iy) * nh;
-        for (int iz = 0; iz < nh; ++iz) {
-          const int i = axis == 0 ? static_cast<int>(ix) : axis == 1 ? iy : iz;
-          scratch_k_[row + iz] = 2 * i == n ? fft::cplx(0.0)
-                                            : fft::cmul(fft::cplx(0.0, -k_[i]), phi_k_[row + iz]);
-        }
-      }
-    }
-  });
 }
 
 // Centered finite-difference gradient of the real-space potential,

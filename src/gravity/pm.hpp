@@ -12,9 +12,9 @@
 /// complex grids.  The Green's function is separable: k^2 is a sum and the
 /// split filter and CIC window are products of per-axis factors, so each
 /// mode costs one table product and one division.  The force gradient is
-/// selectable: the spectral reference multiplies phi(k) by -i k_a per
-/// component and runs three c2r inverses through one scratch spectrum
-/// (phi(k) stays intact, so the potential is inverted lazily, only when
+/// selectable: the spectral reference runs three c2r inverses that each
+/// read phi(k) as -i k_a phi(k) and work in one scratch spectrum (phi(k)
+/// stays intact, so the potential is inverted lazily, only when
 /// potential() asks for it), while the fd4/fd6 paths inverse-transform phi
 /// once and differentiate the real-space potential with a 4th/6th-order
 /// centered stencil — trading a small, documented force error for 3x fewer
@@ -61,7 +61,7 @@ struct PmPhaseTimes {
   double deposit = 0.0;   ///< CIC scatter of particle masses
   double forward = 0.0;   ///< r2c forward transform
   double green = 0.0;     ///< Green's function on the half grid
-  double inverse = 0.0;   ///< c2r inverse(s), incl. building each force spectrum
+  double inverse = 0.0;   ///< c2r inverse(s), each applying its derivative as it reads
   double gradient = 0.0;  ///< finite-difference gradient (fd4/fd6 only)
   double interp = 0.0;    ///< CIC gather of accelerations
   double total() const {
@@ -102,9 +102,6 @@ class PmSolver {
  private:
   template <int Order>
   void fd_gradient();
-  // Fills scratch_k_ with -i k_a phi(k) for axis a (0 on that axis'
-  // Nyquist plane).
-  void force_spectrum(int axis);
 
   PmOptions opt_;
   util::ThreadPool* pool_;
@@ -128,7 +125,7 @@ class PmSolver {
   mesh::GridD mass_grid_;
   std::vector<double> k_;             // wavenumber per mesh index (signed freq)
   std::vector<fft::cplx> phi_k_;      // half-spectrum potential
-  std::vector<fft::cplx> scratch_k_;  // c2r input: one force component, or phi
+  std::vector<fft::cplx> scratch_k_;  // c2r work spectrum (phi_k_ is only read)
   mesh::GridD potential_;
   bool potential_ready_ = false;      // potential_ holds the last solve's phi
   mesh::GridD force_[3];

@@ -208,6 +208,58 @@ TEST(Fft3DErrors, RejectsNonPow2) {
   EXPECT_THROW(Fft3D(12, pool), std::invalid_argument);
 }
 
+TEST(Fft3DErrors, WrongSizesThrowAndWriteNothing) {
+  util::ThreadPool pool(2);
+  const Fft3D fft(8, pool);
+  std::vector<cplx> grid(100, cplx(1.0, 2.0));
+  const std::vector<cplx> grid0 = grid;
+  EXPECT_THROW(fft.forward(grid), std::invalid_argument);
+  EXPECT_THROW(fft.inverse(grid), std::invalid_argument);
+  EXPECT_EQ(grid, grid0);
+
+  std::vector<double> real(100, 3.0);
+  const std::vector<double> real0 = real;
+  std::vector<cplx> half(5, cplx(4.0, 5.0));
+  const std::vector<cplx> half0 = half;
+  EXPECT_THROW(fft.forward_r2c(real, half), std::invalid_argument);
+  EXPECT_EQ(half, half0);
+
+  std::vector<double> good_real(fft.size(), 6.0);
+  const std::vector<double> good_real0 = good_real;
+  std::vector<cplx> good_half(fft.half_size(), cplx(7.0, 8.0));
+  const std::vector<cplx> good_half0 = good_half;
+  EXPECT_THROW(fft.inverse_c2r(half, good_real), std::invalid_argument);
+  EXPECT_THROW(fft.inverse_c2r(good_half, real), std::invalid_argument);
+  std::vector<cplx> work(3, cplx(9.0, 9.0));
+  const std::vector<cplx> work0 = work;
+  EXPECT_THROW(fft.inverse_c2r(std::span<const cplx>(half), good_real, work),
+               std::invalid_argument);
+  EXPECT_THROW(fft.inverse_c2r(std::span<const cplx>(good_half), real, work),
+               std::invalid_argument);
+  const std::vector<double> k(8, 1.0), k_short(7, 1.0);
+  const Derivative bad_axis{3, k}, bad_k{0, k_short};
+  EXPECT_THROW(fft.inverse_c2r(std::span<const cplx>(good_half), good_real, work, &bad_axis),
+               std::invalid_argument);
+  EXPECT_THROW(fft.inverse_c2r(std::span<const cplx>(good_half), good_real, work, &bad_k),
+               std::invalid_argument);
+  EXPECT_EQ(real, real0);
+  EXPECT_EQ(half, half0);
+  EXPECT_EQ(good_real, good_real0);
+  EXPECT_EQ(good_half, good_half0);
+  EXPECT_EQ(work, work0);
+}
+
+TEST(Fft1DErrors, NonPowerOfTwoLengthsThrowAndWriteNothing) {
+  std::vector<cplx> v(12, cplx(1.0, 0.0));
+  const std::vector<cplx> v0 = v;
+  const Twiddles& tw = twiddles_for(16);
+  for (const int n : {12, 3, 1, 0, -4}) {
+    EXPECT_THROW(fft_1d(v.data(), n, false, tw), std::invalid_argument) << n;
+    EXPECT_THROW(fft_1d(v.data(), n, true), std::invalid_argument) << n;
+  }
+  EXPECT_EQ(v, v0);
+}
+
 class Fft3DR2C : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Sizes, Fft3DR2C, ::testing::Values(2, 4, 8, 16, 32),
@@ -288,6 +340,53 @@ TEST(Fft3DR2CBasics, PlaneWaveLandsInSingleHalfBin) {
     const double expect = (i == hot) ? 0.5 * total : 0.0;
     ASSERT_NEAR(half[i].real(), expect, 1e-9 * total) << i;
     ASSERT_NEAR(half[i].imag(), 0.0, 1e-9 * total) << i;
+  }
+}
+
+// The c2r of a read-only spectrum, with and without a Derivative, equals the
+// in-place c2r of the spectrum multiplied out beforehand -- the
+// PmSolver force path before the derivative moved into the c2r -- bit for
+// bit, and leaves its input untouched.
+TEST(Fft3DR2CBasics, DerivativeOnReadMatchesPremultipliedSpectrum) {
+  const auto same_bits = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (const int n : {2, 8, 16}) {
+    util::ThreadPool pool(3);
+    const Fft3D fft(n, pool);
+    util::CounterRng rng(61);
+    std::vector<double> field(fft.size());
+    for (std::size_t i = 0; i < field.size(); ++i) field[i] = rng.normal(i);
+    std::vector<cplx> phi;
+    fft.forward_r2c(field, phi);
+    const std::vector<cplx> phi0 = phi;
+    std::vector<double> k(n);
+    for (int i = 0; i < n; ++i) k[i] = 0.25 * (i < n / 2 ? i : i - n);
+    const int nh = fft.half_nz();
+
+    std::vector<cplx> work;
+    std::vector<double> got(fft.size()), want(fft.size());
+    std::vector<cplx> scratch = phi;
+    fft.inverse_c2r(scratch, want);
+    fft.inverse_c2r(phi, got, work);
+    EXPECT_TRUE(same_bits(got, want)) << "n=" << n;
+    for (int axis = 0; axis < 3; ++axis) {
+      for (int ix = 0; ix < n; ++ix) {
+        for (int iy = 0; iy < n; ++iy) {
+          for (int iz = 0; iz < nh; ++iz) {
+            const std::size_t idx = (static_cast<std::size_t>(ix) * n + iy) * nh + iz;
+            const int i = axis == 0 ? ix : axis == 1 ? iy : iz;
+            scratch[idx] = 2 * i == n ? cplx(0.0) : cmul(cplx(0.0, -k[i]), phi[idx]);
+          }
+        }
+      }
+      fft.inverse_c2r(scratch, want);
+      const Derivative d{axis, k};
+      fft.inverse_c2r(phi, got, work, &d);
+      EXPECT_TRUE(same_bits(got, want)) << "n=" << n << " axis=" << axis;
+    }
+    EXPECT_EQ(phi, phi0) << "n=" << n;
   }
 }
 
@@ -413,7 +512,9 @@ std::vector<cplx> seeded_complex(std::size_t size, std::uint64_t seed) {
 }
 
 // Measured rows in snapshot order: fft_1d forward/inverse for n = 2..1024,
-// then Fft3D forward/inverse/forward_r2c/inverse_c2r for n = 4..64.
+// then Fft3D forward/inverse/forward_r2c/inverse_c2r for n = 4..64, then the
+// same four for n = 2 (4 pencils: one partial z tile, n/2 = 1) and n = 128
+// (PM's mesh; nh = 65 leaves a one-pencil tile on every x/y row).
 std::vector<FftBitsRow> measure_fft_bits(util::ThreadPool& pool) {
   std::vector<FftBitsRow> rows;
   for (int n = 2; n <= 1024; n *= 2) {
@@ -423,7 +524,7 @@ std::vector<FftBitsRow> measure_fft_bits(util::ThreadPool& pool) {
       rows.push_back({inverse ? "fft_1d.inverse" : "fft_1d.forward", n, fnv1a(x)});
     }
   }
-  for (int n = 4; n <= 64; n *= 2) {
+  for (const int n : {4, 8, 16, 32, 64, 2, 128}) {
     const Fft3D fft(n, pool);
     std::vector<cplx> grid = seeded_complex(fft.size(), 300 + n);
     fft.forward(grid);
@@ -446,7 +547,7 @@ std::vector<FftBitsRow> measure_fft_bits(util::ThreadPool& pool) {
 
 class FftBitsSnapshot : public ::testing::TestWithParam<int> {};
 
-INSTANTIATE_TEST_SUITE_P(Threads, FftBitsSnapshot, ::testing::Values(1, 4),
+INSTANTIATE_TEST_SUITE_P(Threads, FftBitsSnapshot, ::testing::Values(1, 3, 4),
                          [](const auto& info) {
                            return "threads" + std::to_string(info.param);
                          });
