@@ -27,19 +27,9 @@ int main(int argc, char** argv) try {
   cfg.z_final = args.get("z_final", 50.0);
   cfg.sub_group_size = args.get<int>("sg", 32);
   cfg.seed = args.get<std::uint64_t>("seed", 42);
+  cfg.pm_gradient = args.get("gravity.pm_gradient", hacc::gravity::PmGradient::kSpectral);
+  const auto variant = args.get("variant", hacc::xsycl::CommVariant::kSelect);
   if (!args.ok()) return 1;
-  const std::string grad = args.text("gravity.pm_gradient", "spectral");
-  if (!hacc::gravity::parse_pm_gradient(grad, cfg.pm_gradient)) {
-    std::fprintf(stderr, "unknown pm gradient '%s' (spectral | fd4 | fd6)\n",
-                 grad.c_str());
-    return 1;
-  }
-
-  hacc::xsycl::CommVariant variant = hacc::xsycl::CommVariant::kSelect;
-  if (!hacc::xsycl::parse_variant(args.text("variant", "select"), variant)) {
-    std::fprintf(stderr, "unknown variant '%s'\n", args.text("variant", "").c_str());
-    return 1;
-  }
   cfg.variants = hacc::core::VariantSelection::uniform(variant);
 
   hacc::util::ThreadPool pool(threads);

@@ -26,20 +26,9 @@ int main(int argc, char** argv) {
   cfg.leaf_size = args.get<int>("leaf", 8);
   cfg.fmm_theta = args.get("gravity.theta", 0.5);
   cfg.seed = args.get<std::uint64_t>("seed", 42);
+  cfg.gravity_backend = args.get("gravity.backend", hacc::core::GravityBackend::kFmm);
+  cfg.pm_gradient = args.get("gravity.pm_gradient", hacc::gravity::PmGradient::kSpectral);
   if (!args.ok()) return 1;
-
-  const std::string backend = args.text("gravity.backend", "fmm");
-  if (!hacc::core::parse_gravity_backend(backend, cfg.gravity_backend)) {
-    std::fprintf(stderr, "unknown gravity backend '%s' (pm_pp | fmm | treepm)\n",
-                 backend.c_str());
-    return 1;
-  }
-  const std::string grad = args.text("gravity.pm_gradient", "spectral");
-  if (!hacc::gravity::parse_pm_gradient(grad, cfg.pm_gradient)) {
-    std::fprintf(stderr, "unknown pm gradient '%s' (spectral | fd4 | fd6)\n",
-                 grad.c_str());
-    return 1;
-  }
 
   hacc::util::ThreadPool pool(threads);
   hacc::core::Solver solver(cfg, pool);

@@ -19,12 +19,8 @@ int main(int argc, char** argv) {
   cfg.box = args.get("box", 25.0);
   cfg.pm_grid = args.get<int>("pm_grid", 32);
   cfg.seed = args.get<std::uint64_t>("seed", 42);
+  cfg.pm_gradient = args.get("gravity.pm_gradient", hacc::gravity::PmGradient::kSpectral);
   if (!args.ok()) return 1;
-  if (!hacc::gravity::parse_pm_gradient(
-          args.text("gravity.pm_gradient", "spectral"), cfg.pm_gradient)) {
-    std::fprintf(stderr, "unknown gravity.pm_gradient (spectral | fd4 | fd6)\n");
-    return 1;
-  }
 
   hacc::util::ThreadPool pool(threads);
   hacc::core::Solver solver(cfg, pool);

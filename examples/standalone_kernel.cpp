@@ -57,6 +57,7 @@ int main(int argc, char** argv) try {
   const auto seed = args.get<std::uint64_t>("seed", 7);
   const int sg = args.get<int>("sg", 32);
   const int repeats = args.get<int>("repeats", 3);
+  const auto variant = args.get("variant", hacc::xsycl::CommVariant::kSelect);
   if (!args.ok()) return 1;
 
   if (args.text("mode", "run") == "generate") {
@@ -93,12 +94,6 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "unknown kernel '%s'; available:", kernel.c_str());
     for (const auto& n : registry.names()) std::fprintf(stderr, " %s", n.c_str());
     std::fprintf(stderr, "\n");
-    return 1;
-  }
-
-  hacc::xsycl::CommVariant variant = hacc::xsycl::CommVariant::kSelect;
-  if (!hacc::xsycl::parse_variant(args.text("variant", "select"), variant)) {
-    std::fprintf(stderr, "unknown variant\n");
     return 1;
   }
 

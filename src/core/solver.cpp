@@ -13,52 +13,6 @@
 
 namespace hacc::core {
 
-const char* to_string(GravityBackend backend) {
-  switch (backend) {
-    case GravityBackend::kPmPp:
-      return "pm_pp";
-    case GravityBackend::kFmm:
-      return "fmm";
-    case GravityBackend::kTreePm:
-      return "treepm";
-  }
-  return "pm_pp";
-}
-
-bool parse_gravity_backend(const std::string& name, GravityBackend& out) {
-  if (name == "pm_pp") {
-    out = GravityBackend::kPmPp;
-  } else if (name == "fmm") {
-    out = GravityBackend::kFmm;
-  } else if (name == "treepm") {
-    out = GravityBackend::kTreePm;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* to_string(InitialConditions ic) {
-  switch (ic) {
-    case InitialConditions::kZeldovich:
-      return "zeldovich";
-    case InitialConditions::kSedov:
-      return "sedov";
-  }
-  return "zeldovich";
-}
-
-bool parse_initial_conditions(const std::string& name, InitialConditions& out) {
-  if (name == "zeldovich") {
-    out = InitialConditions::kZeldovich;
-  } else if (name == "sedov") {
-    out = InitialConditions::kSedov;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::uint64_t config_signature(const SimConfig& cfg) {
   std::uint64_t h = 0x4352'4b48'4143'4321ull;  // "CRKHACC!"
   const auto mix = [&h](std::uint64_t v) { h = util::splitmix64(h ^ v); };

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -33,6 +34,7 @@
 #include "ic/zeldovich.hpp"
 #include "shard/engine.hpp"
 #include "sph/pipeline.hpp"
+#include "util/enum_names.hpp"
 #include "xsycl/queue.hpp"
 
 namespace hacc::core {
@@ -65,12 +67,15 @@ struct VariantSelection {
 ///                 multipoles.
 enum class GravityBackend { kPmPp, kFmm, kTreePm };
 
-/// The config-key spelling of a backend ("pm_pp" | "fmm" | "treepm").
-const char* to_string(GravityBackend backend);
-
-/// Parses "pm_pp" | "fmm" | "treepm"; returns false (out untouched) for
-/// unknown names — the util::Config wiring used by examples and tools.
-bool parse_gravity_backend(const std::string& name, GravityBackend& out);
+/// The config-key spellings of a backend (util/enum_names.hpp).
+inline std::span<const util::EnumName<GravityBackend>> enum_names(GravityBackend) {
+  static constexpr util::EnumName<GravityBackend> kNames[] = {
+      {GravityBackend::kPmPp, {"pm_pp"}},
+      {GravityBackend::kFmm, {"fmm"}},
+      {GravityBackend::kTreePm, {"treepm"}}};
+  return kNames;
+}
+inline const char* to_string(GravityBackend backend) { return util::enum_name(backend); }
 
 /// Initial-condition family (config key ic.kind):
 ///   - `kZeldovich` — cosmological Zel'dovich displacements (the default).
@@ -79,11 +84,14 @@ bool parse_gravity_backend(const std::string& name, GravityBackend& out);
 ///                    (the analytic-oracle scenario; docs/PHYSICS checks).
 enum class InitialConditions { kZeldovich, kSedov };
 
-/// The config-key spelling of an IC family ("zeldovich" | "sedov").
-const char* to_string(InitialConditions ic);
-
-/// Parses "zeldovich" | "sedov"; returns false (out untouched) otherwise.
-bool parse_initial_conditions(const std::string& name, InitialConditions& out);
+/// The config-key spellings of an IC family (util/enum_names.hpp).
+inline std::span<const util::EnumName<InitialConditions>> enum_names(InitialConditions) {
+  static constexpr util::EnumName<InitialConditions> kNames[] = {
+      {InitialConditions::kZeldovich, {"zeldovich"}},
+      {InitialConditions::kSedov, {"sedov"}}};
+  return kNames;
+}
+inline const char* to_string(InitialConditions ic) { return util::enum_name(ic); }
 
 /// Full simulation configuration: problem size, cosmology, gravity solver
 /// selection, and the per-kernel execution knobs of the portability study.

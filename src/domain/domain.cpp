@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "util/periodic.hpp"
@@ -10,27 +11,6 @@
 namespace hacc::domain {
 
 using util::Vec3d;
-
-const char* to_string(RebuildPolicy policy) {
-  switch (policy) {
-    case RebuildPolicy::kAlways:
-      return "always";
-    case RebuildPolicy::kDisplacement:
-      return "displacement";
-  }
-  return "always";
-}
-
-bool parse_rebuild_policy(const std::string& name, RebuildPolicy& out) {
-  if (name == "always") {
-    out = RebuildPolicy::kAlways;
-  } else if (name == "displacement") {
-    out = RebuildPolicy::kDisplacement;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 PairSource PairSource::streamed(const InteractionDomain& dom, double cutoff,
                                 std::size_t batch) {

@@ -24,10 +24,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "tree/rcb.hpp"
+#include "util/enum_names.hpp"
 #include "util/vec3.hpp"
 
 namespace hacc::util {
@@ -44,12 +44,13 @@ namespace hacc::domain {
 ///                       exceeds `skin / 2`; otherwise re-bin in place.
 enum class RebuildPolicy { kAlways, kDisplacement };
 
-/// The config-key spelling of a policy ("always" | "displacement").
-const char* to_string(RebuildPolicy policy);
-
-/// Parses "always" | "displacement"; returns false (out untouched) for
-/// unknown names — same contract as core::parse_gravity_backend.
-bool parse_rebuild_policy(const std::string& name, RebuildPolicy& out);
+/// The config-key spellings of a policy (util/enum_names.hpp).
+inline std::span<const util::EnumName<RebuildPolicy>> enum_names(RebuildPolicy) {
+  static constexpr util::EnumName<RebuildPolicy> kNames[] = {
+      {RebuildPolicy::kAlways, {"always"}}, {RebuildPolicy::kDisplacement, {"displacement"}}};
+  return kNames;
+}
+inline const char* to_string(RebuildPolicy policy) { return util::enum_name(policy); }
 
 /// Construction knobs.  Validated loudly: the constructor throws
 /// std::invalid_argument on box <= 0, leaf_size < 1, or skin < 0.

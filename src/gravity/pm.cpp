@@ -24,31 +24,6 @@ int signed_freq(int i, int n) { return i < n / 2 ? i : i - n; }
 
 }  // namespace
 
-const char* to_string(PmGradient g) {
-  switch (g) {
-    case PmGradient::kSpectral:
-      return "spectral";
-    case PmGradient::kFd4:
-      return "fd4";
-    case PmGradient::kFd6:
-      return "fd6";
-  }
-  return "spectral";
-}
-
-bool parse_pm_gradient(const std::string& name, PmGradient& out) {
-  if (name == "spectral") {
-    out = PmGradient::kSpectral;
-  } else if (name == "fd4") {
-    out = PmGradient::kFd4;
-  } else if (name == "fd6") {
-    out = PmGradient::kFd6;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 PmSolver::PmSolver(const PmOptions& opt, util::ThreadPool& pool)
     : opt_(opt), pool_(&pool), fft_(opt.grid_n, pool), depositor_(pool) {
   auto& m = obs::MetricsRegistry::global();

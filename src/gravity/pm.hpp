@@ -21,13 +21,13 @@
 /// inverse transforms.
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "fft/fft.hpp"
 #include "gravity/poisson.hpp"
 #include "mesh/cic.hpp"
 #include "obs/metrics.hpp"
+#include "util/enum_names.hpp"
 #include "util/vec3.hpp"
 
 namespace hacc::gravity {
@@ -39,12 +39,13 @@ enum class PmGradient {
   kFd6,       ///< one inverse of phi(k) + 6th-order finite-difference gradient
 };
 
-/// The config-key spelling of a gradient mode ("spectral" | "fd4" | "fd6").
-const char* to_string(PmGradient g);
-
-/// Parses "spectral" | "fd4" | "fd6"; returns false (out untouched) for
-/// unknown names — the util::Config wiring used by examples and tools.
-bool parse_pm_gradient(const std::string& name, PmGradient& out);
+/// The config-key spellings of a gradient mode (util/enum_names.hpp).
+inline std::span<const util::EnumName<PmGradient>> enum_names(PmGradient) {
+  static constexpr util::EnumName<PmGradient> kNames[] = {
+      {PmGradient::kSpectral, {"spectral"}}, {PmGradient::kFd4, {"fd4"}}, {PmGradient::kFd6, {"fd6"}}};
+  return kNames;
+}
+inline const char* to_string(PmGradient g) { return util::enum_name(g); }
 
 /// Mesh geometry and physics knobs of one PM solve.
 struct PmOptions {

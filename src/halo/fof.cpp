@@ -11,7 +11,7 @@ namespace hacc::halo {
 namespace {
 
 // Periodic cell grid: bins points into cells no smaller than the search
-// radius so neighbor candidates live in the 27 surrounding cells.
+// radius so neighbor candidates live in the (up to) 27 surrounding cells.
 class CellGrid {
  public:
   CellGrid(std::span<const util::Vec3d> pos, double box, double radius)
@@ -28,10 +28,15 @@ class CellGrid {
   void for_each_neighbor_candidate(std::int32_t i, Fn fn) const {
     const auto& p = pos_[i];
     const int cx = coord(p.x), cy = coord(p.y), cz = coord(p.z);
-    for (int dx = -1; dx <= 1; ++dx) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dz = -1; dz <= 1; ++dz) {
-          const std::size_t c = index(wrap(cx + dx), wrap(cy + dy), wrap(cz + dz));
+    // With fewer than 3 cells per side, c - 1 and c + 1 wrap onto the same
+    // cell: visit only the first min(n, 3) of c - 1, c, c + 1, which are
+    // distinct, so no candidate is seen twice.
+    const int k = std::min(n_, 3);
+    for (int dx = 0; dx < k; ++dx) {
+      for (int dy = 0; dy < k; ++dy) {
+        for (int dz = 0; dz < k; ++dz) {
+          const std::size_t c =
+              index(wrap(cx + dx - 1), wrap(cy + dy - 1), wrap(cz + dz - 1));
           for (const std::int32_t j : cells_[c]) fn(j);
         }
       }

@@ -138,21 +138,13 @@ int main(int argc, char** argv) {
   try {
     n_threads = hacc::util::ThreadPool::parse_thread_count(
         std::getenv("HACC_NUM_THREADS"));  // NOLINT(concurrency-mt-unsafe): single-threaded startup
+    if (cli.has("threads")) {
+      n_threads = hacc::util::ThreadPool::parse_thread_count(
+          cli.get_string("threads", "").c_str(), "threads");
+    }
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "hacc_run: %s\n", e.what());
     return 1;
-  }
-  if (cli.has("threads")) {
-    const std::string threads = cli.get_string("threads", "");
-    try {
-      n_threads = hacc::util::ThreadPool::parse_thread_count(threads.c_str());
-    } catch (const std::invalid_argument&) {
-      std::fprintf(stderr,
-                   "hacc_run: invalid threads '%s' (need an integer in "
-                   "[0, %ld], 0 = hardware concurrency)\n",
-                   threads.c_str(), hacc::util::ThreadPool::kMaxThreads);
-      return 1;
-    }
   }
   // Tracing must be armed BEFORE the pool exists: the worker-start hook
   // names each worker's lane as its thread launches.

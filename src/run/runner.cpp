@@ -7,10 +7,12 @@
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "io/fault_fs.hpp"
 #include "metrics/cascade.hpp"
 #include "obs/trace.hpp"
+#include "util/config.hpp"
 #include "util/timer.hpp"
 
 namespace hacc::run {
@@ -174,7 +176,8 @@ int ScenarioRunner::recover_latest_checkpoint() {
   const std::string base = as_path.filename().string() + ".step";
 
   // Candidate files <base>.step<N>; a pure-numeric suffix excludes `.tmp`
-  // leftovers of writes that died before their atomic rename.
+  // leftovers of writes that died before their atomic rename, and one
+  // beyond an int is no step this runner wrote.
   std::vector<std::pair<int, std::string>> candidates;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
@@ -183,8 +186,12 @@ int ScenarioRunner::recover_latest_checkpoint() {
       continue;
     }
     const std::string suffix = name.substr(base.size());
-    if (suffix.find_first_not_of("0123456789") != std::string::npos) continue;
-    candidates.emplace_back(std::stoi(suffix),
+    long step = 0;
+    if (suffix.find_first_not_of("0123456789") != std::string::npos ||
+        !util::parse_number(suffix, step) || !std::in_range<int>(step)) {
+      continue;
+    }
+    candidates.emplace_back(static_cast<int>(step),
                             opt_.checkpoint_path + ".step" + suffix);
   }
   std::sort(candidates.rbegin(), candidates.rend());  // newest first

@@ -1,7 +1,5 @@
 #include "run/scenario.hpp"
 
-#include <climits>
-#include <cmath>
 #include <sstream>
 
 namespace hacc::run {
@@ -84,83 +82,17 @@ Scenario make_sedov_blast() {
   return s;
 }
 
-// Comma-separated doubles ("50, 20,10"); false on any non-numeric entry.
+// Comma-separated doubles ("50, 20,10"); false on any item that is not
+// one whole number.
 bool parse_double_list(const std::string& text, std::vector<double>& out) {
   out.clear();
   std::istringstream in(text);
   std::string item;
   while (std::getline(in, item, ',')) {
-    std::size_t used = 0;
     double v = 0.0;
-    try {
-      v = std::stod(item, &used);
-    } catch (...) {
-      return false;
-    }
-    while (used < item.size() &&
-           (item[used] == ' ' || item[used] == '\t')) {
-      ++used;
-    }
-    if (used != item.size()) return false;
+    if (!util::parse_number(item, v)) return false;
     out.push_back(v);
   }
-  return true;
-}
-
-// Strict reads of one present key into a typed field; an absent key keeps
-// the preset's value.  The util::Config getters fall back silently on text
-// that does not parse (the examples' lenient CLIs rely on that), so a
-// getter that returns the same value under two different fallbacks is what
-// proves the text parsed.
-bool bad_value(const util::Config& cfg, const char* key, const char* want,
-               std::string& error) {
-  error = std::string("invalid ") + key + " '" + cfg.get_string(key, "") +
-          "' (need " + want + ")";
-  return false;
-}
-
-bool read_key(const util::Config& cfg, const char* key, double& field,
-              std::string& error) {
-  if (!cfg.has(key)) return true;
-  const double v = cfg.get_double(key, 0.0);
-  if (v != cfg.get_double(key, 1.0) && !std::isnan(v)) {
-    return bad_value(cfg, key, "a number", error);
-  }
-  field = v;
-  return true;
-}
-
-bool read_key(const util::Config& cfg, const char* key, int& field,
-              std::string& error) {
-  if (!cfg.has(key)) return true;
-  const long v = cfg.get_int(key, 0);
-  if (v != cfg.get_int(key, 1) || v < INT_MIN || v > INT_MAX) {
-    return bad_value(cfg, key, "a 32-bit integer", error);
-  }
-  field = static_cast<int>(v);
-  return true;
-}
-
-bool read_key(const util::Config& cfg, const char* key, std::uint64_t& field,
-              std::string& error) {
-  if (!cfg.has(key)) return true;
-  const long v = cfg.get_int(key, 0);
-  if (v != cfg.get_int(key, 1) || v < 0) {
-    return bad_value(cfg, key, "a non-negative integer", error);
-  }
-  field = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool read_key(const util::Config& cfg, const char* key, bool& field,
-              std::string& error) {
-  if (!cfg.has(key)) return true;
-  const bool v = cfg.get_bool(key, false);
-  if (v != cfg.get_bool(key, true)) {
-    return bad_value(cfg, key, "true | false | 1 | 0 | yes | no | on | off",
-                     error);
-  }
-  field = v;
   return true;
 }
 
@@ -186,56 +118,29 @@ bool find_scenario(const std::string& name, Scenario& out) {
 bool apply_config(const util::Config& cfg, core::SimConfig& sim,
                   RunOptions& run, std::string& error) {
   // ---- simulation physics ----
-  if (!read_key(cfg, "np", sim.np_side, error) ||
-      !read_key(cfg, "box", sim.box, error) ||
-      !read_key(cfg, "z_init", sim.z_init, error) ||
-      !read_key(cfg, "z_final", sim.z_final, error) ||
-      !read_key(cfg, "steps", sim.n_steps, error) ||
-      !read_key(cfg, "sigma", sim.sigma_norm, error) ||
-      !read_key(cfg, "seed", sim.seed, error) ||
-      !read_key(cfg, "hydro", sim.hydro, error) ||
-      !read_key(cfg, "baryon_fraction", sim.baryon_fraction, error) ||
-      !read_key(cfg, "u_init", sim.u_init, error) ||
-      !read_key(cfg, "pm_grid", sim.pm_grid, error) ||
-      !read_key(cfg, "gravity.theta", sim.fmm_theta, error) ||
-      !read_key(cfg, "leaf", sim.leaf_size, error) ||
-      !read_key(cfg, "ic.sedov_energy", sim.sedov_energy, error) ||
-      !read_key(cfg, "domain.skin", sim.domain_skin, error) ||
-      !read_key(cfg, "shard.count", sim.shard_count, error) ||
-      !read_key(cfg, "shard.ghost_factor", sim.shard_ghost_factor, error)) {
-    return false;
-  }
-  if (cfg.has("gravity.backend") &&
-      !core::parse_gravity_backend(cfg.get_string("gravity.backend", ""),
-                                   sim.gravity_backend)) {
-    error = "unknown gravity.backend '" + cfg.get_string("gravity.backend", "") +
-            "' (pm_pp | fmm | treepm)";
-    return false;
-  }
-  if (cfg.has("gravity.pm_gradient") &&
-      !gravity::parse_pm_gradient(cfg.get_string("gravity.pm_gradient", ""),
-                                  sim.pm_gradient)) {
-    error = "unknown gravity.pm_gradient '" +
-            cfg.get_string("gravity.pm_gradient", "") +
-            "' (spectral | fd4 | fd6)";
-    return false;
-  }
-  if (cfg.has("ic.kind") &&
-      !core::parse_initial_conditions(cfg.get_string("ic.kind", ""),
-                                      sim.ic_kind)) {
-    error = "unknown ic.kind '" + cfg.get_string("ic.kind", "") +
-            "' (zeldovich | sedov)";
+  if (!cfg.read("np", sim.np_side, error) || !cfg.read("box", sim.box, error) ||
+      !cfg.read("z_init", sim.z_init, error) ||
+      !cfg.read("z_final", sim.z_final, error) ||
+      !cfg.read("steps", sim.n_steps, error) ||
+      !cfg.read("sigma", sim.sigma_norm, error) ||
+      !cfg.read("seed", sim.seed, error) || !cfg.read("hydro", sim.hydro, error) ||
+      !cfg.read("baryon_fraction", sim.baryon_fraction, error) ||
+      !cfg.read("u_init", sim.u_init, error) ||
+      !cfg.read("pm_grid", sim.pm_grid, error) ||
+      !cfg.read("gravity.backend", sim.gravity_backend, error) ||
+      !cfg.read("gravity.pm_gradient", sim.pm_gradient, error) ||
+      !cfg.read("gravity.theta", sim.fmm_theta, error) ||
+      !cfg.read("leaf", sim.leaf_size, error) ||
+      !cfg.read("ic.kind", sim.ic_kind, error) ||
+      !cfg.read("ic.sedov_energy", sim.sedov_energy, error) ||
+      !cfg.read("domain.skin", sim.domain_skin, error) ||
+      !cfg.read("domain.rebuild", sim.domain_rebuild, error) ||
+      !cfg.read("shard.count", sim.shard_count, error) ||
+      !cfg.read("shard.ghost_factor", sim.shard_ghost_factor, error)) {
     return false;
   }
   if (!(sim.sedov_energy > 0.0)) {
     error = "invalid ic.sedov_energy (need ic.sedov_energy > 0)";
-    return false;
-  }
-  if (cfg.has("domain.rebuild") &&
-      !domain::parse_rebuild_policy(cfg.get_string("domain.rebuild", ""),
-                                    sim.domain_rebuild)) {
-    error = "unknown domain.rebuild '" + cfg.get_string("domain.rebuild", "") +
-            "' (always | displacement)";
     return false;
   }
   if (!(sim.domain_skin >= 0.0)) {  // NaN-robust, like the geometry checks
@@ -258,32 +163,28 @@ bool apply_config(const util::Config& cfg, core::SimConfig& sim,
   }
 
   // ---- run options ----
-  if (cfg.has("run.mode") &&
-      !parse_step_mode(cfg.get_string("run.mode", ""), run.stepping.mode)) {
-    error = "unknown run.mode '" + cfg.get_string("run.mode", "") +
-            "' (fixed | adaptive)";
-    return false;
-  }
-  if (!read_key(cfg, "run.displacement_fraction",
-                run.stepping.displacement_fraction, error) ||
-      !read_key(cfg, "run.da_min", run.stepping.da_min, error) ||
-      !read_key(cfg, "run.da_max", run.stepping.da_max, error) ||
-      !read_key(cfg, "run.max_steps", run.max_steps, error) ||
-      !read_key(cfg, "run.checkpoint_every", run.checkpoint_every, error) ||
-      !read_key(cfg, "run.checkpoint_final", run.checkpoint_final, error) ||
-      !read_key(cfg, "run.checkpoint_keep", run.checkpoint_keep, error) ||
-      !read_key(cfg, "run.checkpoint_on_error_continue",
+  if (!cfg.read("run.mode", run.stepping.mode, error) ||
+      !cfg.read("run.displacement_fraction", run.stepping.displacement_fraction,
+                error) ||
+      !cfg.read("run.da_min", run.stepping.da_min, error) ||
+      !cfg.read("run.da_max", run.stepping.da_max, error) ||
+      !cfg.read("run.max_steps", run.max_steps, error) ||
+      !cfg.read("run.checkpoint", run.checkpoint_path, error) ||
+      !cfg.read("run.checkpoint_every", run.checkpoint_every, error) ||
+      !cfg.read("run.checkpoint_final", run.checkpoint_final, error) ||
+      !cfg.read("run.checkpoint_keep", run.checkpoint_keep, error) ||
+      !cfg.read("run.checkpoint_on_error_continue",
                 run.checkpoint_continue_on_error, error) ||
-      !read_key(cfg, "run.fof_b", run.fof_b, error) ||
-      !read_key(cfg, "run.fof_min_members", run.fof_min_members, error)) {
+      !cfg.read("run.restart", run.restart_from, error) ||
+      !cfg.read("run.log", run.log_path, error) ||
+      !cfg.read("run.fof_b", run.fof_b, error) ||
+      !cfg.read("run.fof_min_members", run.fof_min_members, error)) {
     return false;
   }
-  run.checkpoint_path = cfg.get_string("run.checkpoint", run.checkpoint_path);
-  run.restart_from = cfg.get_string("run.restart", run.restart_from);
-  run.log_path = cfg.get_string("run.log", run.log_path);
-  if (cfg.has("run.outputs_z") &&
-      !parse_double_list(cfg.get_string("run.outputs_z", ""), run.outputs_z)) {
-    error = "run.outputs_z must be a comma-separated list of redshifts";
+  if (const std::string z = cfg.get_string("run.outputs_z", "");
+      cfg.has("run.outputs_z") && !parse_double_list(z, run.outputs_z)) {
+    error = "invalid run.outputs_z '" + z +
+            "' (need a comma-separated list of redshifts)";
     return false;
   }
   if (run.stepping.displacement_fraction <= 0.0 || run.stepping.da_min <= 0.0 ||

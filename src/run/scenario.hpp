@@ -40,11 +40,12 @@ const std::vector<Scenario>& scenarios();
 bool find_scenario(const std::string& name, Scenario& out);
 
 /// Overlays config keys (np, box, steps, gravity.backend, run.mode, ...)
-/// onto a scenario's defaults.  Returns false and fills `error` (naming the
-/// key) on an invalid value, including a numeric or boolean key whose text
-/// does not parse in full or does not fit its field (`np=16x`,
-/// `np=4294967304`, `steps=1e3`, `hydro=ture`); unknown keys are ignored
-/// (they may belong to the caller, e.g. `threads`).
+/// onto a scenario's defaults.  Every typed key is read by
+/// util::Config::read.  Returns false and fills `error` (naming the key and
+/// its text) on an invalid value: text that does not parse in full or fit
+/// its field (`np=16x`, `np=4294967304`, `steps=1e3`, `hydro=ture`,
+/// `gravity.backend=TreePM`), or a value a key's range check refuses;
+/// unknown keys are ignored (they may belong to the caller, e.g. `threads`).
 bool apply_config(const util::Config& cfg, core::SimConfig& sim,
                   RunOptions& run, std::string& error);
 

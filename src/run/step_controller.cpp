@@ -5,27 +5,6 @@
 
 namespace hacc::run {
 
-const char* to_string(StepMode mode) {
-  switch (mode) {
-    case StepMode::kFixed:
-      return "fixed";
-    case StepMode::kAdaptive:
-      return "adaptive";
-  }
-  return "fixed";
-}
-
-bool parse_step_mode(const std::string& name, StepMode& out) {
-  if (name == "fixed") {
-    out = StepMode::kFixed;
-  } else if (name == "adaptive") {
-    out = StepMode::kAdaptive;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 StepController::StepController(const core::SimConfig& sim,
                                const StepControllerOptions& opt)
     : opt_(opt), cosmo_(sim.cosmo), n_steps_(sim.n_steps) {

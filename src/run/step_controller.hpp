@@ -14,21 +14,23 @@
 ///   comoving KDK variables the solver integrates, then clamped to
 ///   [da_min, da_max] and to the remaining distance to a_final.
 
-#include <string>
+#include <span>
 
 #include "core/solver.hpp"
+#include "util/enum_names.hpp"
 
 namespace hacc::run {
 
 /// Time-stepping discipline of a scenario.
 enum class StepMode { kFixed, kAdaptive };
 
-/// The config-key spelling of a mode ("fixed" | "adaptive").
-const char* to_string(StepMode mode);
-
-/// Parses "fixed" | "adaptive"; returns false (out untouched) for unknown
-/// names — the util::Config wiring used by hacc_run and the examples.
-bool parse_step_mode(const std::string& name, StepMode& out);
+/// The config-key spellings of a mode (util/enum_names.hpp).
+inline std::span<const util::EnumName<StepMode>> enum_names(StepMode) {
+  static constexpr util::EnumName<StepMode> kNames[] = {{StepMode::kFixed, {"fixed"}},
+                                                        {StepMode::kAdaptive, {"adaptive"}}};
+  return kNames;
+}
+inline const char* to_string(StepMode mode) { return util::enum_name(mode); }
 
 /// True once a run at scale factor `a` has arrived at `target`.  One part in
 /// 10^12 absorbs the rounding of a += da: fixed-mode steps can sum to just

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -87,43 +88,30 @@ std::string Config::get_string(const std::string& key, const std::string& fallba
 
 namespace {
 
-// After strtol/strtod consume a prefix, only trailing whitespace may remain
-// (set() stores values verbatim); anything else ("10abc") is garbage.
-bool fully_numeric(const char* begin, const char* end) {
-  if (end == begin) return false;
-  while (*end == ' ' || *end == '\t' || *end == '\r' || *end == '\n') ++end;
-  return *end == '\0';
+// strto* over the whole of `text`: the number may be preceded by what
+// strto* skips (isspace) and followed only by the " \t\r\n" that trim()
+// strips from values; an out-of-range value (ERANGE) is refused.
+template <typename T, typename Strto>
+bool parse_whole(const std::string& text, T& out, Strto strto) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const T v = strto(begin, &end);
+  if (end == begin || errno == ERANGE || end[std::strspn(end, " \t\r\n")] != '\0') {
+    return false;
+  }
+  out = v;
+  return true;
 }
 
 }  // namespace
 
-long Config::get_int(const std::string& key, long fallback) const {
-  if (auto it = values_.find(key); it != values_.end()) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(it->second.c_str(), &end, 10);
-    if (errno != ERANGE && fully_numeric(it->second.c_str(), end)) return v;
-  }
-  return fallback;
+bool parse_number(const std::string& text, long& out) {
+  return parse_whole(text, out, [](const char* s, char** end) { return std::strtol(s, end, 10); });
 }
 
-double Config::get_double(const std::string& key, double fallback) const {
-  if (auto it = values_.find(key); it != values_.end()) {
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (errno != ERANGE && fully_numeric(it->second.c_str(), end)) return v;
-  }
-  return fallback;
-}
-
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  if (auto it = values_.find(key); it != values_.end()) {
-    const std::string& v = it->second;
-    if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  }
-  return fallback;
+bool parse_number(const std::string& text, double& out) {
+  return parse_whole(text, out, [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 }  // namespace hacc::util

@@ -1,14 +1,27 @@
 #pragma once
 
-// Minimal key = value configuration parser used by the examples and the
-// standalone-kernel driver (paper §7.2).  Supports comments (#), blank
-// lines, strings, integers, and floating-point values.
+// Minimal key = value configuration parser used by hacc_run, the examples
+// and the standalone-kernel driver (paper §7.2).  Supports comments (#) and
+// blank lines; every typed value goes through the one strict Config::read.
 
+#include <limits>
 #include <map>
-#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
+
+#include "util/enum_names.hpp"
 
 namespace hacc::util {
+
+// The shared text-to-number parses (config keys, thread counts, list
+// items, checkpoint step suffixes).  True iff `text`, less surrounding
+// whitespace, is one base-10 integer that fits a long (strtol), or one
+// number strtod reads without overflow or underflow (decimal, hex, inf,
+// nan); `out` is untouched otherwise.  Leading whitespace is what strto*
+// skips (isspace), trailing whitespace the " \t\r\n" that Config trims.
+bool parse_number(const std::string& text, long& out);
+bool parse_number(const std::string& text, double& out);
 
 class Config {
  public:
@@ -26,9 +39,16 @@ class Config {
   bool has(const std::string& key) const { return values_.count(key) != 0; }
 
   std::string get_string(const std::string& key, const std::string& fallback) const;
-  long get_int(const std::string& key, long fallback) const;
-  double get_double(const std::string& key, double fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
+
+  // The one typed read of a key.  An absent key leaves `field` as it is and
+  // returns true.  A present key is stored only when its whole text is a
+  // value of the field's type: a parse_number integer within T's range, a
+  // parse_number double, exactly one spelling of bool's or the enum's name
+  // table (util/enum_names.hpp), or any text for a std::string.  Otherwise
+  // `field` stays, `error` reads "invalid <key> '<text>' (need <what>)" and
+  // the read returns false.
+  template <typename T>
+  bool read(const std::string& key, T& field, std::string& error) const;
 
   void set(const std::string& key, const std::string& value) { values_[key] = value; }
 
@@ -39,5 +59,38 @@ class Config {
   std::map<std::string, std::string> values_;
   std::string error_;
 };
+
+template <typename T>
+bool Config::read(const std::string& key, T& field, std::string& error) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return true;
+  const std::string& text = it->second;
+  std::string need;
+  if constexpr (std::is_same_v<T, std::string>) {
+    field = text;
+    return true;
+  } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    if (parse_name(text, field)) return true;
+    need = name_list<T>();
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (parse_number(text, field)) return true;
+    need = "a number";
+  } else {
+    static_assert(std::is_integral_v<T>, "Config::read: unsupported field type");
+    long v = 0;
+    if (parse_number(text, v) && std::in_range<T>(v)) {
+      field = static_cast<T>(v);
+      return true;
+    }
+    // The texts that parse as a long and fit T.
+    using L = std::numeric_limits<long>;
+    using N = std::numeric_limits<T>;
+    const long lo = std::cmp_less(N::min(), L::min()) ? L::min() : static_cast<long>(N::min());
+    const long hi = std::cmp_greater(N::max(), L::max()) ? L::max() : static_cast<long>(N::max());
+    need = "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  }
+  error = "invalid " + key + " '" + text + "' (need " + need + ")";
+  return false;
+}
 
 }  // namespace hacc::util

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+
+#include "util/config.hpp"
 
 namespace hacc::util {
 
@@ -131,21 +132,18 @@ void ThreadPool::parallel_for(std::int64_t n, const std::function<void(std::int6
   parallel_for_chunks(n, chunk, wrapped);
 }
 
-unsigned ThreadPool::parse_thread_count(const char* text) {
+unsigned ThreadPool::parse_thread_count(const char* text, const char* key) {
   if (text == nullptr) return 0;
-  const char* p = text;
-  while (std::isspace(static_cast<unsigned char>(*p))) ++p;
-  if (*p == '\0') return 0;  // set-but-empty behaves like unset
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(p, &end, 10);
-  const char* rest = end;
-  while (std::isspace(static_cast<unsigned char>(*rest))) ++rest;
-  if (end == p || *rest != '\0' || errno == ERANGE || v < 0 || v > kMaxThreads) {
-    throw std::invalid_argument(
-        std::string("HACC_NUM_THREADS must be an integer in [0, ") +
-        std::to_string(kMaxThreads) + "] (0 = hardware concurrency), got '" +
-        text + "'");
+  const std::string s = text;
+  const auto space = [](unsigned char c) { return std::isspace(c) != 0; };
+  const auto b = std::find_if_not(s.begin(), s.end(), space);
+  if (b == s.end()) return 0;  // set-but-empty behaves like unset
+  long v = 0;
+  if (!parse_number(std::string(b, std::find_if_not(s.rbegin(), s.rend(), space).base()), v) ||
+      v < 0 || v > kMaxThreads) {
+    throw std::invalid_argument(std::string("invalid ") + key + " '" + s +
+                                "' (need an integer in [0, " + std::to_string(kMaxThreads) +
+                                "], 0 = hardware concurrency)");
   }
   return static_cast<unsigned>(v);
 }

@@ -47,13 +47,13 @@ class ThreadPool {
   // set to garbage (see parse_thread_count).
   static ThreadPool& global();
 
-  // Parses a HACC_NUM_THREADS value: a non-negative integer with only
-  // whitespace around it, where 0 (and an unset/empty value) means "pick the
-  // hardware concurrency".  Anything else — trailing junk ("8abc"), negative
-  // counts, overflow, or values beyond kMaxThreads — throws
-  // std::invalid_argument, the same reject-loudly discipline as
-  // Config::get_int, instead of silently falling back.
-  static unsigned parse_thread_count(const char* text);
+  // Parses a thread count: a non-negative integer (util::parse_number)
+  // with only whitespace around it, where 0 (and an unset/empty value) means
+  // "pick the hardware concurrency".  Anything else — trailing junk
+  // ("8abc"), negative counts, overflow, or values beyond kMaxThreads —
+  // throws std::invalid_argument naming `key` and the text, instead of
+  // silently falling back.
+  static unsigned parse_thread_count(const char* text, const char* key = "HACC_NUM_THREADS");
 
   // Sanity cap for parse_thread_count: more threads than this is a typo,
   // not a machine.

@@ -6,9 +6,10 @@
 // only in how partner state crosses lanes.
 
 #include <array>
+#include <span>
 #include <stdexcept>
-#include <string>
 
+#include "util/enum_names.hpp"
 #include "xsycl/group_algorithms.hpp"
 
 namespace hacc::xsycl {
@@ -30,19 +31,18 @@ inline constexpr std::array<CommVariant, 4> kExchangeVariants = {
     CommVariant::kSelect, CommVariant::kMemory32, CommVariant::kMemoryObject,
     CommVariant::kVISA};
 
-inline const char* to_string(CommVariant v) {
-  switch (v) {
-    case CommVariant::kSelect: return "Select";
-    case CommVariant::kMemory32: return "Memory, 32-bit";
-    case CommVariant::kMemoryObject: return "Memory, Object";
-    case CommVariant::kBroadcast: return "Broadcast";
-    case CommVariant::kVISA: return "vISA";
-  }
-  return "?";
+// The names the paper's figures print (to_string), then compact aliases
+// for CLI use (util/enum_names.hpp).
+inline std::span<const util::EnumName<CommVariant>> enum_names(CommVariant) {
+  static constexpr util::EnumName<CommVariant> kNames[] = {
+      {CommVariant::kSelect, {"Select", "select"}},
+      {CommVariant::kMemory32, {"Memory, 32-bit", "memory32", "mem32"}},
+      {CommVariant::kMemoryObject, {"Memory, Object", "memory_object", "memobj"}},
+      {CommVariant::kBroadcast, {"Broadcast", "broadcast"}},
+      {CommVariant::kVISA, {"vISA", "visa"}}};
+  return kNames;
 }
-
-// Parses the names printed by to_string (and compact aliases for CLI use).
-bool parse_variant(const std::string& name, CommVariant& out);
+inline const char* to_string(CommVariant v) { return util::enum_name(v); }
 
 // Partner lane this variant pairs `lane` with on `round`.
 inline int partner_lane(CommVariant v, int lane, int round, int sg_size) {
@@ -90,21 +90,6 @@ inline std::size_t local_bytes_for(CommVariant v, int sg_size, std::size_t obj_b
     case CommVariant::kMemoryObject: return obj_bytes * static_cast<std::size_t>(sg_size);
     default: return 0;
   }
-}
-
-inline bool parse_variant(const std::string& name, CommVariant& out) {
-  if (name == "Select" || name == "select") { out = CommVariant::kSelect; return true; }
-  if (name == "Memory, 32-bit" || name == "memory32" || name == "mem32") {
-    out = CommVariant::kMemory32;
-    return true;
-  }
-  if (name == "Memory, Object" || name == "memory_object" || name == "memobj") {
-    out = CommVariant::kMemoryObject;
-    return true;
-  }
-  if (name == "Broadcast" || name == "broadcast") { out = CommVariant::kBroadcast; return true; }
-  if (name == "vISA" || name == "visa") { out = CommVariant::kVISA; return true; }
-  return false;
 }
 
 }  // namespace hacc::xsycl

@@ -357,26 +357,31 @@ TEST(Solver, DisplacementPolicySkipsRebuildsOnQuiescentStepsAndMatchesAlways) {
 
 TEST(GravityBackend, StringRoundTripThroughConfig) {
   util::Config cfg;
+  std::string error;
   for (const GravityBackend b : {GravityBackend::kPmPp, GravityBackend::kFmm,
                                  GravityBackend::kTreePm}) {
     cfg.set("gravity.backend", to_string(b));
     GravityBackend out = GravityBackend::kPmPp;
-    ASSERT_TRUE(parse_gravity_backend(cfg.get_string("gravity.backend", ""), out))
-        << to_string(b);
+    ASSERT_TRUE(cfg.read("gravity.backend", out, error)) << error;
     EXPECT_EQ(out, b);
   }
+  // The JSONL `backend` field and hacc_run's banner print these.
+  EXPECT_STREQ(to_string(GravityBackend::kPmPp), "pm_pp");
+  EXPECT_STREQ(to_string(GravityBackend::kFmm), "fmm");
+  EXPECT_STREQ(to_string(GravityBackend::kTreePm), "treepm");
+  EXPECT_STREQ(to_string(InitialConditions::kZeldovich), "zeldovich");
+  EXPECT_STREQ(to_string(InitialConditions::kSedov), "sedov");
 }
 
 TEST(PmGradientConfig, StringRoundTripThroughConfig) {
   util::Config cfg;
+  std::string error;
   for (const gravity::PmGradient g :
        {gravity::PmGradient::kSpectral, gravity::PmGradient::kFd4,
         gravity::PmGradient::kFd6}) {
     cfg.set("gravity.pm_gradient", gravity::to_string(g));
     gravity::PmGradient out = gravity::PmGradient::kSpectral;
-    ASSERT_TRUE(gravity::parse_pm_gradient(
-        cfg.get_string("gravity.pm_gradient", ""), out))
-        << gravity::to_string(g);
+    ASSERT_TRUE(cfg.read("gravity.pm_gradient", out, error)) << error;
     EXPECT_EQ(out, g);
   }
 }
@@ -410,9 +415,9 @@ TEST(PmGradientConfig, FdSolverTracksSpectralSolver) {
 
 TEST(GravityBackend, RejectsUnknownNames) {
   GravityBackend out = GravityBackend::kTreePm;
-  EXPECT_FALSE(parse_gravity_backend("p3m", out));
-  EXPECT_FALSE(parse_gravity_backend("", out));
-  EXPECT_FALSE(parse_gravity_backend("FMM", out));
+  EXPECT_FALSE(util::parse_name("p3m", out));
+  EXPECT_FALSE(util::parse_name("", out));
+  EXPECT_FALSE(util::parse_name("FMM", out));
   EXPECT_EQ(out, GravityBackend::kTreePm);  // untouched on failure
 }
 

@@ -42,11 +42,13 @@ TEST(RebuildPolicyConfig, RoundTripsBothSpellings) {
   for (const RebuildPolicy p :
        {RebuildPolicy::kAlways, RebuildPolicy::kDisplacement}) {
     RebuildPolicy parsed = RebuildPolicy::kAlways;
-    ASSERT_TRUE(parse_rebuild_policy(to_string(p), parsed)) << to_string(p);
+    ASSERT_TRUE(util::parse_name(to_string(p), parsed)) << to_string(p);
     EXPECT_EQ(parsed, p);
   }
+  EXPECT_STREQ(to_string(RebuildPolicy::kAlways), "always");
+  EXPECT_STREQ(to_string(RebuildPolicy::kDisplacement), "displacement");
   RebuildPolicy out = RebuildPolicy::kDisplacement;
-  EXPECT_FALSE(parse_rebuild_policy("sometimes", out));
+  EXPECT_FALSE(util::parse_name("sometimes", out));
   EXPECT_EQ(out, RebuildPolicy::kDisplacement);  // untouched on failure
 }
 

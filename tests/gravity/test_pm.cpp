@@ -135,13 +135,16 @@ TEST_P(SplitRecombination, PmPlusPpMatchesNewton) {
 TEST(PmGradient, ParseRoundTripAndRejects) {
   for (const PmGradient g : {PmGradient::kSpectral, PmGradient::kFd4, PmGradient::kFd6}) {
     PmGradient out = PmGradient::kFd4;
-    ASSERT_TRUE(parse_pm_gradient(to_string(g), out)) << to_string(g);
+    ASSERT_TRUE(util::parse_name(to_string(g), out)) << to_string(g);
     EXPECT_EQ(out, g);
   }
+  EXPECT_STREQ(to_string(PmGradient::kSpectral), "spectral");
+  EXPECT_STREQ(to_string(PmGradient::kFd4), "fd4");
+  EXPECT_STREQ(to_string(PmGradient::kFd6), "fd6");
   PmGradient out = PmGradient::kFd6;
-  EXPECT_FALSE(parse_pm_gradient("fd2", out));
-  EXPECT_FALSE(parse_pm_gradient("", out));
-  EXPECT_FALSE(parse_pm_gradient("SPECTRAL", out));
+  EXPECT_FALSE(util::parse_name("fd2", out));
+  EXPECT_FALSE(util::parse_name("", out));
+  EXPECT_FALSE(util::parse_name("SPECTRAL", out));
   EXPECT_EQ(out, PmGradient::kFd6);  // untouched on failure
 }
 

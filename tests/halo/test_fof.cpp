@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "halo/union_find.hpp"
 #include "util/rng.hpp"
@@ -183,6 +187,90 @@ TEST(Dbscan, MinPtsControlsCoreClassification) {
   EXPECT_EQ(strict.n_clusters, 0);
   const auto loose = dbscan(pos, box, 0.25, 2);
   EXPECT_EQ(loose.n_clusters, 1);
+}
+
+TEST(Dbscan, CoarseGridCountsEachNeighborOnce) {
+  // eps > box/3 leaves the cell grid two cells per side, where the cells
+  // one step left and right of a point are the same cell.  Three points
+  // 0.4 apart (0.2 across the periodic boundary) each have 3 neighbors,
+  // themselves included: none is core at min_pts 4.
+  const std::vector<Vec3d> pos = {{0.1, 0.5, 0.5}, {0.5, 0.5, 0.5}, {0.9, 0.5, 0.5}};
+  const auto r = dbscan(pos, 1.0, 0.45, 4);
+  for (std::size_t i = 0; i < pos.size(); ++i) EXPECT_FALSE(r.is_core[i]) << i;
+  EXPECT_EQ(r.n_clusters, 0);
+  EXPECT_TRUE(dbscan(pos, 1.0, 0.45, 3).is_core[0]);
+}
+
+// O(n^2) DBSCAN over every pair under the minimum image: the reference the
+// cell grid must reproduce at any eps, including eps > box/3.
+class DbscanBruteForce : public ::testing::TestWithParam<double> {};
+
+INSTANTIATE_TEST_SUITE_P(EpsFractions, DbscanBruteForce,
+                         ::testing::Values(0.2, 0.4, 0.45, 0.5),
+                         [](const auto& info) {
+                           return "eps" + std::to_string(int(info.param * 100));
+                         });
+
+TEST_P(DbscanBruteForce, MatchesQuadraticReference) {
+  const double box = 2.0;
+  const double eps = GetParam() * box;
+  const std::size_t n = 80;
+  util::CounterRng rng(31);
+  std::vector<Vec3d> pos;
+  for (std::size_t i = 0; i < n; ++i) {
+    pos.push_back({box * rng.uniform(3 * i), box * rng.uniform(3 * i + 1),
+                   box * rng.uniform(3 * i + 2)});
+  }
+  const auto near = [&](std::size_t i, std::size_t j) {
+    double d2 = 0.0;
+    for (int a = 0; a < 3; ++a) {
+      double d = std::fabs(pos[i][a] - pos[j][a]);
+      d = std::min(d, box - d);
+      d2 += d * d;
+    }
+    return d2 <= eps * eps;
+  };
+  std::vector<int> count(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) count[i] += near(i, j) ? 1 : 0;
+  }
+  for (const int min_pts : {2, 3, 5, 10, 20, 40, 60}) {
+    SCOPED_TRACE("min_pts " + std::to_string(min_pts));
+    const auto r = dbscan(pos, box, eps, min_pts);
+    UnionFind ref(n);
+    int components = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(r.is_core[i], count[i] >= min_pts) << i << " has " << count[i];
+      if (!r.is_core[i]) continue;
+      ++components;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (r.is_core[j] && near(i, j) && ref.unite(i, j)) --components;
+      }
+    }
+    EXPECT_EQ(r.n_clusters, components);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (r.is_core[i]) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (r.is_core[j]) {
+            EXPECT_EQ(r.cluster_id[i] == r.cluster_id[j], ref.same(i, j)) << i << "," << j;
+          }
+        }
+        continue;
+      }
+      // A border point takes the cluster of one of its core neighbors;
+      // a point with none is noise.
+      bool adopted = false, has_core_neighbor = false;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!r.is_core[j] || !near(i, j)) continue;
+        has_core_neighbor = true;
+        adopted = adopted || r.cluster_id[i] == r.cluster_id[j];
+      }
+      EXPECT_EQ(adopted, has_core_neighbor) << i;
+      if (!has_core_neighbor) {
+        EXPECT_EQ(r.cluster_id[i], -1) << i;
+      }
+    }
+  }
 }
 
 }  // namespace

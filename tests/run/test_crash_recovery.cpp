@@ -202,6 +202,26 @@ TEST_F(CrashRecoveryTest, AutoRestartIgnoresTmpLeftoversAndForeignSuffixes) {
   EXPECT_EQ(rr.total_steps, 4);
 }
 
+TEST_F(CrashRecoveryTest, AutoRestartSkipsStepSuffixBeyondAnInt) {
+  Scenario s = scenario("huge");
+  ScenarioRunner writer(s.sim, s.run, test_pool());
+  ASSERT_EQ(writer.run().checkpoints_written, 2);
+
+  // An all-digit suffix too large for a step number is not a candidate:
+  // the scan skips it and resumes from the valid step-4 file beside it.
+  const std::string huge = s.run.checkpoint_path + ".step99999999999";
+  cleanup_.push_back(huge);
+  std::ofstream(huge, std::ios::binary) << "not a checkpoint";
+
+  RunOptions resume = s.run;
+  resume.restart_from = RunOptions::kRestartAuto;
+  resume.checkpoint_every = 0;
+  ScenarioRunner recovered(s.sim, resume, test_pool());
+  const RunResult rr = recovered.run();
+  EXPECT_EQ(rr.recovered_from_step, 4);
+  EXPECT_EQ(rr.total_steps, 4);
+}
+
 TEST_F(CrashRecoveryTest, CheckpointFailureLogsDurableErrorEventAndThrows) {
   Scenario s = scenario("fail");
   s.run.checkpoint_path = temp_path("no-such-dir") + "/nested/ckpt";

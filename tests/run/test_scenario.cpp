@@ -147,11 +147,13 @@ TEST(Scenario, DomainKeysRoundTripThroughConfig) {
 TEST(StepMode, StringRoundTrip) {
   for (const StepMode m : {StepMode::kFixed, StepMode::kAdaptive}) {
     StepMode out = StepMode::kFixed;
-    ASSERT_TRUE(parse_step_mode(to_string(m), out));
+    ASSERT_TRUE(util::parse_name(to_string(m), out));
     EXPECT_EQ(out, m);
   }
+  EXPECT_STREQ(to_string(StepMode::kFixed), "fixed");
+  EXPECT_STREQ(to_string(StepMode::kAdaptive), "adaptive");
   StepMode out = StepMode::kAdaptive;
-  EXPECT_FALSE(parse_step_mode("euler", out));
+  EXPECT_FALSE(util::parse_name("euler", out));
   EXPECT_EQ(out, StepMode::kAdaptive);
 }
 

@@ -185,6 +185,13 @@ TEST(ThreadPoolEnv, RejectsGarbageLoudly) {
   EXPECT_THROW(ThreadPool::parse_thread_count("4097"), std::invalid_argument);
   EXPECT_THROW(ThreadPool::parse_thread_count("99999999999999999999"),
                std::invalid_argument);
+  try {
+    ThreadPool::parse_thread_count("abc", "threads");
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid threads 'abc' (need an integer in [0, 4096], 0 = hardware concurrency)");
+  }
 }
 
 }  // namespace

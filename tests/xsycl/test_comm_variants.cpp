@@ -143,22 +143,35 @@ TEST(CommVariantExchange, BroadcastThrowsInEveryBuild) {
 TEST(CommVariantNames, RoundTripThroughStrings) {
   for (const auto v : kAllVariants) {
     CommVariant parsed;
-    ASSERT_TRUE(parse_variant(to_string(v), parsed)) << to_string(v);
+    ASSERT_TRUE(util::parse_name(to_string(v), parsed)) << to_string(v);
     EXPECT_EQ(parsed, v);
   }
+  // The figure benches and the snapshot tables key rows by these names.
+  EXPECT_STREQ(to_string(CommVariant::kSelect), "Select");
+  EXPECT_STREQ(to_string(CommVariant::kMemory32), "Memory, 32-bit");
+  EXPECT_STREQ(to_string(CommVariant::kMemoryObject), "Memory, Object");
+  EXPECT_STREQ(to_string(CommVariant::kBroadcast), "Broadcast");
+  EXPECT_STREQ(to_string(CommVariant::kVISA), "vISA");
 }
 
 TEST(CommVariantNames, CompactAliases) {
   CommVariant v;
-  EXPECT_TRUE(parse_variant("select", v));
+  EXPECT_TRUE(util::parse_name("select", v));
   EXPECT_EQ(v, CommVariant::kSelect);
-  EXPECT_TRUE(parse_variant("mem32", v));
+  EXPECT_TRUE(util::parse_name("mem32", v));
   EXPECT_EQ(v, CommVariant::kMemory32);
-  EXPECT_TRUE(parse_variant("memobj", v));
+  EXPECT_TRUE(util::parse_name("memobj", v));
   EXPECT_EQ(v, CommVariant::kMemoryObject);
-  EXPECT_TRUE(parse_variant("visa", v));
+  EXPECT_TRUE(util::parse_name("visa", v));
   EXPECT_EQ(v, CommVariant::kVISA);
-  EXPECT_FALSE(parse_variant("warp", v));
+  EXPECT_TRUE(util::parse_name("memory32", v));
+  EXPECT_EQ(v, CommVariant::kMemory32);
+  EXPECT_TRUE(util::parse_name("memory_object", v));
+  EXPECT_EQ(v, CommVariant::kMemoryObject);
+  EXPECT_TRUE(util::parse_name("broadcast", v));
+  EXPECT_EQ(v, CommVariant::kBroadcast);
+  EXPECT_FALSE(util::parse_name("warp", v));
+  EXPECT_EQ(v, CommVariant::kBroadcast);  // untouched on failure
 }
 
 TEST(CommVariantLocalBytes, SizedFromLargestExchangedObject) {

@@ -14,6 +14,11 @@ the determinism and concurrency conventions documented in docs/CONCURRENCY.md:
                    front end and the runner's report path).
   header-hygiene   Every header starts with `#pragma once` and contains no
                    file-scope `using namespace`.
+  number-parse     Outside src/util/, no source under src/ turns text into a
+                   number itself (strtol/strtod/std::sto*/atoi/atof/
+                   from_chars): config keys, thread counts and file names
+                   go through util::parse_number or util::Config::read, so
+                   malformed input has one strict reader and one error.
   shared-comment   Every parallel_for / parallel_for_chunks call site must
                    carry a `// shared:` comment within the preceding lines
                    naming the captured-by-reference state the lambda writes
@@ -84,6 +89,15 @@ NOLINT_JUSTIFIED = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?\([\w.,\-* ]+\)\s*:
 # suppressions; clang-tidy only honors the marker followed by `(` or
 # end-of-comment, so only flag those.
 NOLINT_ACTIVE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?(?:\(|\s*$|\s*\*/)")
+
+# The C and C++ text-to-number calls; `std::` optional, member calls
+# (`obj.stoi(`) and longer names (`restore(`) excluded.
+NUMBER_PARSE = re.compile(
+    r"(?<![\w.>])(?:std\s*::\s*)?"
+    r"(strto(?:l|ll|ul|ull|f|d|ld|imax|umax)|sto(?:i|l|ll|ul|ull|f|d|ld)"
+    r"|ato(?:i|l|ll|f)|from_chars)\s*\(")
+# The one module allowed to call them.
+NUMBER_PARSE_HOME = "src/util/"
 
 USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\b")
 PRAGMA_ONCE = re.compile(r"^\s*#\s*pragma\s+once\b")
@@ -188,6 +202,13 @@ def lint_file(path: Path, repo_root: Path) -> list[Finding]:
                     rel, lineno, "no-cout",
                     f"{label} in library code; return data or route through "
                     f"an allowlisted writer"))
+        if rel.startswith("src/") and not rel.startswith(NUMBER_PARSE_HOME):
+            m = NUMBER_PARSE.search(stripped)
+            if m:
+                findings.append(Finding(
+                    rel, lineno, "number-parse",
+                    f"{m.group(1)}() outside src/util/; parse through "
+                    f"util::parse_number or util::Config::read"))
         if PARALLEL_FOR_CALL.search(stripped):
             lo = max(0, lineno - 1 - SHARED_COMMENT_WINDOW)
             window = lines[lo:lineno]

@@ -197,6 +197,31 @@ class HeaderHygieneRule(unittest.TestCase):
             lint_source("a.hpp", "#pragma once\nusing std::swap;\n"), [])
 
 
+class NumberParseRule(unittest.TestCase):
+    def test_std_stoi_flagged_under_src(self):
+        self.assertIn("number-parse",
+                      lint_source("src/run/a.cpp", "int n = std::stoi(s);\n"))
+
+    def test_c_calls_flagged_under_src(self):
+        text = "long a = strtol(p, &e, 10);\ndouble b = std::strtod(p, &e);\nint c = atoi(p);\n"
+        self.assertEqual(lint_source("src/core/a.cpp", text).count("number-parse"), 3)
+
+    def test_from_chars_flagged_under_src(self):
+        self.assertIn("number-parse",
+                      lint_source("src/io/a.cpp", "std::from_chars(b, e, v);\n"))
+
+    def test_util_is_the_home(self):
+        self.assertEqual(
+            lint_source("src/util/a.cpp", "long v = std::strtol(p, &e, 10);\n"), [])
+
+    def test_outside_src_not_flagged(self):
+        self.assertEqual(lint_source("bench/a.cpp", "double v = std::atof(p);\n"), [])
+
+    def test_longer_names_and_comments_not_flagged(self):
+        text = "restore(x);\nobj.stoi(s);\n// std::stoi(s) would throw\n"
+        self.assertEqual(lint_source("src/run/a.cpp", text), [])
+
+
 class AllowlistBehavior(unittest.TestCase):
     def run_lint(self, files: dict[str, str], allowlist: str) -> tuple[int, str]:
         import contextlib
