@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "run/scenario.hpp"
@@ -113,6 +112,7 @@ void write_bench_json(const ScenarioRecord recs[3]) {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"scenario_run\",\n  \"np\": 8,\n");
+  hacc::bench::write_provenance(f);
   std::fprintf(f, "  \"scenarios\": {\n");
   for (int i = 0; i < 3; ++i) {
     std::fprintf(f,
@@ -123,9 +123,7 @@ void write_bench_json(const ScenarioRecord recs[3]) {
                  recs[i].step_ms, recs[i].n_outputs, recs[i].tree_seconds,
                  recs[i].tree_builds, recs[i].tree_reuses, i < 2 ? "," : "");
   }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"host_cores\": %u\n}\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }

@@ -12,15 +12,26 @@
 
 #include <cstdio>
 #include <exception>
+#include <span>
 #include <string>
 
 #include "core/checkpoint.hpp"
 #include "core/launch.hpp"
 #include "example_args.hpp"
 #include "sph/pipeline.hpp"
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 
 namespace {
+
+// What the run does: write a checkpoint, or run one kernel from it.
+enum class Mode { kRun, kGenerate };
+
+std::span<const hacc::util::EnumName<Mode>> enum_names(Mode) {
+  static constexpr hacc::util::EnumName<Mode> kNames[] = {{Mode::kRun, {"run"}},
+                                                          {Mode::kGenerate, {"generate"}}};
+  return kNames;
+}
 
 hacc::core::ParticleSet generate_gas(int n_side, double box, std::uint64_t seed) {
   hacc::core::ParticleSet p;
@@ -58,9 +69,10 @@ int main(int argc, char** argv) try {
   const int sg = args.get<int>("sg", 32);
   const int repeats = args.get<int>("repeats", 3);
   const auto variant = args.get("variant", hacc::xsycl::CommVariant::kSelect);
+  const Mode mode = args.get("mode", Mode::kRun);
   if (!args.ok()) return 1;
 
-  if (args.text("mode", "run") == "generate") {
+  if (mode == Mode::kGenerate) {
     auto gas = generate_gas(np, box, seed);
     // Prime the derived state so any kernel can run in isolation.
     hacc::util::ThreadPool pool;

@@ -15,7 +15,6 @@
 #include "sph/lane_block.hpp"
 #include "sph/states.hpp"
 #include "tree/rcb.hpp"
-#include "xsycl/atomic.hpp"
 #include "xsycl/comm_variant.hpp"
 #include "xsycl/queue.hpp"
 
@@ -132,10 +131,10 @@ struct GravityTraits {
 
   static Accum lane(const Accum4& a, int k) { return {a.x[k], a.y[k], a.z[k]}; }
 
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float>(arrays.ax[idx], sg.counters()).fetch_add(a.fx);
-    xsycl::atomic_ref<float>(arrays.ay[idx], sg.counters()).fetch_add(a.fy);
-    xsycl::atomic_ref<float>(arrays.az[idx], sg.counters()).fetch_add(a.fz);
+  void commit(std::int32_t idx, const Accum& a) const {
+    arrays.ax[idx] += a.fx;
+    arrays.ay[idx] += a.fy;
+    arrays.az[idx] += a.fz;
   }
 
   static void charge_commit(xsycl::OpCounters& c) { c.atomic_f32_add += kAccumWords; }

@@ -2,15 +2,15 @@
 
 // Acceleration kernel ("upBarAc"/"upBarAcF"): calculates the momentum
 // derivative (§5).  Pair-wise antisymmetric CRK pressure + artificial-
-// viscosity forces; additionally tracks the maximum signal velocity with a
-// floating-point atomic fetch_max — the atomic the paper calls out as
-// natively supported in SYCL but CAS-emulated on NVIDIA hardware (§5.1).
+// viscosity forces; additionally tracks the maximum signal velocity, whose
+// commit is priced as a floating-point atomic fetch_max — the atomic the
+// paper calls out as natively supported in SYCL but CAS-emulated on NVIDIA
+// hardware (§5.1).
 
 #include <algorithm>
 
 #include "sph/context.hpp"
 #include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
 
 namespace hacc::sph {
 
@@ -46,11 +46,11 @@ struct AccelerationTraits {
     return accel_term(to_side(own), to_side(other), box, visc);
   }
 
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float>(ax_out[idx], sg.counters()).fetch_add(a.accel.x);
-    xsycl::atomic_ref<float>(ay_out[idx], sg.counters()).fetch_add(a.accel.y);
-    xsycl::atomic_ref<float>(az_out[idx], sg.counters()).fetch_add(a.accel.z);
-    xsycl::atomic_ref<float>(vsig_out[idx], sg.counters()).fetch_max(a.vsig);
+  void commit(std::int32_t idx, const Accum& a) const {
+    ax_out[idx] += a.accel.x;
+    ay_out[idx] += a.accel.y;
+    az_out[idx] += a.accel.z;
+    if (a.vsig > vsig_out[idx]) vsig_out[idx] = a.vsig;  // fetch_max's rule
   }
 
   static void charge_commit(xsycl::OpCounters& c) {

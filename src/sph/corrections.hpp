@@ -9,7 +9,6 @@
 
 #include "sph/context.hpp"
 #include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
 
 namespace hacc::sph {
 
@@ -39,12 +38,9 @@ struct CorrectionsTraits {
     return corrections_term(to_side(own), to_side(other), box);
   }
 
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
+  void commit(std::int32_t idx, const Accum& a) const {
     float* base = moments_out + static_cast<std::size_t>(core::mom_idx::kCount) * idx;
-    for (int k = 0; k < core::mom_idx::kCount; ++k) {
-      xsycl::atomic_ref<float> ref(base[k], sg.counters());
-      ref.fetch_add(a.v[k]);
-    }
+    for (int k = 0; k < core::mom_idx::kCount; ++k) base[k] += a.v[k];
   }
 
   static void charge_commit(xsycl::OpCounters& c) { c.atomic_f32_add += kAccumWords; }

@@ -8,7 +8,6 @@
 
 #include "sph/context.hpp"
 #include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
 
 namespace hacc::sph {
 
@@ -52,9 +51,7 @@ struct EnergyTraits {
     return Sum<decltype(du)>{du};
   }
 
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float>(du_out[idx], sg.counters()).fetch_add(a.du);
-  }
+  void commit(std::int32_t idx, const Accum& a) const { du_out[idx] += a.du; }
 
   static void charge_commit(xsycl::OpCounters& c) { c.atomic_f32_add += kAccumWords; }
 };

@@ -8,7 +8,6 @@
 
 #include "sph/context.hpp"
 #include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
 
 namespace hacc::sph {
 
@@ -25,8 +24,8 @@ struct ExtrasTraits {
   float* dvel_out;
   float box;
 
-  // load_extras_state, not load_hydro_state: rho_out aliases p->rho, so a
-  // plain load of p->rho here would race the atomic commits below.
+  // load_extras_state, not load_hydro_state: rho_out aliases p->rho, the
+  // output this launch accumulates into, so it is no input.
   State load(std::int32_t i) const { return load_extras_state(*p, i); }
 
   template <typename Lanes>
@@ -41,14 +40,10 @@ struct ExtrasTraits {
     return extras_term(to_side(own), to_side(other), box);
   }
 
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float> rho_ref(rho_out[idx], sg.counters());
-    rho_ref.fetch_add(a.rho);
+  void commit(std::int32_t idx, const Accum& a) const {
+    rho_out[idx] += a.rho;
     float* dv = dvel_out + 9 * static_cast<std::size_t>(idx);
-    for (int k = 0; k < 9; ++k) {
-      xsycl::atomic_ref<float> ref(dv[k], sg.counters());
-      ref.fetch_add(a.dv[k / 3][k % 3]);
-    }
+    for (int k = 0; k < 9; ++k) dv[k] += a.dv[k / 3][k % 3];
   }
 
   static void charge_commit(xsycl::OpCounters& c) { c.atomic_f32_add += kAccumWords; }

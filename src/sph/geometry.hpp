@@ -8,7 +8,6 @@
 
 #include "sph/context.hpp"
 #include "sph/states.hpp"
-#include "xsycl/atomic.hpp"
 
 namespace hacc::sph {
 
@@ -50,10 +49,7 @@ struct GeometryTraits {
     return Sum<decltype(m0)>{m0};
   }
 
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& a) const {
-    xsycl::atomic_ref<float> ref(m0_out[idx], sg.counters());
-    ref.fetch_add(a.m0);
-  }
+  void commit(std::int32_t idx, const Accum& a) const { m0_out[idx] += a.m0; }
 
   static void charge_commit(xsycl::OpCounters& c) { c.atomic_f32_add += kAccumWords; }
 };

@@ -10,19 +10,29 @@
 // The Broadcast variant restructures the loop (§5.3.2): every lane owns an
 // A-particle, B-particles are broadcast one at a time, partial forces on the
 // broadcast particle are combined with reduce_over_group, and only one
-// atomic update per particle is issued — "fewer atomic instructions".
+// commit per particle is issued — "fewer atomic instructions".
+//
+// The paper commits with atomics.  Here a commit adds plainly under its
+// leaf's flag (below), and charge_commit charges the atomics the paper's
+// commit issues, so the op counters still price them.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <concepts>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "domain/domain.hpp"
+#include "obs/trace.hpp"
 #include "sph/lane_block.hpp"
 #include "tree/rcb.hpp"
+#include "util/thread_pool.hpp"
 #include "util/vec3.hpp"
-#include "xsycl/atomic.hpp"
 #include "xsycl/comm_variant.hpp"
 #include "xsycl/queue.hpp"
 
@@ -33,13 +43,15 @@ namespace hacc::sph {
 //   using Accum;                       // value-initializes to zero
 //   static constexpr int kAccumWords;  // floats committed per particle
 //   float box;                         // periodic box the pair terms wrap in
-//   State load(std::int32_t i) const;
+//   State load(std::int32_t i) const;  // reads no output of the kernel
 //   // False only where the pair term of `own` with `other` is exactly zero
 //   // (with a term form below: a template over the lane type, a Mask4 for
 //   // a Gather4).
 //   bool reaches(const State& own, const State& other) const;
 //   // Bound on the distance at which `own` reaches any partner whose h is
-//   // at most `hmax_other`; never decreases as `hmax_other` grows.
+//   // at most `hmax_other`.  It depends on `own` only through its h (none
+//   // for states without one), and never decreases as that h or
+//   // `hmax_other` grows.
 //   double reach_radius(const State& own, float hmax_other) const;
 //   // The pair term, called only for pairs that reach, in one of two forms.
 //   // Either it is added in place:
@@ -49,8 +61,10 @@ namespace hacc::sph {
 //   // (four pairs, a term of Floats4), and Accum::add(term, k) adds lane k
 //   // of a term to a sum.
 //   template <typename Lanes> Term term(const Lanes& own, const Lanes& other) const;
-//   void commit(xsycl::SubGroup&, std::int32_t idx, const Accum&) const;
-//   // Exactly the counters `commit` charges.
+//   // Adds a sum into particle idx's outputs with plain adds (and plain
+//   // max); the harness holds the flag of idx's leaf.
+//   void commit(std::int32_t idx, const Accum&) const;
+//   // The atomics of one commit in the paper: one per word commit writes.
 //   static void charge_commit(xsycl::OpCounters&);
 // Optionally, a four-lane form of reaches + accumulate (BlockTraits below):
 //   static constexpr std::array kLaneFields;  // &State::x, ... it reads
@@ -67,8 +81,40 @@ namespace hacc::sph {
 // one counts as an interaction, reached or not, and every exchange round is
 // charged in full even where the CPU reads the partner lane in place.
 //
-// Five more pieces spare the CPU work, and change no output bit and no
+// Eight more pieces spare the CPU work, and change no output bit and no
 // counter:
+//   - Launch-wide states and tile bounds.  Before its first batch, a launch
+//     loads the state of every slot of the view's leaves once, in parallel,
+//     into one slot-ordered array, and the bounds of every tile of the
+//     launch's width (S/2 for the exchange variants, S for Broadcast) into
+//     one table (PairLaunch).  A tile load then copies contiguous states,
+//     and charges the global loads it did before.  No kernel loads an
+//     output of its own (Extras zeroes rho instead), so a state loaded
+//     before the launch equals one loaded during it, and a tile's bounds
+//     fold the same lanes in the same order.
+//   - Tile-pair cull.  Before a non-diagonal tile pair loads, tiles_apart
+//     tests box against box, at a radius that bounds every lane's
+//     reach_radius on both sides (tile_pair_reach).  Its gap bounds every
+//     lane's beyond_reach gap from below, with the same margin, so a
+//     skipped pair is one whose lanes reach nothing: it adds no term, and
+//     it is charged what the full path charges for such a pair (both tile
+//     loads, every exchange round or broadcast, each lane's candidates in
+//     the other half, each lane's commit).  Counted on hydro-paper (seed
+//     42, 1 thread, sub-group 32), it skips 42% of the non-diagonal SPH
+//     tile pairs and 20% of the P-P ones: 96% and 90% of those in which
+//     the per-lane cull leaves no live lane.
+//   - Leaf-locked commits.  Each launch holds one spin flag per leaf of its
+//     view.  A tile half commits its touched sums under its leaf's flag
+//     with plain adds (and a plain max for vsig, with fetch_max's rule);
+//     Broadcast's per-B-particle and per-A-tile commits take the flag the
+//     same way.  A sum belongs to one leaf, so every write to an output
+//     happens under that leaf's flag, in the order the commits take it.
+//     At one thread that is the sub-groups' launch order, the order in
+//     which atomic adds would land, and a plain float add rounds as an
+//     atomic one does: every bit is the same.  At more threads the order
+//     follows the schedule, as atomics' would, and sums agree to ~1e-4
+//     relative.  The flags hold no counters; the harness charges
+//     charge_commit for every commit, touched or not.
 //   - Bounds cull.  After a tile loads, each lane is tested against the
 //     bounds of the other half (half_tile_bounds / beyond_reach).  A lane
 //     that reaches none of them runs no candidate tests; its candidates are
@@ -110,10 +156,10 @@ namespace hacc::sph {
 //     light and most of its candidates reach, and on the batch path its
 //     pp.short_s was 5% slower on cosmo-treepm (median of 6 traced pairs).
 //   - Charge-only commits.  An accumulator that received no term is all +0
-//     and is not committed; charge_commit adds the counts commit would have.
-//     This is exact because every pair-kernel output is zero-filled (+0)
-//     before its launch and only accumulated afterwards, so it is never -0:
-//     x + (+0) == x, and fetch_max(+0) is a no-op on a vsig that starts at 0
+//     and is not committed, nor is its leaf's flag taken for it.  This is
+//     exact because every pair-kernel output is zero-filled (+0) before its
+//     launch and only accumulated afterwards, so it is never -0:
+//     x + (+0) == x, and a max with +0 is a no-op on a vsig that starts at 0
 //     and only grows.
 
 // ---- Per-lane bounds cull ----
@@ -134,6 +180,7 @@ struct HalfTileBounds {
   util::Vec3d hi{-std::numeric_limits<double>::infinity()};
   double extent = 0.0;  // largest |coordinate|: scales the rounding margin
   float hmax = 0.f;     // largest h, at least 0
+  float hmin = std::numeric_limits<float>::infinity();  // smallest h
   int n_valid = 0;
   bool finite = true;   // every valid position and h is finite
 };
@@ -155,6 +202,7 @@ HalfTileBounds half_tile_bounds(const State* lanes, int n) {
       b.extent = std::max(b.extent, std::fabs(p[a]));
     }
     b.hmax = std::max(b.hmax, h);
+    b.hmin = std::min(b.hmin, h);
   }
   return b;
 }
@@ -200,6 +248,58 @@ bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
   }
   const double reach = (radius + 0x1p-20 * (box + extent)) * (1.0 + 1e-4);
   return d2 > reach * reach;
+}
+
+// ---- Tile-pair cull ----
+
+// True only if no member of `a` reaches a member of `b`, or the reverse,
+// when `radius` bounds every member's reach_radius on both sides.  Along
+// each axis, the periodic gap from a's low corner to b's interval grown
+// down by a's width bounds from below the gap from every member of a to
+// every member of b; the margin is beyond_reach's, with the extent of both
+// tiles.  A non-finite position or h on either side, or a radius that is
+// not positive, keeps the pair.
+inline bool tiles_apart(const HalfTileBounds& a, const HalfTileBounds& b, double radius,
+                        double box) {
+  if (a.n_valid == 0 || b.n_valid == 0) return true;
+  if (!(a.finite && b.finite && radius > 0.0 && std::isfinite(radius) && box > 0.0 &&
+        std::isfinite(box))) {
+    return false;
+  }
+  double d2 = 0.0;
+  for (int ax = 0; ax < 3; ++ax) {
+    const double g =
+        periodic_gap(a.lo[ax], b.lo[ax] - (a.hi[ax] - a.lo[ax]), b.hi[ax], box);
+    d2 += g * g;
+  }
+  const double extent = std::max(a.extent, b.extent);
+  const double reach = (radius + 0x1p-20 * (box + extent)) * (1.0 + 1e-4);
+  return d2 > reach * reach;
+}
+
+// A state whose only set field is h (none for states without one).
+template <typename State>
+State with_h(float h) {
+  State s{};
+  if constexpr (requires { s.h; }) s.h = h;
+  return s;
+}
+
+// The radius tiles_apart needs for tiles `a` and `b`: the largest
+// reach_radius of any member of either against the other, or 0 (keep) when
+// some member's is not positive.  reach_radius grows with the own h (the
+// Traits contract), so a state of the tile's largest h bounds every member
+// and one of its smallest h is the least.
+template <typename Traits>
+double tile_pair_reach(const Traits& traits, const HalfTileBounds& a,
+                       const HalfTileBounds& b) {
+  using State = typename Traits::State;
+  const auto least = [&](const HalfTileBounds& own, const HalfTileBounds& other) {
+    return traits.reach_radius(with_h<State>(own.hmin), other.hmax);
+  };
+  if (!(least(a, b) > 0.0 && least(b, a) > 0.0)) return 0.0;
+  return std::max(traits.reach_radius(with_h<State>(a.hmax), b.hmax),
+                  traits.reach_radius(with_h<State>(b.hmax), a.hmax));
 }
 
 // Traits whose reach test and pair term are written once over the lane
@@ -364,26 +464,114 @@ void register_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
   lane_rounds(traits, v, sg_size, t);
 }
 
+// Holds one leaf's commit flag while it lives (see "Leaf-locked commits").
+class LeafLock {
+ public:
+  explicit LeafLock(std::atomic_flag& flag) : flag_(flag) {
+    while (flag_.test_and_set(std::memory_order_acquire)) {
+      while (flag_.test(std::memory_order_relaxed)) std::this_thread::yield();
+    }
+  }
+  ~LeafLock() { flag_.clear(std::memory_order_release); }
+  LeafLock(const LeafLock&) = delete;
+  LeafLock& operator=(const LeafLock&) = delete;
+
+ private:
+  std::atomic_flag& flag_;
+};
+
+// What every batch of one pair launch shares: the Traits, the view, the
+// state of every slot of the view's leaves (loaded once, leaf by leaf), the
+// bounds of every tile of `tile_width` slots, and one commit flag per leaf.
+template <typename Traits>
+class PairLaunch {
+ public:
+  using State = typename Traits::State;
+
+  // Gathers the states and bounds on `pool`.
+  PairLaunch(const Traits& traits, const domain::SpeciesView& view,
+             xsycl::CommVariant variant, int tile_width, util::ThreadPool& pool)
+      : traits_(traits),
+        view_(view),
+        variant_(variant),
+        first_state_(view.n_leaves),
+        first_tile_(view.n_leaves),
+        flags_(std::make_unique<std::atomic_flag[]>(view.n_leaves)) {
+    std::size_t n_states = 0, n_tiles = 0;
+    for (std::size_t l = 0; l < view.n_leaves; ++l) {
+      first_state_[l] = n_states;
+      first_tile_[l] = n_tiles;
+      const int count = view.leaves[l].count();
+      n_states += static_cast<std::size_t>(count);
+      n_tiles += static_cast<std::size_t>((count + tile_width - 1) / tile_width);
+    }
+    states_.resize(n_states);
+    bounds_.resize(n_tiles);
+    const char* span = obs::Tracer::global().enabled() ? "sph.pair_gather" : nullptr;
+    // shared: states_, bounds_ — each leaf writes only its own slots' states
+    // and its own tiles' bounds.
+    pool.parallel_for_chunks(
+        static_cast<std::int64_t>(view.n_leaves), /*chunk=*/16,
+        [&](std::int64_t begin, std::int64_t end) {
+          const obs::TraceSpan chunk_span(span);
+          for (auto l = static_cast<std::size_t>(begin); l < static_cast<std::size_t>(end);
+               ++l) {
+            const tree::Leaf& leaf = view_.leaves[l];
+            State* s = states_.data() + first_state_[l];
+            for (int k = 0; k < leaf.count(); ++k) {
+              s[k] = traits_.load(view_.order[leaf.begin + k]);
+            }
+            for (int t = 0; t * tile_width < leaf.count(); ++t) {
+              bounds_[first_tile_[l] + t] = half_tile_bounds(
+                  s + t * tile_width, std::min(tile_width, leaf.count() - t * tile_width));
+            }
+          }
+        });
+  }
+
+  const Traits& traits() const { return traits_; }
+  const domain::SpeciesView& view() const { return view_; }
+  xsycl::CommVariant variant() const { return variant_; }
+
+  // The states of leaf `leaf`'s slots, in slot order.
+  const State* states(std::int32_t leaf) const {
+    return states_.data() + first_state_[leaf];
+  }
+  // The bounds of tile `tile` of leaf `leaf`: its slots tile * tile_width
+  // onward.
+  const HalfTileBounds& bounds(std::int32_t leaf, int tile) const {
+    return bounds_[first_tile_[leaf] + tile];
+  }
+  LeafLock lock(std::int32_t leaf) const { return LeafLock(flags_[leaf]); }
+
+ private:
+  Traits traits_;
+  domain::SpeciesView view_;
+  xsycl::CommVariant variant_;
+  std::vector<std::size_t> first_state_;  // per leaf: index into states_
+  std::vector<std::size_t> first_tile_;   // per leaf: index into bounds_
+  std::vector<State> states_;
+  std::vector<HalfTileBounds> bounds_;
+  std::unique_ptr<std::atomic_flag[]> flags_;
+};
+
+// One batch of a pair launch: one sub-group per leaf pair.
 template <typename Traits>
 class PairInteractionKernel {
  public:
   using State = typename Traits::State;
   using Accum = typename Traits::Accum;
 
-  // The view supplies the per-leaf slot ranges and the slot -> particle
-  // permutation — either a whole tree (implicit conversion) or a
-  // species-filtered window from domain::InteractionDomain.
-  PairInteractionKernel(std::string name, Traits traits,
-                        const domain::SpeciesView& view,
-                        const tree::LeafPair* pairs, std::size_t n_pairs,
-                        xsycl::CommVariant variant)
+  PairInteractionKernel(std::string name, const PairLaunch<Traits>& launch,
+                        const tree::LeafPair* pairs, std::size_t n_pairs)
       : name_(std::move(name)),
-        traits_(std::move(traits)),
-        leaves_(view.leaves),
-        order_(view.order),
+        launch_(&launch),
+        traits_(launch.traits()),
+        leaves_(launch.view().leaves),
+        order_(launch.view().order),
         pairs_(pairs),
         n_pairs_(n_pairs),
-        variant_(variant) {}
+        variant_(launch.variant()) {}
 
   std::string name() const { return name_; }
   std::size_t n_pairs() const { return n_pairs_; }
@@ -405,19 +593,21 @@ class PairInteractionKernel {
  private:
   static int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
-  // Loads `width` particles starting at tree slot `slot0` of `leaf` into
-  // lanes [lane0, lane0+width).
-  void load_tile(xsycl::SubGroup& sg, const tree::Leaf& leaf, int slot0, int lane0,
-                 int width, xsycl::Varying<State>& mine,
-                 xsycl::Varying<bool>& active, xsycl::Varying<std::int32_t>& idx) const {
+  // Copies the states of tile `tile` (`width` slots) of leaf `leaf` into
+  // lanes [lane0, lane0 + width); lanes past the leaf's end are empty.
+  void load_tile(xsycl::SubGroup& sg, std::int32_t leaf, int tile, int lane0, int width,
+                 xsycl::Varying<State>& mine, xsycl::Varying<bool>& active,
+                 xsycl::Varying<std::int32_t>& idx) const {
+    const tree::Leaf& lf = leaves_[leaf];
+    const int first = tile * width;
+    const State* states = launch_->states(leaf) + first;
     for (int k = 0; k < width; ++k) {
       const int lane = lane0 + k;
-      const std::int32_t slot = slot0 + k;
-      const bool ok = slot < leaf.end;
+      const bool ok = first + k < lf.count();
       active[lane] = ok;
       if (ok) {
-        idx[lane] = order_[slot];
-        mine[lane] = traits_.load(idx[lane]);
+        idx[lane] = order_[lf.begin + first + k];
+        mine[lane] = states[k];
       } else {
         idx[lane] = 0;
         mine[lane] = State{};
@@ -427,14 +617,33 @@ class PairInteractionKernel {
     sg.counters().global_loads += static_cast<std::uint64_t>(width);
   }
 
-  // Commits a sum, or only charges its commit when no term reached it.
-  void commit(xsycl::SubGroup& sg, std::int32_t idx, const Accum& acc,
-              bool touched) const {
-    if (touched) {
-      traits_.commit(sg, idx, acc);
-    } else {
+  // Commits the sums of the active lanes of [l0, l1), all owned by `leaf`:
+  // charges every commit, and adds the touched sums under the leaf's flag.
+  void commit_lanes(xsycl::SubGroup& sg, std::int32_t leaf, int l0, int l1,
+                    const xsycl::Varying<bool>& active,
+                    const xsycl::Varying<std::int32_t>& idx,
+                    const xsycl::Varying<Accum>& acc,
+                    const xsycl::Varying<bool>& touched) const {
+    bool any = false;
+    for (int l = l0; l < l1; ++l) {
+      if (!active[l]) continue;
       Traits::charge_commit(sg.counters());
+      any = any || touched[l];
     }
+    if (!any) return;
+    const LeafLock lock = launch_->lock(leaf);
+    for (int l = l0; l < l1; ++l) {
+      if (active[l] && touched[l]) traits_.commit(idx[l], acc[l]);
+    }
+  }
+
+  // Commits one sum of a particle of `leaf`, as commit_lanes does.
+  void commit_one(xsycl::SubGroup& sg, std::int32_t leaf, std::int32_t idx,
+                  const Accum& acc, bool touched) const {
+    Traits::charge_commit(sg.counters());
+    if (!touched) return;
+    const LeafLock lock = launch_->lock(leaf);
+    traits_.commit(idx, acc);
   }
 
   void run_exchange(xsycl::SubGroup& sg, const tree::LeafPair& lp) const {
@@ -456,23 +665,29 @@ class PairInteractionKernel {
 
     for (int ta = 0; ta < tiles_a; ++ta) {
       for (int tb = self ? ta : 0; tb < tiles_b; ++tb) {
-        load_tile(sg, la, la.begin + ta * H, /*lane0=*/0, H, mine, active, idx);
-        load_tile(sg, lb, lb.begin + tb * H, /*lane0=*/H, H, mine, active, idx);
         // On the diagonal both halves hold the same slice: the lower half
         // already covers every ordered pair, so the upper half only serves
         // as the exchange source and must not accumulate or commit.
         const bool diagonal = self && ta == tb;
+        const HalfTileBounds* half[2] = {&launch_->bounds(lp.a, ta),
+                                         &launch_->bounds(lp.b, tb)};
+        if (!diagonal &&
+            tiles_apart(*half[0], *half[1], tile_pair_reach(traits_, *half[0], *half[1]),
+                        traits_.box)) {
+          charge_apart(sg, half[0]->n_valid, half[1]->n_valid, t.interactions);
+          continue;
+        }
+        load_tile(sg, lp.a, ta, /*lane0=*/0, H, mine, active, idx);
+        load_tile(sg, lp.b, tb, /*lane0=*/H, H, mine, active, idx);
         if (diagonal) {
           for (int l = H; l < S; ++l) active[l] = false;
         }
-        const HalfTileBounds half[2] = {half_tile_bounds(&mine[0], H),
-                                        half_tile_bounds(&mine[H], H)};
         bool any_live = false;
         for (int l = 0; l < S; ++l) {
           t.live[l] = false;
           t.touched[l] = false;
           if (!active[l]) continue;
-          const HalfTileBounds& other = half[l < H ? 1 : 0];
+          const HalfTileBounds& other = *half[l < H ? 1 : 0];
           if (beyond_reach(mine[l], other, traits_.reach_radius(mine[l], other.hmax),
                            traits_.box)) {
             t.interactions +=
@@ -486,9 +701,7 @@ class PairInteractionKernel {
 
         if (xsycl::permutes_registers(variant_)) {
           // Select and vISA: read the partner lane of `mine` in place.
-          for (int r = 0; r < H; ++r) {
-            xsycl::charge_register_exchange(sg, variant_, sizeof(State));
-          }
+          for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
           if (any_live) register_rounds(traits_, variant_, S, t);
         } else {
           // The SLM variants round-trip the partner through local memory.
@@ -502,12 +715,23 @@ class PairInteractionKernel {
             }
           }
         }
-        for (int l = 0; l < S; ++l) {
-          if (active[l]) commit(sg, idx[l], t.acc[l], t.touched[l]);
-        }
+        commit_lanes(sg, lp.a, 0, H, active, idx, t.acc, t.touched);
+        commit_lanes(sg, lp.b, H, S, active, idx, t.acc, t.touched);
       }
     }
     sg.counters().interactions += t.interactions;
+  }
+
+  // Charges a tile pair that tiles_apart skipped, of `na` and `nb` valid
+  // lanes, exactly as the full path would: both tile loads, every exchange
+  // round, each lane's candidates in the other half, and each lane's commit.
+  void charge_apart(xsycl::SubGroup& sg, int na, int nb,
+                    std::uint64_t& interactions) const {
+    const int H = sg.size() / 2;
+    sg.counters().global_loads += 2 * static_cast<std::uint64_t>(H);
+    for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
+    interactions += 2 * static_cast<std::uint64_t>(na) * static_cast<std::uint64_t>(nb);
+    for (int k = 0; k < na + nb; ++k) Traits::charge_commit(sg.counters());
   }
 
   void run_broadcast(xsycl::SubGroup& sg, const tree::LeafPair& lp) const {
@@ -526,33 +750,48 @@ class PairInteractionKernel {
 
     for (int ta = 0; ta < tiles_a; ++ta) {
       // Every lane owns one A-particle (loads BOTH interaction sides, §5.3.2).
-      load_tile(sg, la, la.begin + ta * S, 0, S, mine, active, idx);
+      load_tile(sg, lp.a, ta, 0, S, mine, active, idx);
       for (int l = 0; l < S; ++l) {
         acc[l] = Accum{};
         touched[l] = false;
       }
-      const HalfTileBounds a_bounds = half_tile_bounds(&mine[0], S);
+      const HalfTileBounds& a_bounds = launch_->bounds(lp.a, ta);
 
       for (int tb = 0; tb < tiles_b; ++tb) {
-        load_tile(sg, lb, lb.begin + tb * S, 0, S, bstate, bactive, bidx);
+        const HalfTileBounds& b_bounds = launch_->bounds(lp.b, tb);
+        const int bwidth = std::min(S, lb.count() - tb * S);
+        // Candidates of a culled broadcast particle, per direction.
+        const auto n_candidates = static_cast<std::uint64_t>(
+            a_bounds.n_valid - (self && ta == tb ? 1 : 0));
+        if (!(self && ta == tb) &&
+            tiles_apart(a_bounds, b_bounds, tile_pair_reach(traits_, a_bounds, b_bounds),
+                        traits_.box)) {
+          // What the loop below charges when it culls every B-particle.
+          sg.counters().global_loads += static_cast<std::uint64_t>(S);
+          sg.counters().broadcast_ops +=
+              static_cast<std::uint64_t>(bwidth) * ((sizeof(State) + 3) / 4);
+          const auto nb = static_cast<std::uint64_t>(b_bounds.n_valid);
+          interactions += nb * (self ? n_candidates : 2 * n_candidates);
+          if (!self) {
+            sg.counters().reduce_ops += nb * Traits::kAccumWords;
+            for (std::uint64_t k = 0; k < nb; ++k) Traits::charge_commit(sg.counters());
+          }
+          continue;
+        }
+        load_tile(sg, lp.b, tb, 0, S, bstate, bactive, bidx);
         // Distance at which an A-lane reaches any particle of this B-tile;
         // 0 (never cull) once one lane's radius is not positive.
-        const float b_hmax = half_tile_bounds(&bstate[0], S).hmax;
         double a_reach = 0.0;
         for (int l = 0; l < S; ++l) {
           if (!active[l]) continue;
-          const double r = traits_.reach_radius(mine[l], b_hmax);
+          const double r = traits_.reach_radius(mine[l], b_bounds.hmax);
           if (!(r > 0.0)) {
             a_reach = 0.0;
             break;
           }
           a_reach = std::max(a_reach, r);
         }
-        // Candidates of a culled broadcast particle, per direction.
-        const auto n_candidates = static_cast<std::uint64_t>(
-            a_bounds.n_valid - (self && ta == tb ? 1 : 0));
 
-        const int bwidth = std::min(S, lb.end - (lb.begin + tb * S));
         for (int jj = 0; jj < bwidth; ++jj) {
           const State other = xsycl::broadcast_object(sg, bstate, jj);
           if (!other.valid) continue;
@@ -577,27 +816,26 @@ class PairInteractionKernel {
           }
           if (!self) {
             // Redundantly compute the mirrored contribution (j, i) on every
-            // lane, combine with a reduction, and issue ONE atomic commit.
-            // The lanes' terms are summed in lane order, as the reduction
-            // adds them.
+            // lane, combine with a reduction, and issue ONE commit.  The
+            // lanes' terms are summed in lane order, as the reduction adds
+            // them.
             Accum sum{};
             bool any = false;
             for (int l = 0; l < S; ++l) {
               if (active[l] && add_pair(traits_, interactions, sum, other, mine[l])) any = true;
             }
             sg.counters().reduce_ops += Traits::kAccumWords;
-            commit(sg, other.idx, sum, any);
+            commit_one(sg, lp.b, bidx[jj], sum, any);
           }
         }
       }
-      for (int l = 0; l < S; ++l) {
-        if (active[l]) commit(sg, idx[l], acc[l], touched[l]);
-      }
+      commit_lanes(sg, lp.a, 0, S, active, idx, acc, touched);
     }
     sg.counters().interactions += interactions;
   }
 
   std::string name_;
+  const PairLaunch<Traits>* launch_;
   Traits traits_;
   const tree::Leaf* leaves_;
   const std::int32_t* order_;
@@ -640,7 +878,10 @@ inline std::uint64_t subgroups_for(std::size_t n, int sg_size) {
 
 // Submits one PairInteractionKernel launch per batch of the pair source and
 // accumulates the per-launch stats into a single record — the one batching
-// loop shared by the SPH kernel runners and gravity's run_pp_short.
+// loop shared by the SPH kernel runners and gravity's run_pp_short.  The
+// launch-wide PairLaunch is built before the first batch, on the queue's
+// pool; its wall is outside the recorded launch seconds, like the walk that
+// produces the batches.
 template <typename Traits>
 xsycl::LaunchStats launch_pair_batches(xsycl::Queue& q, const std::string& name,
                                        const Traits& traits,
@@ -651,9 +892,16 @@ xsycl::LaunchStats launch_pair_batches(xsycl::Queue& q, const std::string& name,
   xsycl::LaunchStats total;
   total.kernel = name;
   total.sub_group_size = launch.sub_group_size;
+  std::optional<PairLaunch<Traits>> pair_launch;
   pairs.for_each_batch([&](std::span<const tree::LeafPair> batch) {
-    PairInteractionKernel<Traits> kernel(name, traits, view, batch.data(),
-                                         batch.size(), variant);
+    if (!pair_launch) {
+      xsycl::check_sub_group_size(launch.sub_group_size);
+      const int width = variant == xsycl::CommVariant::kBroadcast
+                            ? launch.sub_group_size
+                            : launch.sub_group_size / 2;
+      pair_launch.emplace(traits, view, variant, width, q.pool());
+    }
+    PairInteractionKernel<Traits> kernel(name, *pair_launch, batch.data(), batch.size());
     const xsycl::LaunchStats stats = q.submit(kernel, batch.size(), launch);
     total.n_sub_groups += stats.n_sub_groups;
     total.seconds += stats.seconds;

@@ -70,10 +70,10 @@ inline HydroState load_hydro_state(const core::ParticleSet& p, std::int32_t i) {
   return s;
 }
 
-// Loader for the Extras kernel only: p.rho is that kernel's *output* array
-// while the launch is in flight (sub-groups commit into it via atomic_ref as
-// others load states), so a plain read of it here is a data race — and
-// extras_term consumes none of rho/P/cs.  Zero them instead of loading.
+// Loader for the Extras kernel only: p.rho is that kernel's *output* array,
+// zero-filled before the launch and accumulated into by its commits, so a
+// read of it here would load an output, not an input — and extras_term
+// consumes none of rho/P/cs.  Zero them instead of loading.
 inline HydroState load_extras_state(const core::ParticleSet& p, std::int32_t i) {
   HydroState s;
   s.px = p.x[i]; s.py = p.y[i]; s.pz = p.z[i];

@@ -4,7 +4,9 @@
 // fetch_max for floating-point types on all hardware; devices without native
 // support (NVIDIA) emulate them with a compare-and-swap loop.  We do the
 // same here — the op counters record which flavor ran so the platform model
-// can price native vs. CAS-emulated atomics.
+// can price native vs. CAS-emulated atomics.  The migration rewrites
+// (src/migrate) target it; the pair kernels commit with plain adds under a
+// leaf flag instead and charge these atomics (sph/half_warp.hpp).
 //
 // Thread-safety: the target word is mutated through std::atomic_ref, so
 // concurrent fetch_* from any number of pool workers is race-free (relaxed
@@ -75,9 +77,9 @@ class atomic_ref {
   OpCounters* counters_;
 };
 
-// Per-lane atomic scatter-add into a global array; the workhorse of the
-// force-accumulation kernels.  Inactive lanes still occupy the instruction
-// slot on real SIMD hardware, but only active lanes touch memory.
+// Per-lane atomic scatter-add into a global array.  Inactive lanes still
+// occupy the instruction slot on real SIMD hardware, but only active lanes
+// touch memory.
 template <typename T>
 inline void atomic_add_scatter(SubGroup& sg, T* base, const Varying<std::int32_t>& idx,
                                const Varying<T>& val, const Varying<bool>& active) {

@@ -72,14 +72,19 @@ inline bool permutes_registers(CommVariant v) {
   return v == CommVariant::kSelect || v == CommVariant::kVISA;
 }
 
-// Charges one in-place round of a register-permute variant: exactly the
-// counters exchange() charges for it.
-inline void charge_register_exchange(SubGroup& sg, CommVariant v, std::size_t obj_bytes) {
-  if (v == CommVariant::kVISA) {
-    charge_butterfly(sg, obj_bytes);
-  } else {
-    charge_select(sg, obj_bytes);
+// Charges one round of an exchange variant without moving any lane: exactly
+// the counters exchange() charges for it.  The pair harness charges Select
+// and vISA rounds this way while it reads partners in place, and every
+// variant's rounds for a tile pair it skips whole.
+inline void charge_exchange(SubGroup& sg, CommVariant v, std::size_t obj_bytes) {
+  switch (v) {
+    case CommVariant::kSelect: return charge_select(sg, obj_bytes);
+    case CommVariant::kMemory32: return charge_local32(sg, obj_bytes);
+    case CommVariant::kMemoryObject: return charge_local_object(sg, obj_bytes);
+    case CommVariant::kVISA: return charge_butterfly(sg, obj_bytes);
+    case CommVariant::kBroadcast: break;
   }
+  throw std::logic_error("charge_exchange(): the Broadcast variant does not exchange lanes");
 }
 
 // Local-memory bytes one sub-group needs to exchange objects of `obj_bytes`

@@ -31,6 +31,23 @@ inline void charge_butterfly(SubGroup& sg, std::size_t obj_bytes) {
       static_cast<std::uint64_t>(sg.size()) * words_of(obj_bytes);
 }
 
+// Counter charge of one "Memory, 32-bit" exchange of `obj_bytes` objects:
+// per 32-bit word, one barrier and one word per lane through local memory.
+inline void charge_local32(SubGroup& sg, std::size_t obj_bytes) {
+  const std::uint64_t words = words_of(obj_bytes);
+  sg.counters().barriers += words;
+  sg.counters().local32_barriers += words;
+  sg.counters().local32_words += words * static_cast<std::uint64_t>(sg.size());
+}
+
+// Counter charge of one "Memory, Object" exchange: one barrier, and every
+// lane's object through local memory.
+inline void charge_local_object(SubGroup& sg, std::size_t obj_bytes) {
+  ++sg.counters().barriers;
+  ++sg.counters().localobj_barriers;
+  sg.counters().localobj_bytes += static_cast<std::uint64_t>(sg.size()) * obj_bytes;
+}
+
 // Generic permutation: out[l] = x[src[l]].  Models sycl::select_from_group,
 // which compiles to indirect register access when the pattern is not known
 // at compile time (paper Fig. 5).
@@ -146,7 +163,8 @@ inline void exchange_visa(SubGroup& sg, const Varying<T>& x, int round, Varying<
 }
 
 // Exchange through work-group local memory, one 32-bit word at a time
-// (the "Memory, 32-bit" variant).  Each word: write, barrier, read.
+// (the "Memory, 32-bit" variant).  Each word: write, barrier, read; the
+// lockstep emulation needs no barrier, so the barriers are only charged.
 template <typename T>
 inline void exchange_local32(SubGroup& sg, const Varying<T>& x, int round, Varying<T>& out) {
   static_assert(sizeof(T) % 4 == 0, "exchanged objects must be 4-byte multiples");
@@ -160,14 +178,12 @@ inline void exchange_local32(SubGroup& sg, const Varying<T>& x, int round, Varyi
       std::memcpy(&word, reinterpret_cast<const std::uint32_t*>(&x[l]) + w, 4);
       word_buf[l] = word;
     }
-    sg.barrier();
-    ++sg.counters().local32_barriers;
     for (int l = 0; l < sg.size(); ++l) {
       const int p = xor_partner(l, round, sg.size());
       std::memcpy(reinterpret_cast<std::uint32_t*>(&out[l]) + w, &word_buf[p], 4);
     }
-    sg.counters().local32_words += static_cast<std::uint64_t>(sg.size());
   }
+  charge_local32(sg, sizeof(T));
 }
 
 // Exchange through local memory as whole objects ("Memory, Object"): one
@@ -180,10 +196,8 @@ inline void exchange_local_object(SubGroup& sg, const Varying<T>& x, int round,
   assert(slm.size() >= sizeof(T) * static_cast<std::size_t>(sg.size()));
   auto* obj_buf = reinterpret_cast<T*>(slm.data());
   for (int l = 0; l < sg.size(); ++l) obj_buf[l] = x[l];
-  sg.barrier();
-  ++sg.counters().localobj_barriers;
   for (int l = 0; l < sg.size(); ++l) out[l] = obj_buf[xor_partner(l, round, sg.size())];
-  sg.counters().localobj_bytes += static_cast<std::uint64_t>(sg.size()) * sizeof(T);
+  charge_local_object(sg, sizeof(T));
 }
 
 }  // namespace hacc::xsycl

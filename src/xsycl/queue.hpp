@@ -82,6 +82,10 @@ class Queue {
         kernel.local_bytes_per_sg(cfg.sub_group_size), n_sub_groups, cfg);
   }
 
+  // The pool launches run on; a launch's host-side preparation (the pair
+  // harness's launch-wide state gather) runs on it too.
+  util::ThreadPool& pool() const { return *pool_; }
+
   // Snapshot of every launch since construction / last clear.  Returns a
   // copy: a reference into history_ could be invalidated — or torn — by a
   // concurrent submit().

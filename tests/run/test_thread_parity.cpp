@@ -5,9 +5,10 @@
 // Tolerance contract (docs/CONCURRENCY.md): the PM mesh pipeline
 // (CIC/FFT/gradient), tree build, FMM passes, and the kick/drift updates
 // are bitwise thread-count-invariant.  The short-range P-P and SPH pair
-// kernels commit per-pair contributions with atomic float adds, so their
-// accumulation *order* — and therefore the float rounding — depends on the
-// dynamic chunk schedule once more than one worker runs.  A few steps of a
+// kernels commit per-pair contributions with float adds under a per-leaf
+// flag, in the order sub-groups take it, so their accumulation *order* —
+// and therefore the float rounding — depends on the dynamic chunk schedule
+// once more than one worker runs.  A few steps of a
 // smooth near-linear state amplify that reordering noise only weakly, so
 // multi-thread runs must match the 1-thread run to a small relative
 // tolerance, not bitwise.
@@ -79,7 +80,7 @@ double max_abs(const std::vector<float>& a) {
   return worst;
 }
 
-// Relative tolerance for atomic-accumulation reordering: float rounding is
+// Relative tolerance for commit reordering: float rounding is
 // ~1e-7 per commit; hundreds of pair commits per particle and two KDK steps
 // stay comfortably under 1e-4 of the state scale.
 constexpr double kRelTol = 1e-4;

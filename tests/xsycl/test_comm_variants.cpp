@@ -108,27 +108,30 @@ TEST_P(CommVariants, OnlyTheExpectedCountersMove) {
 }
 
 TEST(CommVariantExchange, InPlaceChargeMatchesExchange) {
-  // The pair harness reads Select/vISA partners in place and charges the
-  // round with charge_register_exchange; the cost model must see the same
-  // counts as a real exchange of the same object.
+  // The pair harness reads Select/vISA partners in place, and skips whole
+  // tile pairs of every variant, charging each round with charge_exchange;
+  // the cost model must see the same counts as a real exchange of the same
+  // object.
   struct Obj {
     float w[30];
   };
-  for (const auto variant : {CommVariant::kSelect, CommVariant::kVISA}) {
-    ASSERT_TRUE(permutes_registers(variant));
+  for (const auto variant : kExchangeVariants) {
     for (const int S : {16, 32, 64}) {
-      StandaloneSubGroup exchanged(S), charged(S);
+      StandaloneSubGroup exchanged(S, sizeof(Obj) * S), charged(S);
       Varying<Obj> x, out;
       exchange(exchanged.sg, x, 1, variant, out);
-      charge_register_exchange(charged.sg, variant, sizeof(Obj));
-      EXPECT_EQ(charged.counters.select_ops, exchanged.counters.select_ops);
-      EXPECT_EQ(charged.counters.select_words, exchanged.counters.select_words);
-      EXPECT_EQ(charged.counters.butterfly_words, exchanged.counters.butterfly_words);
+      charge_exchange(charged.sg, variant, sizeof(Obj));
+      EXPECT_EQ(charged.counters, exchanged.counters) << to_string(variant) << " S=" << S;
       EXPECT_EQ(charged.counters.summary(), exchanged.counters.summary());
     }
   }
+  EXPECT_TRUE(permutes_registers(CommVariant::kSelect));
+  EXPECT_TRUE(permutes_registers(CommVariant::kVISA));
   EXPECT_FALSE(permutes_registers(CommVariant::kMemory32));
   EXPECT_FALSE(permutes_registers(CommVariant::kMemoryObject));
+  StandaloneSubGroup ctx(16);
+  EXPECT_THROW(charge_exchange(ctx.sg, CommVariant::kBroadcast, sizeof(Obj)),
+               std::logic_error);
 }
 
 TEST(CommVariantExchange, BroadcastThrowsInEveryBuild) {
