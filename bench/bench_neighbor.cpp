@@ -1,7 +1,8 @@
 // Neighbor-machinery benchmarks for the interaction-domain subsystem:
 // tree build vs Verlet-skin reuse cost, streamed pair-traversal throughput,
 // and a skin sweep over a drifting particle set showing how the rebuild
-// policy cuts the per-step tree + pairs phase.  The summary emits
+// policy cuts the per-step tree + pairs phase.  The summary times each
+// point over kReps repetitions (min / median / max) and emits
 // BENCH_neighbor.json (path override: HACC_BENCH_NEIGHBOR_JSON) next to
 // BENCH_pm.json / BENCH_run.json so every CI run leaves a comparable record.
 
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -138,23 +140,49 @@ BENCHMARK(BM_PairMaterialize)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // Figure output: build-vs-reuse phase timings + skin sweep -> BENCH_neighbor.json
 
+// Timed repetitions per measured point.
+constexpr int kReps = 7;
+
+// The spread of one point's repetitions, in milliseconds.
+struct Spread {
+  double min_ms = 0.0;
+  double median_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+// Runs `once`, which returns the seconds of the work it timed, kReps times.
+template <typename F>
+Spread time_reps(F once) {
+  std::vector<double> ms;
+  for (int r = 0; r < kReps; ++r) ms.push_back(1e3 * once());
+  std::sort(ms.begin(), ms.end());
+  return {ms.front(), ms[kReps / 2], ms.back()};
+}
+
+// Writes `"<name>_min_ms": ..., "<name>_median_ms": ..., "<name>_max_ms": ...`.
+void write_spread(std::FILE* f, const char* name, const Spread& s) {
+  std::fprintf(f, "\"%s_min_ms\": %.4f, \"%s_median_ms\": %.4f, \"%s_max_ms\": %.4f", name,
+               s.min_ms, name, s.median_ms, name, s.max_ms);
+}
+
 struct SweepRecord {
   double skin_dx = 0.0;    // skin in units of the interparticle spacing
   int builds = 0;
   int reuses = 0;
-  double phase_ms = 0.0;   // total tree + pairs time over the sweep steps
+  Spread phase;            // total tree + pairs time over the sweep steps
 };
 
 struct ThreadRecord {
   int threads = 1;
-  double build_ms = 0.0;  // best-of-3 cold build on a pool of that width
+  Spread build;  // one cold build on a pool of that width
 };
 
 struct NeighborReport {
   int n_side = 0;
-  double build_ms = 0.0;     // one cold tree build (no pool)
-  double reuse_ms = 0.0;     // one refresh-path update
-  double pairs_per_s = 0.0;  // streamed traversal throughput
+  Spread build;              // one cold tree build (no pool)
+  Spread reuse;              // one refresh-path update
+  Spread traversal;          // one streamed traversal at the cutoff
+  std::uint64_t traversal_pairs = 0;  // leaf pairs one traversal streams
   std::vector<ThreadRecord> thread_sweep;
   std::vector<SweepRecord> sweep;
 };
@@ -169,13 +197,15 @@ NeighborReport measure_report() {
 
   {  // cold build cost
     const DriftingSet set(rep.n_side);
-    domain::InteractionDomain dom(
-        domain_options(0.0, domain::RebuildPolicy::kAlways));
-    const double t0 = util::wtime();
-    dom.update(set.pos);
-    rep.build_ms = 1e3 * (util::wtime() - t0);
+    rep.build = time_reps([&] {
+      domain::InteractionDomain dom(domain_options(0.0, domain::RebuildPolicy::kAlways));
+      const double t0 = util::wtime();
+      dom.update(set.pos);
+      return util::wtime() - t0;
+    });
   }
-  {  // refresh cost
+  // refresh cost
+  rep.reuse = time_reps([&] {
     DriftingSet set(rep.n_side);
     domain::InteractionDomain dom(
         domain_options(10.0 * kBox, domain::RebuildPolicy::kDisplacement));
@@ -183,8 +213,8 @@ NeighborReport measure_report() {
     set.drift(step_drift);
     const double t0 = util::wtime();
     dom.update(set.pos);
-    rep.reuse_ms = 1e3 * (util::wtime() - t0);
-  }
+    return util::wtime() - t0;
+  });
   // Level-parallel build scaling: the same cold build on pools of widths
   // 1/2/4/8 (the tree build parallelized across top levels in the
   // task-graph PR; this records how that lands on the current machine).
@@ -196,13 +226,12 @@ NeighborReport measure_report() {
     opt.pool = &pool;
     ThreadRecord rec;
     rec.threads = n_threads;
-    rec.build_ms = 1e30;
-    for (int r = 0; r < 3; ++r) {
+    rec.build = time_reps([&] {
       domain::InteractionDomain dom(opt);
       const double t0 = util::wtime();
       dom.update(set.pos);
-      rec.build_ms = std::min(rec.build_ms, 1e3 * (util::wtime() - t0));
-    }
+      return util::wtime() - t0;
+    });
     rep.thread_sweep.push_back(rec);
   }
 
@@ -211,40 +240,48 @@ NeighborReport measure_report() {
     domain::InteractionDomain dom(
         domain_options(0.0, domain::RebuildPolicy::kAlways));
     dom.update(set.pos);
-    std::uint64_t pairs = 0;
-    const double t0 = util::wtime();
-    for (int r = 0; r < 10; ++r) {
+    rep.traversal = time_reps([&] {
+      std::uint64_t pairs = 0;
+      const double t0 = util::wtime();
       dom.for_each_pair(cutoff, [&pairs](const tree::LeafPair&) { ++pairs; });
-    }
-    const double dt = util::wtime() - t0;
-    rep.pairs_per_s = dt > 0.0 ? static_cast<double>(pairs) / dt : 0.0;
+      const double dt = util::wtime() - t0;
+      rep.traversal_pairs = pairs;
+      return dt;
+    });
   }
 
   // Skin sweep: identical drift sequence per skin; skin = 0 with the
   // displacement policy still rebuilds every step (any motion exceeds 0),
   // so it doubles as the always-rebuild baseline.
   for (const double skin_dx : {0.0, 0.1, 0.25, 0.5, 1.0}) {
-    DriftingSet set(rep.n_side, 17);
-    domain::InteractionDomain dom(
-        domain_options(skin_dx * dx, domain::RebuildPolicy::kDisplacement));
-    double phase = 0.0;
-    std::uint64_t pairs = 0;
-    for (int s = 0; s < steps; ++s) {
-      const double t0 = util::wtime();
-      dom.update(set.pos);
-      dom.for_each_pair(cutoff, [&pairs](const tree::LeafPair&) { ++pairs; });
-      phase += util::wtime() - t0;
-      set.drift(step_drift);
-    }
-    benchmark::DoNotOptimize(pairs);
     SweepRecord rec;
     rec.skin_dx = skin_dx;
-    rec.builds = static_cast<int>(dom.stats().builds);
-    rec.reuses = static_cast<int>(dom.stats().reuses);
-    rec.phase_ms = 1e3 * phase;
+    rec.phase = time_reps([&] {
+      DriftingSet set(rep.n_side, 17);
+      domain::InteractionDomain dom(
+          domain_options(skin_dx * dx, domain::RebuildPolicy::kDisplacement));
+      double phase = 0.0;
+      std::uint64_t pairs = 0;
+      for (int s = 0; s < steps; ++s) {
+        const double t0 = util::wtime();
+        dom.update(set.pos);
+        dom.for_each_pair(cutoff, [&pairs](const tree::LeafPair&) { ++pairs; });
+        phase += util::wtime() - t0;
+        set.drift(step_drift);
+      }
+      benchmark::DoNotOptimize(pairs);
+      rec.builds = static_cast<int>(dom.stats().builds);
+      rec.reuses = static_cast<int>(dom.stats().reuses);
+      return phase;
+    });
     rep.sweep.push_back(rec);
   }
   return rep;
+}
+
+// Leaf pairs per second of one traversal of `ms` milliseconds.
+double pairs_per_s(const NeighborReport& rep, double ms) {
+  return ms > 0.0 ? static_cast<double>(rep.traversal_pairs) / (1e-3 * ms) : 0.0;
 }
 
 void write_bench_json(const NeighborReport& rep) {
@@ -257,26 +294,35 @@ void write_bench_json(const NeighborReport& rep) {
   }
   std::fprintf(f, "{\n  \"bench\": \"neighbor_domain\",\n");
   hacc::bench::write_provenance(f);
+  std::fprintf(f, "  \"reps\": %d,\n", kReps);
   std::fprintf(f, "  \"n\": %d,\n", rep.n_side * rep.n_side * rep.n_side);
   std::fprintf(f, "  \"leaf_size\": %d,\n", kLeafSize);
-  std::fprintf(f, "  \"build_ms\": %.4f,\n", rep.build_ms);
-  std::fprintf(f, "  \"reuse_ms\": %.4f,\n", rep.reuse_ms);
-  std::fprintf(f, "  \"pairs_per_s\": %.3e,\n", rep.pairs_per_s);
+  std::fprintf(f, "  ");
+  write_spread(f, "build", rep.build);
+  std::fprintf(f, ",\n  ");
+  write_spread(f, "reuse", rep.reuse);
+  std::fprintf(f, ",\n");
+  // The slowest traversal gives the least throughput.
+  std::fprintf(f,
+               "  \"pairs_per_s_min\": %.3e, \"pairs_per_s_median\": %.3e, "
+               "\"pairs_per_s_max\": %.3e,\n",
+               pairs_per_s(rep, rep.traversal.max_ms), pairs_per_s(rep, rep.traversal.median_ms),
+               pairs_per_s(rep, rep.traversal.min_ms));
   std::fprintf(f, "  \"build_threads_sweep\": [\n");
   for (std::size_t i = 0; i < rep.thread_sweep.size(); ++i) {
     const ThreadRecord& r = rep.thread_sweep[i];
-    std::fprintf(f, "    {\"threads\": %d, \"build_ms\": %.4f}%s\n", r.threads,
-                 r.build_ms, i + 1 < rep.thread_sweep.size() ? "," : "");
+    std::fprintf(f, "    {\"threads\": %d, ", r.threads);
+    write_spread(f, "build", r.build);
+    std::fprintf(f, "}%s\n", i + 1 < rep.thread_sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"skin_sweep\": [\n");
   for (std::size_t i = 0; i < rep.sweep.size(); ++i) {
     const SweepRecord& r = rep.sweep[i];
-    std::fprintf(f,
-                 "    {\"skin_dx\": %.2f, \"builds\": %d, \"reuses\": %d, "
-                 "\"phase_ms\": %.4f}%s\n",
-                 r.skin_dx, r.builds, r.reuses, r.phase_ms,
-                 i + 1 < rep.sweep.size() ? "," : "");
+    std::fprintf(f, "    {\"skin_dx\": %.2f, \"builds\": %d, \"reuses\": %d, ", r.skin_dx,
+                 r.builds, r.reuses);
+    write_spread(f, "phase", r.phase);
+    std::fprintf(f, "}%s\n", i + 1 < rep.sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -287,23 +333,25 @@ void print_summary() {
   hacc::bench::print_header(
       "Interaction domain: build vs Verlet reuse, streamed pairs, skin sweep");
   const NeighborReport rep = measure_report();
-  std::printf("n = %d, leaf %d: build %.3f ms, reuse %.3f ms (%.1fx), "
+  std::printf("n = %d, leaf %d, median of %d: build %.3f ms, reuse %.3f ms (%.1fx), "
               "stream %.2e pairs/s\n",
-              rep.n_side * rep.n_side * rep.n_side, kLeafSize, rep.build_ms,
-              rep.reuse_ms,
-              rep.reuse_ms > 0.0 ? rep.build_ms / rep.reuse_ms : 0.0,
-              rep.pairs_per_s);
-  std::printf("build threads sweep:");
+              rep.n_side * rep.n_side * rep.n_side, kLeafSize, kReps, rep.build.median_ms,
+              rep.reuse.median_ms,
+              rep.reuse.median_ms > 0.0 ? rep.build.median_ms / rep.reuse.median_ms : 0.0,
+              pairs_per_s(rep, rep.traversal.median_ms));
+  std::printf("build threads sweep (median [min, max]):");
   for (const ThreadRecord& r : rep.thread_sweep) {
-    std::printf("  %dt %.3f ms", r.threads, r.build_ms);
+    std::printf("  %dt %.3f [%.3f, %.3f] ms", r.threads, r.build.median_ms, r.build.min_ms,
+                r.build.max_ms);
   }
   std::printf("\n");
-  std::printf("%-9s %8s %8s %12s\n", "skin/dx", "builds", "reuses", "phase ms");
-  const double baseline = rep.sweep.empty() ? 0.0 : rep.sweep.front().phase_ms;
+  std::printf("%-9s %8s %8s %12s %12s\n", "skin/dx", "builds", "reuses", "phase ms",
+              "min-max ms");
+  const double baseline = rep.sweep.empty() ? 0.0 : rep.sweep.front().phase.median_ms;
   for (const SweepRecord& r : rep.sweep) {
-    std::printf("%-9.2f %8d %8d %12.3f  (%.2fx baseline)\n", r.skin_dx,
-                r.builds, r.reuses, r.phase_ms,
-                baseline > 0.0 ? r.phase_ms / baseline : 0.0);
+    std::printf("%-9.2f %8d %8d %12.3f %5.1f-%-6.1f (%.2fx baseline)\n", r.skin_dx, r.builds,
+                r.reuses, r.phase.median_ms, r.phase.min_ms, r.phase.max_ms,
+                baseline > 0.0 ? r.phase.median_ms / baseline : 0.0);
   }
   write_bench_json(rep);
 }

@@ -86,47 +86,68 @@ struct GravityTraits {
 
   double reach_radius(const State&, float) const { return std::sqrt(double(rcut2)); }
 
-  // Newton minus the polynomial grid profile, attractive toward the
-  // partner.  Real is float (accumulate) or sph::Floats4 (accumulate4).
+  // The polynomial grid profile at r².  Real is float (accumulate) or
+  // sph::Floats4 (terms4).
   template <typename Real>
-  util::Vec3<Real> force(const util::Vec3<Real>& d, Real r2, Real other_mass) const {
-    const Real f = G * other_mass * poly->short_profile(r2, Real(eps2));
+  Real profile(Real r2) const {
+    return poly->short_profile(r2, Real(eps2));
+  }
+
+  // Newton minus the grid profile `p`, attractive toward the partner.
+  template <typename Real>
+  util::Vec3<Real> force(const util::Vec3<Real>& d, Real p, Real other_mass) const {
+    const Real f = G * other_mass * p;
     return {-f * d.x, -f * d.y, -f * d.z};
   }
 
   // Only called for pairs that reach.
   void accumulate(Accum& a, const State& own, const State& other) const {
     const util::Vec3<float> d = sph::separation(own, other, box);
-    const util::Vec3<float> t = force(d, norm2(d), other.mass);
+    const util::Vec3<float> t = force(d, profile(norm2(d)), other.mass);
     a.fx += t.x;
     a.fy += t.y;
     a.fz += t.z;
   }
 
-  // Four-lane form (sph/half_warp.hpp, "Vector blocks"): the members it
-  // reads, in the order it indexes them.
+  // Four-lane form (sph/half_warp.hpp, "Vector blocks and mirrored rounds"):
+  // the members it reads, in the order it indexes them; positions first.
   static constexpr std::array kLaneFields{&State::px, &State::py, &State::pz,
                                           &State::mass};
   enum LaneField { kX, kY, kZ, kMass };
   using Lanes = sph::LaneBlock<kLaneFields.size()>;
   using Accum4 = util::Vec3<sph::Floats4>;
 
-  // Inlined into the round loop, the block's sums stay in registers.
-  [[gnu::always_inline]] sph::Mask4 accumulate4(Accum4& a, const Lanes& own,
-                                                const Lanes& other,
-                                                sph::Mask4 pair) const {
+  // Both directions of four pairs from one profile: `own` is each own lane's
+  // term with its partner, `mirrored` the partner's term with the own lane.
+  // The partner's displacement is the negated one: the four-lane min_image
+  // is odd, so its bits differ at most in the sign of a zero component,
+  // which leaves a sum that is never -0 unchanged; its r² has the same bits.
+  // Where the pair does not reach, both terms are +0.
+  struct Terms4 {
+    sph::Mask4 reach;
+    Accum4 own;
+    Accum4 mirrored;
+  };
+
+  // Inlined into the round loop; a caller that drops `mirrored` does not
+  // compute it.
+  [[gnu::always_inline]] Terms4 terms4(const Lanes& own, const Lanes& other,
+                                       sph::Mask4 pair) const {
     const util::Vec3<sph::Floats4> d = sph::min_image(
         util::Vec3<sph::Floats4>{own.f[kX] - other.f[kX], own.f[kY] - other.f[kY],
                                  own.f[kZ] - other.f[kZ]},
         box);
     const sph::Floats4 r2 = norm2(d);
-    const sph::Mask4 reach = pair && in_reach(r2);
-    if (sph::stdx::none_of(reach)) return reach;
-    util::Vec3<sph::Floats4> t = force(d, r2, other.f[kMass]);
-    // An unreached lane adds +0: its sum is unchanged.
-    for (int c = 0; c < 3; ++c) where(!reach, t[c]) = 0.f;
-    a += t;
-    return reach;
+    Terms4 t{pair && in_reach(r2), {}, {}};
+    if (sph::stdx::none_of(t.reach)) return t;
+    const sph::Floats4 p = profile(r2);
+    t.own = force(d, p, other.f[kMass]);
+    t.mirrored = force(-d, p, own.f[kMass]);
+    for (int c = 0; c < 3; ++c) {
+      where(!t.reach, t.own[c]) = 0.f;
+      where(!t.reach, t.mirrored[c]) = 0.f;
+    }
+    return t;
   }
 
   static Accum lane(const Accum4& a, int k) { return {a.x[k], a.y[k], a.z[k]}; }

@@ -66,13 +66,15 @@ namespace hacc::sph {
 //   void commit(std::int32_t idx, const Accum&) const;
 //   // The atomics of one commit in the paper: one per word commit writes.
 //   static void charge_commit(xsycl::OpCounters&);
-// Optionally, a four-lane form of reaches + accumulate (BlockTraits below):
-//   static constexpr std::array kLaneFields;  // &State::x, ... it reads
-//   using Accum4;                      // four lanes' Accum; zero-initializes
-//   // Adds the terms of four own lanes with four partners where `pair`
-//   // holds and the pair reaches; returns the lanes that reached.
-//   Mask4 accumulate4(Accum4&, const LaneBlock<N>& own,
-//                     const LaneBlock<N>& other, Mask4 pair) const;
+// Optionally, a four-lane form of reaches + accumulate in both directions
+// (BlockTraits below), for a reach that is the same both ways:
+//   static constexpr std::array kLaneFields;  // &State::px, py, pz, ... it reads
+//   using Accum4;                      // four lanes' Accum, one Floats4 a word
+//   // Four own lanes with four partners, where `pair` holds: the lanes
+//   // that reach, each own lane's term (own) and each partner's term with
+//   // its own lane (mirrored), +0 where the pair does not reach.
+//   Terms4 terms4(const LaneBlock<N>& own, const LaneBlock<N>& other,
+//                 Mask4 pair) const;  // {reach, own, mirrored}
 //   static Accum lane(const Accum4&, int k);
 //
 // Skipping a pair that does not reach adds nothing to an accumulator that
@@ -85,10 +87,11 @@ namespace hacc::sph {
 // counter:
 //   - Launch-wide states and tile bounds.  Before its first batch, a launch
 //     loads the state of every slot of the view's leaves once, in parallel,
-//     into one slot-ordered array, and the bounds of every tile of the
-//     launch's width (S/2 for the exchange variants, S for Broadcast) into
-//     one table (PairLaunch).  A tile load then copies contiguous states,
-//     and charges the global loads it did before.  No kernel loads an
+//     and the bounds of every tile of the launch's width (S/2 for the
+//     exchange variants, S for Broadcast) into one table (PairLaunch).  The
+//     states go into one slot-ordered array, or, for a launch of vector
+//     blocks (below), into per-field lane arrays.  A tile load then reads
+//     contiguous lanes, and charges the global loads it did before.  No kernel loads an
 //     output of its own (Extras zeroes rho instead), so a state loaded
 //     before the launch equals one loaded during it, and a tile's bounds
 //     fold the same lanes in the same order.
@@ -116,13 +119,19 @@ namespace hacc::sph {
 //     relative.  The flags hold no counters; the harness charges
 //     charge_commit for every commit, touched or not.
 //   - Bounds cull.  After a tile loads, each lane is tested against the
-//     bounds of the other half (half_tile_bounds / beyond_reach).  A lane
-//     that reaches none of them runs no candidate tests; its candidates are
-//     counted arithmetically.
-//   - Lane-major order.  Select and vISA loop over lanes (or blocks of
-//     four lanes, below) outside and rounds inside, reading the partner
-//     lane in place.  Each lane's sum still receives its terms in round
-//     order, so no bit changes.  Memory32 and MemoryObject keep the
+//     bounds of the other half (half_tile_bounds / beyond_reach), four lanes
+//     at a time (cull_tile / beyond_reach4) with beyond_reach's double
+//     operations lane for lane, so the same lanes are culled.  A lane whose
+//     position, h or radius is not finite, or whose offset needs
+//     periodic_gap's fmod wrap, takes the scalar test.  A lane that reaches
+//     none of the other half runs no candidate tests; its candidates are
+//     counted arithmetically.  Where the reach is the same both ways (P-P:
+//     r² < r_cut², and r² has the same bits from either side), no lane of
+//     the other half reaches a culled lane either.
+//   - Lane-major order.  Select and vISA loop over lanes outside and rounds
+//     inside (vector blocks, below, the other way round), reading the
+//     partner lane in place.  Each lane's sum still receives its terms in
+//     round order, so no bit changes.  Memory32 and MemoryObject keep the
 //     round-major loop: each round's local-memory exchange fills `theirs`.
 //     A tile whose lanes were all culled runs no rounds at all.
 //   - Reach-compacted batches.  Under Select and vISA, Traits with a term
@@ -139,22 +148,37 @@ namespace hacc::sph {
 //     live lane reaches ~4 of its 16 candidates, so a block of four own
 //     lanes fills ~1.7 lanes of each term vector while every field of the
 //     tile (up to 28) is transposed; the batches are 98% full.
-//   - Vector blocks.  Under Select and vISA, Traits with a four-lane form
-//     run four own lanes at a time once a half holds at least four lanes
-//     (block_rounds).  The tile is stored as per-field arrays (LaneTile),
-//     each half twice.  A Select round of four lanes is one aligned load at
-//     l0 ^ (H | (r & ~3)) and one of four fixed shuffles, by r & 3; a vISA
-//     round is one unaligned load from the doubled copy of the other half.
-//     Empty partners, self pairs and pairs out of reach are masked, not
-//     branched around; an unreached lane adds +0, the identity on a sum
-//     that starts at +0 (below).  Every lane gets the float operations of
-//     reaches + accumulate, in round order: the build targets baseline
-//     x86-64, which has no FMA to contract into, and sqrtps and divps round
-//     correctly, as the scalar instructions do.  A -march, -mfma or
-//     -ffast-math change may move these bits, and must re-record the
-//     output bit snapshots explicitly.  P-P keeps these blocks: its term is
-//     light and most of its candidates reach, and on the batch path its
-//     pp.short_s was 5% slower on cosmo-treepm (median of 6 traced pairs).
+//   - Vector blocks and mirrored rounds.  Under Select and vISA, Traits
+//     with a four-lane form (P-P) run a tile through block_rounds once a
+//     half holds at least four lanes.  The launch stores every tile's lanes
+//     once, per field (LaneArrays: the kLaneFields, idx and valid), each
+//     tile from a four-aligned element, so four lanes of a field are one
+//     aligned load.  Rounds run outside, the lower half's blocks of four
+//     inside.  In round r, lower lanes j .. j + 3 meet the upper lanes the
+//     schedule pairs them with: Select's j ^ r are one aligned block and one
+//     of four fixed shuffles, by r & 3; vISA's (j + r) mod H span at most
+//     two aligned blocks.  Each pair is evaluated once, from one profile, in
+//     both directions (terms4): the own term goes to the lower lane's sum,
+//     the mirrored term back through the same shuffle to the upper lane's,
+//     and the upper lane meets that lower lane in the same round, so both
+//     sums receive their terms in round order, as in lane_rounds.  A pair is
+//     evaluated only where both lanes are live: a culled lane reaches no
+//     lane of the other half, nor does any reach it (Bounds cull).  On a
+//     diagonal tile the two halves are one slice: only the lower lanes take
+//     terms, and round 0, which pairs each lane with itself, is skipped.
+//     Empty partners and pairs out of reach are masked, not branched
+//     around; an unreached lane adds +0, the identity on a sum that starts
+//     at +0 (below).  Every lane gets the float operations of reaches +
+//     accumulate: the build targets baseline x86-64, which has no FMA to
+//     contract into, and sqrtps and divps round correctly, as the scalar
+//     instructions do.  A -march, -mfma or -ffast-math change may move
+//     these bits, and must re-record the output bit snapshots explicitly.
+//     A tile's particles are distinct, so a live lane's candidates are
+//     counted arithmetically: every particle of the other half, itself
+//     excepted on a diagonal tile.  P-P keeps these blocks rather than
+//     batches: its term is light and most of its candidates reach, and on
+//     the batch path its pp.short_s was 5% slower on cosmo-treepm (median
+//     of 6 traced pairs).
 //   - Charge-only commits.  An accumulator that received no term is all +0
 //     and is not committed, nor is its leaf's flag taken for it.  This is
 //     exact because every pair-kernel output is zero-filled (+0) before its
@@ -221,22 +245,21 @@ inline double periodic_gap(double p, double lo, double hi, double box) {
   return std::min(t - w, box - t);
 }
 
-// True only if `own` reaches no member of `other` within `radius`: the
-// minimum-image distance to the box bounds every member's distance from
-// below.  The margin covers the float rounding of the pair's own r.  The
-// subtraction, the box multiple and the wrap each round to half an ulp of
-// values up to 2 (|coordinate| + box), under 2^-22 (box + extent) per axis
-// in all; 2^-20 covers three axes.  The squares, sum and sqrt add a few
-// relative ulps, far inside 1e-4.  A non-finite position or h on either
-// side, or a radius that is not positive, keeps the lane live.
-template <typename State>
-bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
-                  double box) {
+// True only if a lane at `p` of smoothing length `h` reaches no member of
+// `other` within `radius`: the minimum-image distance to the box bounds
+// every member's distance from below.  The margin covers the float rounding
+// of the pair's own r.  The subtraction, the box multiple and the wrap each
+// round to half an ulp of values up to 2 (|coordinate| + box), under
+// 2^-22 (box + extent) per axis in all; 2^-20 covers three axes.  The
+// squares, sum and sqrt add a few relative ulps, far inside 1e-4.  A
+// non-finite position or h on either side, or a radius that is not
+// positive, keeps the lane live.
+inline bool beyond_reach(const util::Vec3d& p, float h, const HalfTileBounds& other,
+                         double radius, double box) {
   if (other.n_valid == 0) return true;
-  const util::Vec3d p{own.px, own.py, own.pz};
-  if (!(other.finite && std::isfinite(p.x) && std::isfinite(p.y) &&
-        std::isfinite(p.z) && std::isfinite(lane_h(own)) && radius > 0.0 &&
-        std::isfinite(radius) && box > 0.0 && std::isfinite(box))) {
+  if (!(other.finite && std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z) &&
+        std::isfinite(h) && radius > 0.0 && std::isfinite(radius) && box > 0.0 &&
+        std::isfinite(box))) {
     return false;
   }
   double d2 = 0.0;
@@ -248,6 +271,63 @@ bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
   }
   const double reach = (radius + 0x1p-20 * (box + extent)) * (1.0 + 1e-4);
   return d2 > reach * reach;
+}
+
+template <typename State>
+bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
+                  double box) {
+  return beyond_reach(util::Vec3d{own.px, own.py, own.pz}, lane_h(own), other, radius, box);
+}
+
+using Doubles4 = stdx::fixed_size_simd<double, kBlockLanes>;
+
+// The positions and h of four lanes, as the cull reads them.
+struct LanePositions4 {
+  Floats4 x, y, z, h;
+};
+
+// beyond_reach of four lanes against one half-tile: bit k is set where lane
+// k is culled.  Each lane takes beyond_reach's double operations, in its
+// order, so the bits are beyond_reach's.  A lane whose position, h or
+// radius is not finite, whose radius is not positive, or whose offset past
+// other.lo needs periodic_gap's fmod wrap takes the scalar test instead.
+inline unsigned beyond_reach4(const LanePositions4& own, const Doubles4& radius,
+                              const HalfTileBounds& other, double box) {
+  if (other.n_valid == 0) return (1u << kBlockLanes) - 1;
+  if (!(other.finite && box > 0.0 && std::isfinite(box))) return 0;
+  const auto wide = [](const Floats4& v) { return Doubles4([&](auto k) { return double(v[k]); }); };
+  const Doubles4 p[3] = {wide(own.x), wide(own.y), wide(own.z)};
+  const Doubles4 inf(std::numeric_limits<double>::infinity());
+  // Lanes for the scalar test; |x| < inf is false for inf and NaN.
+  auto scalar = !(stdx::abs(p[0]) < inf && stdx::abs(p[1]) < inf && stdx::abs(p[2]) < inf &&
+                  stdx::abs(wide(own.h)) < inf && radius > 0.0 && radius < inf);
+  Doubles4 d2(0.0);
+  Doubles4 extent(other.extent);
+  for (int a = 0; a < 3; ++a) {
+    // periodic_gap, lane by lane.
+    const double w = other.hi[a] - other.lo[a];
+    Doubles4 t = p[a] - other.lo[a];
+    where(t < 0.0, t) = t + box;
+    scalar = scalar || !(t >= 0.0 && t < box);
+    Doubles4 g = t - w;
+    const Doubles4 beyond = box - t;
+    where(beyond < g, g) = beyond;  // std::min(t - w, box - t)
+    where(t <= w, g) = 0.0;
+    if (w >= box) g = 0.0;
+    d2 += g * g;
+    const Doubles4 mag = stdx::abs(p[a]);
+    where(extent < mag, extent) = mag;  // std::max(extent, |p|)
+  }
+  const Doubles4 reach = (radius + 0x1p-20 * (box + extent)) * (1.0 + 1e-4);
+  const auto culled = d2 > reach * reach;
+  unsigned bits = 0;
+  for (int k = 0; k < kBlockLanes; ++k) {
+    const bool c = scalar[k] ? beyond_reach(util::Vec3d{own.x[k], own.y[k], own.z[k]},
+                                            own.h[k], other, radius[k], box)
+                             : bool(culled[k]);
+    bits |= c ? 1u << k : 0u;
+  }
+  return bits;
 }
 
 // ---- Tile-pair cull ----
@@ -331,9 +411,15 @@ bool add_pair(const Traits& traits, std::uint64_t& interactions,
   return true;
 }
 
-// The lane registers of one tile.  Before the partner rounds run, `mine`
-// holds the tile, `live` marks the lanes that own a particle and were not
-// culled, and the sums of the live lanes are +0 and untouched.
+// The lane registers of one tile.  Before the partner rounds run, `live`
+// marks the lanes that own a particle and were not culled (cull_tile), and
+// the sums of the live lanes are +0 and untouched; `mine` holds the tile,
+// except on the vector-block path, which reads the launch's lane arrays.
+// The rounds may skip every pair of a lane that is not live: a culled lane
+// reaches no lane of the other half.  block_rounds also skips the pairs
+// whose other lane is culled, which needs the reverse too: no lane reaches
+// a culled lane of the other half, which holds for a reach that is the
+// same both ways (see "Bounds cull").
 template <typename Traits>
 struct TileRegisters {
   xsycl::Varying<typename Traits::State> mine;
@@ -343,12 +429,16 @@ struct TileRegisters {
   std::uint64_t interactions = 0;
 };
 
-// Traits with a four-lane form of reaches + accumulate.
+// Traits with a four-lane form of reaches + the pair term in both
+// directions.
 template <typename Traits>
 concept BlockTraits =
     requires(const Traits& t, typename Traits::Accum4& acc,
              const LaneBlock<Traits::kLaneFields.size()>& b, Mask4 m) {
-      { t.accumulate4(acc, b, b, m) } -> std::same_as<Mask4>;
+      { t.terms4(b, b, m).reach } -> std::convertible_to<Mask4>;
+      acc += t.terms4(b, b, m).own;
+      acc += t.terms4(b, b, m).mirrored;
+      { acc[0] } -> std::same_as<Floats4&>;
       { Traits::lane(acc, 0) } -> std::same_as<typename Traits::Accum>;
     };
 
@@ -417,51 +507,180 @@ template <BatchTraits Traits>
   }
 }
 
-// The same rounds four own lanes at a time: each round of a block is one
-// masked vector op (see "Vector blocks" above).  Needs sg_size >= 8.
+// The same rounds of a tile whose halves are `lower` and `upper` (one slice
+// on a diagonal tile, where `upper` is `lower`), with rounds outside and
+// the lower half's blocks of four lanes inside, each pair of live lanes
+// evaluated once in both directions (see "Vector blocks and mirrored
+// rounds").  Needs sg_size >= 8.
 template <BlockTraits Traits>
 void block_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
+                  const HalfLanes<Traits::kLaneFields.size()>& lower,
+                  const HalfLanes<Traits::kLaneFields.size()>& upper, bool diagonal,
                   TileRegisters<Traits>& t) {
-  if (std::none_of(t.live.data(), t.live.data() + sg_size, [](bool b) { return b; })) return;
+  constexpr int kMaxHalf = xsycl::kMaxLanes / 2;
+  constexpr int kMaxBlocks = kMaxHalf / kBlockLanes;
   const int H = sg_size / 2;
-  const LaneTile<typename Traits::State, Traits::kLaneFields> tile(t.mine, sg_size);
-  for (int l0 = 0; l0 < sg_size; l0 += kBlockLanes) {
-    const auto live = Ints4([&](auto k) { return t.live[l0 + k] ? 1 : 0; }) != 0;
-    if (stdx::none_of(live)) continue;
-    const int h = l0 < H ? 0 : 1;  // own half; the partners are in 1 - h
-    const int j0 = l0 - H * h;
-    const auto own = tile.load(h, j0);
-    typename Traits::Accum4 acc{};
-    Mask4 reached(false);
-    int pairs = 0;
-    for (int r = 0; r < H; ++r) {
-      const auto other = tile.partners(v, h, j0, r);
-      const auto pair = live && other.valid != 0 && other.idx != own.idx;
-      pairs += stdx::popcount(pair);
-      reached = reached || traits.accumulate4(acc, own, other, float_mask(pair));
+  const bool visa = v == xsycl::CommVariant::kVISA;
+
+  // 1.f for the live lower lanes, and for the upper lanes a live lower lane
+  // pairs with: the live ones, or on a diagonal tile every particle (no
+  // round after round 0 pairs a lane with itself).
+  alignas(kBlockLanes * sizeof(float)) float own_live[kMaxHalf];
+  alignas(kBlockLanes * sizeof(float)) float partner_ok[kMaxHalf];
+  std::int64_t live[2] = {0, 0}, valid[2] = {0, 0};
+  for (int j = 0; j < H; ++j) {
+    live[0] += t.live[j] ? 1 : 0;
+    live[1] += t.live[H + j] ? 1 : 0;
+    valid[0] += lower.valid[j] != 0 ? 1 : 0;
+    valid[1] += upper.valid[j] != 0 ? 1 : 0;
+    own_live[j] = t.live[j] ? 1.f : 0.f;
+    partner_ok[j] = (diagonal ? lower.valid[j] != 0 : t.live[H + j]) ? 1.f : 0.f;
+  }
+  t.interactions += static_cast<std::uint64_t>(
+      diagonal ? live[0] * (valid[0] - 1) : live[0] * valid[1] + live[1] * valid[0]);
+  if (live[0] == 0 || (!diagonal && live[1] == 0)) return;
+
+  int own_blocks[kMaxBlocks];  // the lower blocks with a live lane
+  int n_own = 0;
+  for (int j0 = 0; j0 < H; j0 += kBlockLanes) {
+    if (stdx::any_of(load4(own_live + j0) != 0.f)) own_blocks[n_own++] = j0;
+  }
+  typename Traits::Accum4 own_sum[kMaxBlocks]{}, partner_sum[kMaxBlocks]{};
+  Floats4 own_hits[kMaxBlocks]{}, partner_hits[kMaxBlocks]{};  // terms that reached
+
+  // Round r, where S = r & 3.  Lower lanes j0 .. j0 + 3 meet the upper lanes
+  // from block p0 on: Select's block j0 ^ (r - S) shuffled by S, or vISA's
+  // lanes (j0 + r) mod H onward, rotated by S from block p0 into p1.
+  const auto round = [&](auto shuffle, int r) {
+    constexpr int S = decltype(shuffle)::value;
+    for (int b = 0; b < n_own; ++b) {
+      const int j0 = own_blocks[b];
+      const int p0 = visa ? (j0 + r - S) % H : j0 ^ (r - S);
+      const int p1 = (p0 + kBlockLanes) % H;
+      const auto partners = [&](const auto* half) {
+        if (!visa) return xor_shuffled<S>(load4(half + p0));
+        if constexpr (S == 0) {
+          return load4(half + p0);
+        } else {
+          return rotated<S>(load4(half + p0), load4(half + p1));
+        }
+      };
+      const Mask4 pair = load4(own_live + j0) != 0.f && partners(partner_ok) != 0.f;
+      if (stdx::none_of(pair)) continue;
+      LaneBlock<Traits::kLaneFields.size()> other;
+      for (std::size_t i = 0; i < other.f.size(); ++i) other.f[i] = partners(upper.f[i]);
+      const auto terms = traits.terms4(lower.load(j0), other, pair);
+      if (stdx::none_of(terms.reach)) continue;
+      Floats4 hit(0.f);
+      where(terms.reach, hit) = 1.f;
+      own_sum[j0 / kBlockLanes] += terms.own;
+      own_hits[j0 / kBlockLanes] += hit;
+      if (diagonal) continue;
+      // The mirrored terms go back through the same permutation; +0 fills
+      // the lanes of a block that another term of the round serves.
+      const auto add = [&](int p, auto permute) {
+        for (int c = 0; c < Traits::kAccumWords; ++c) {
+          partner_sum[p / kBlockLanes][c] += permute(terms.mirrored[c]);
+        }
+        partner_hits[p / kBlockLanes] += permute(hit);
+      };
+      if (!visa) {
+        add(p0, [](const Floats4& x) { return xor_shuffled<S>(x); });
+      } else if constexpr (S == 0) {
+        add(p0, [](const Floats4& x) { return x; });
+      } else {
+        const Floats4 zero(0.f);
+        add(p0, [&](const Floats4& x) { return rotated<kBlockLanes - S>(zero, x); });
+        add(p1, [&](const Floats4& x) { return rotated<kBlockLanes - S>(x, zero); });
+      }
     }
-    t.interactions += static_cast<std::uint64_t>(pairs);
-    for (int k = 0; k < kBlockLanes; ++k) {
-      if (!t.live[l0 + k]) continue;
-      t.acc[l0 + k] = Traits::lane(acc, k);
-      t.touched[l0 + k] = reached[k];
+  };
+  for (int r = diagonal ? 1 : 0; r < H; ++r) {
+    switch (r & 3) {
+      case 0: round(std::integral_constant<int, 0>{}, r); break;
+      case 1: round(std::integral_constant<int, 1>{}, r); break;
+      case 2: round(std::integral_constant<int, 2>{}, r); break;
+      default: round(std::integral_constant<int, 3>{}, r); break;
+    }
+  }
+
+  for (int l = 0; l < H; ++l) {
+    const int b = l / kBlockLanes, k = l % kBlockLanes;
+    if (t.live[l]) {
+      t.acc[l] = Traits::lane(own_sum[b], k);
+      t.touched[l] = own_hits[b][k] != 0.f;
+    }
+    if (!diagonal && t.live[H + l]) {
+      t.acc[H + l] = Traits::lane(partner_sum[b], k);
+      t.touched[H + l] = partner_hits[b][k] != 0.f;
     }
   }
 }
 
-// Select and vISA: reach-compacted batches or vector blocks where the
+// Select and vISA on the lanes of `mine`: reach-compacted batches where the
 // Traits and the sub-group size allow them, else one lane at a time.
 template <typename Traits>
 void register_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
                      TileRegisters<Traits>& t) {
-  if (sg_size / 2 >= kBlockLanes) {
-    if constexpr (BatchTraits<Traits>) {
-      return batch_rounds(traits, v, sg_size, t);
-    } else if constexpr (BlockTraits<Traits>) {
-      return block_rounds(traits, v, sg_size, t);
-    }
+  if constexpr (BatchTraits<Traits>) {
+    if (sg_size / 2 >= kBlockLanes) return batch_rounds(traits, v, sg_size, t);
   }
   lane_rounds(traits, v, sg_size, t);
+}
+
+// The positions and h of lanes l0 .. l0 + 3 of `mine`, lane `last` standing
+// in for those past it.
+template <typename State>
+LanePositions4 lane_positions4(const xsycl::Varying<State>& mine, int l0, int last) {
+  Gather4<State> g;
+  for (int k = 0; k < kBlockLanes; ++k) g.s[k] = &mine[std::min(l0 + k, last)];
+  return {read(g, &State::px), read(g, &State::py), read(g, &State::pz),
+          read(g, [](const State& s) { return lane_h(s); })};
+}
+
+// The bounds cull of one tile of `sg_size` lanes (see "Bounds cull"): the
+// active lanes of each half against the bounds of the other, half[1] and
+// half[0], four at a time.  A lane that survives is marked live, its sum
+// +0 and untouched; a culled one is counted with its candidates, every
+// valid lane of the other half but itself on a diagonal tile.  `read4(l)`
+// gives the positions and h of lanes l .. l + 3, any values past the end of
+// l's half.  Returns whether some lane is live.
+template <typename Traits, typename Read4>
+bool cull_tile(const Traits& traits, int sg_size, const HalfTileBounds* const half[2],
+               bool diagonal, const xsycl::Varying<bool>& active, Read4 read4,
+               TileRegisters<Traits>& t) {
+  const int H = sg_size / 2;
+  bool any_live = false;
+  for (int h = 0; h < 2; ++h) {
+    const HalfTileBounds& other = *half[1 - h];
+    const auto candidates = static_cast<std::uint64_t>(other.n_valid - (diagonal ? 1 : 0));
+    for (int l0 = h * H; l0 < (h + 1) * H; l0 += kBlockLanes) {
+      const int n = std::min(kBlockLanes, (h + 1) * H - l0);
+      bool any_active = false;
+      for (int l = l0; l < l0 + n; ++l) {
+        t.live[l] = false;
+        t.touched[l] = false;
+        any_active = any_active || active[l];
+      }
+      if (!any_active) continue;
+      const LanePositions4 p = read4(l0);
+      const Doubles4 radius([&](auto k) {
+        return traits.reach_radius(with_h<typename Traits::State>(p.h[k]), other.hmax);
+      });
+      const unsigned culled = beyond_reach4(p, radius, other, traits.box);
+      for (int k = 0; k < n; ++k) {
+        if (!active[l0 + k]) continue;
+        if (culled & (1u << k)) {
+          t.interactions += candidates;
+          continue;
+        }
+        t.live[l0 + k] = true;
+        t.acc[l0 + k] = typename Traits::Accum{};
+        any_live = true;
+      }
+    }
+  }
+  return any_live;
 }
 
 // Holds one leaf's commit flag while it lives (see "Leaf-locked commits").
@@ -480,9 +699,23 @@ class LeafLock {
   std::atomic_flag& flag_;
 };
 
+// The per-field lane arrays of a launch of vector blocks; none for Traits
+// without a four-lane form.
+struct NoLaneArrays {};
+template <typename Traits>
+struct LaneArraysOf {
+  using type = NoLaneArrays;
+};
+template <BlockTraits Traits>
+struct LaneArraysOf<Traits> {
+  using type = LaneArrays<typename Traits::State, Traits::kLaneFields>;
+};
+
 // What every batch of one pair launch shares: the Traits, the view, the
 // state of every slot of the view's leaves (loaded once, leaf by leaf), the
 // bounds of every tile of `tile_width` slots, and one commit flag per leaf.
+// A launch of vector blocks (blocked()) keeps the states in per-field lane
+// arrays, each tile at tile_width elements, and no slot-ordered copy.
 template <typename Traits>
 class PairLaunch {
  public:
@@ -494,6 +727,9 @@ class PairLaunch {
       : traits_(traits),
         view_(view),
         variant_(variant),
+        tile_width_(tile_width),
+        blocked_(BlockTraits<Traits> && xsycl::permutes_registers(variant) &&
+                 tile_width >= kBlockLanes),
         first_state_(view.n_leaves),
         first_tile_(view.n_leaves),
         flags_(std::make_unique<std::atomic_flag[]>(view.n_leaves)) {
@@ -505,26 +741,21 @@ class PairLaunch {
       n_states += static_cast<std::size_t>(count);
       n_tiles += static_cast<std::size_t>((count + tile_width - 1) / tile_width);
     }
-    states_.resize(n_states);
+    if constexpr (BlockTraits<Traits>) {
+      if (blocked_) lanes_ = typename LaneArraysOf<Traits>::type(n_tiles * tile_width);
+    }
+    if (!blocked_) states_.resize(n_states);
     bounds_.resize(n_tiles);
     const char* span = obs::Tracer::global().enabled() ? "sph.pair_gather" : nullptr;
-    // shared: states_, bounds_ — each leaf writes only its own slots' states
-    // and its own tiles' bounds.
+    // shared: states_, lanes_, bounds_ — each leaf writes only its own
+    // slots' states or lanes and its own tiles' bounds.
     pool.parallel_for_chunks(
         static_cast<std::int64_t>(view.n_leaves), /*chunk=*/16,
         [&](std::int64_t begin, std::int64_t end) {
           const obs::TraceSpan chunk_span(span);
           for (auto l = static_cast<std::size_t>(begin); l < static_cast<std::size_t>(end);
                ++l) {
-            const tree::Leaf& leaf = view_.leaves[l];
-            State* s = states_.data() + first_state_[l];
-            for (int k = 0; k < leaf.count(); ++k) {
-              s[k] = traits_.load(view_.order[leaf.begin + k]);
-            }
-            for (int t = 0; t * tile_width < leaf.count(); ++t) {
-              bounds_[first_tile_[l] + t] = half_tile_bounds(
-                  s + t * tile_width, std::min(tile_width, leaf.count() - t * tile_width));
-            }
+            gather_leaf(l);
           }
         });
   }
@@ -532,10 +763,16 @@ class PairLaunch {
   const Traits& traits() const { return traits_; }
   const domain::SpeciesView& view() const { return view_; }
   xsycl::CommVariant variant() const { return variant_; }
+  bool blocked() const { return blocked_; }
 
-  // The states of leaf `leaf`'s slots, in slot order.
+  // The states of leaf `leaf`'s slots, in slot order (not blocked()).
   const State* states(std::int32_t leaf) const {
     return states_.data() + first_state_[leaf];
+  }
+  // The lanes of tile `tile` of leaf `leaf` (blocked()).
+  auto lanes(std::int32_t leaf, int tile) const {
+    return lanes_.half((first_tile_[leaf] + static_cast<std::size_t>(tile)) *
+                       static_cast<std::size_t>(tile_width_));
   }
   // The bounds of tile `tile` of leaf `leaf`: its slots tile * tile_width
   // onward.
@@ -545,12 +782,38 @@ class PairLaunch {
   LeafLock lock(std::int32_t leaf) const { return LeafLock(flags_[leaf]); }
 
  private:
+  // Loads the states of leaf l's slots and the bounds of its tiles.
+  void gather_leaf(std::size_t l) {
+    const tree::Leaf& leaf = view_.leaves[l];
+    for (int t = 0; t * tile_width_ < leaf.count(); ++t) {
+      const int first = t * tile_width_;
+      const int n = std::min(tile_width_, leaf.count() - first);
+      const auto load = [&](State* s) {
+        for (int k = 0; k < n; ++k) s[k] = traits_.load(view_.order[leaf.begin + first + k]);
+        bounds_[first_tile_[l] + t] = half_tile_bounds(s, n);
+      };
+      if constexpr (BlockTraits<Traits>) {
+        if (blocked_) {
+          State tile[xsycl::kMaxLanes]{};
+          load(tile);
+          const std::size_t at = (first_tile_[l] + t) * static_cast<std::size_t>(tile_width_);
+          for (int k = 0; k < n; ++k) lanes_.store(at + k, tile[k]);
+          continue;
+        }
+      }
+      load(states_.data() + first_state_[l] + first);
+    }
+  }
+
   Traits traits_;
   domain::SpeciesView view_;
   xsycl::CommVariant variant_;
+  int tile_width_;
+  bool blocked_;
   std::vector<std::size_t> first_state_;  // per leaf: index into states_
   std::vector<std::size_t> first_tile_;   // per leaf: index into bounds_
   std::vector<State> states_;
+  typename LaneArraysOf<Traits>::type lanes_;
   std::vector<HalfTileBounds> bounds_;
   std::unique_ptr<std::atomic_flag[]> flags_;
 };
@@ -658,9 +921,8 @@ class PairInteractionKernel {
     // Lane registers, shared by every tile: each tile rewrites lanes [0, S)
     // before reading them.
     TileRegisters<Traits> t;
-    xsycl::Varying<State>& mine = t.mine;
-    xsycl::Varying<State> theirs;
-    xsycl::Varying<bool> active;  // owns a particle and commits its sum
+    xsycl::Varying<State> theirs;  // the SLM variants' exchanged partners
+    xsycl::Varying<bool> active;   // owns a particle and commits its sum
     xsycl::Varying<std::int32_t> idx;
 
     for (int ta = 0; ta < tiles_a; ++ta) {
@@ -677,49 +939,88 @@ class PairInteractionKernel {
           charge_apart(sg, half[0]->n_valid, half[1]->n_valid, t.interactions);
           continue;
         }
-        load_tile(sg, lp.a, ta, /*lane0=*/0, H, mine, active, idx);
-        load_tile(sg, lp.b, tb, /*lane0=*/H, H, mine, active, idx);
-        if (diagonal) {
-          for (int l = H; l < S; ++l) active[l] = false;
-        }
-        bool any_live = false;
-        for (int l = 0; l < S; ++l) {
-          t.live[l] = false;
-          t.touched[l] = false;
-          if (!active[l]) continue;
-          const HalfTileBounds& other = *half[l < H ? 1 : 0];
-          if (beyond_reach(mine[l], other, traits_.reach_radius(mine[l], other.hmax),
-                           traits_.box)) {
-            t.interactions +=
-                static_cast<std::uint64_t>(other.n_valid - (diagonal ? 1 : 0));
-            continue;
-          }
-          t.live[l] = true;
-          t.acc[l] = Accum{};
-          any_live = true;
-        }
-
-        if (xsycl::permutes_registers(variant_)) {
-          // Select and vISA: read the partner lane of `mine` in place.
-          for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
-          if (any_live) register_rounds(traits_, variant_, S, t);
+        if (launch_->blocked()) {
+          block_tile(sg, lp, ta, tb, diagonal, half, t, active, idx);
         } else {
-          // The SLM variants round-trip the partner through local memory.
-          for (int r = 0; r < H; ++r) {
-            xsycl::exchange(sg, mine, r, variant_, theirs);
-            for (int l = 0; l < S; ++l) {
-              if (t.live[l] &&
-                  add_pair(traits_, t.interactions, t.acc[l], mine[l], theirs[l])) {
-                t.touched[l] = true;
-              }
-            }
-          }
+          register_tile(sg, lp, ta, tb, diagonal, half, t, theirs, active, idx);
         }
         commit_lanes(sg, lp.a, 0, H, active, idx, t.acc, t.touched);
         commit_lanes(sg, lp.b, H, S, active, idx, t.acc, t.touched);
       }
     }
     sg.counters().interactions += t.interactions;
+  }
+
+  // One tile pair from the launch's states: culled, then run through the
+  // exchange rounds of the variant.
+  void register_tile(xsycl::SubGroup& sg, const tree::LeafPair& lp, int ta, int tb,
+                     bool diagonal, const HalfTileBounds* const half[2],
+                     TileRegisters<Traits>& t, xsycl::Varying<State>& theirs,
+                     xsycl::Varying<bool>& active, xsycl::Varying<std::int32_t>& idx) const {
+    const int S = sg.size();
+    const int H = S / 2;
+    xsycl::Varying<State>& mine = t.mine;
+    load_tile(sg, lp.a, ta, /*lane0=*/0, H, mine, active, idx);
+    load_tile(sg, lp.b, tb, /*lane0=*/H, H, mine, active, idx);
+    if (diagonal) {
+      for (int l = H; l < S; ++l) active[l] = false;
+    }
+    const auto read4 = [&](int l0) {
+      return lane_positions4(mine, l0, l0 < H ? H - 1 : S - 1);
+    };
+    const bool any_live = cull_tile(traits_, S, half, diagonal, active, read4, t);
+
+    if (xsycl::permutes_registers(variant_)) {
+      // Select and vISA: read the partner lane of `mine` in place.
+      for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
+      if (any_live) register_rounds(traits_, variant_, S, t);
+    } else {
+      // The SLM variants round-trip the partner through local memory.
+      for (int r = 0; r < H; ++r) {
+        xsycl::exchange(sg, mine, r, variant_, theirs);
+        for (int l = 0; l < S; ++l) {
+          if (t.live[l] && add_pair(traits_, t.interactions, t.acc[l], mine[l], theirs[l])) {
+            t.touched[l] = true;
+          }
+        }
+      }
+    }
+  }
+
+  // One tile pair from the launch's lane arrays: culled four lanes at a
+  // time, then run as vector blocks.  Charges what register_tile charges.
+  void block_tile(xsycl::SubGroup& sg, const tree::LeafPair& lp, int ta, int tb,
+                  bool diagonal, const HalfTileBounds* const half[2],
+                  TileRegisters<Traits>& t, xsycl::Varying<bool>& active,
+                  xsycl::Varying<std::int32_t>& idx) const {
+    if constexpr (BlockTraits<Traits>) {
+      static_assert(Traits::kLaneFields[0] == &State::px &&
+                        Traits::kLaneFields[1] == &State::py &&
+                        Traits::kLaneFields[2] == &State::pz,
+                    "the cull reads the positions from the first three lane fields");
+      static_assert(!requires(State s) { s.h; }, "vector blocks serve states without h");
+      const int S = sg.size();
+      const int H = S / 2;
+      // On the diagonal both are the one tile.
+      const auto lower = launch_->lanes(lp.a, ta);
+      const auto upper = launch_->lanes(lp.b, tb);
+      sg.counters().global_loads += 2 * static_cast<std::uint64_t>(H);
+      for (int j = 0; j < H; ++j) {
+        active[j] = lower.valid[j] != 0;
+        idx[j] = lower.idx[j];
+        active[H + j] = !diagonal && upper.valid[j] != 0;
+        idx[H + j] = upper.idx[j];
+      }
+      const auto read4 = [&](int l0) {
+        const auto& lanes = l0 < H ? lower : upper;
+        const int j = l0 < H ? l0 : l0 - H;
+        return LanePositions4{load4(lanes.f[0] + j), load4(lanes.f[1] + j),
+                              load4(lanes.f[2] + j), Floats4(0.f)};
+      };
+      const bool any_live = cull_tile(traits_, S, half, diagonal, active, read4, t);
+      for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
+      if (any_live) block_rounds(traits_, variant_, S, lower, upper, diagonal, t);
+    }
   }
 
   // Charges a tile pair that tiles_apart skipped, of `na` and `nb` valid

@@ -13,7 +13,6 @@
 // order, so NaN and ±0 pass through them as through the std functions.
 
 #include <array>
-#include <cstdint>
 #include <experimental/simd>
 #include <functional>
 
@@ -26,15 +25,7 @@ namespace stdx = std::experimental;
 
 inline constexpr int kBlockLanes = 4;
 using Floats4 = stdx::simd<float, stdx::simd_abi::deduce_t<float, kBlockLanes>>;
-using Ints4 = stdx::simd<std::int32_t, stdx::simd_abi::deduce_t<std::int32_t, kBlockLanes>>;
 using Mask4 = Floats4::mask_type;
-
-// The float mask of the lanes set in an int mask.
-inline Mask4 float_mask(Ints4::mask_type m) {
-  Ints4 bits(0);
-  where(m, bits) = 1;
-  return stdx::static_simd_cast<Floats4>(bits) != 0.f;
-}
 
 namespace lanes {
 

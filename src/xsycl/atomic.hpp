@@ -77,17 +77,4 @@ class atomic_ref {
   OpCounters* counters_;
 };
 
-// Per-lane atomic scatter-add into a global array.  Inactive lanes still
-// occupy the instruction slot on real SIMD hardware, but only active lanes
-// touch memory.
-template <typename T>
-inline void atomic_add_scatter(SubGroup& sg, T* base, const Varying<std::int32_t>& idx,
-                               const Varying<T>& val, const Varying<bool>& active) {
-  for (int l = 0; l < sg.size(); ++l) {
-    if (!active[l]) continue;
-    atomic_ref<T> ref(base[idx[l]], sg.counters());
-    ref.fetch_add(val[l]);
-  }
-}
-
 }  // namespace hacc::xsycl

@@ -1,8 +1,9 @@
 // The pair harness's vector paths must be bit-identical to its scalar lane
 // loop.  lane_rounds (one lane at a time through reaches + the pair term,
 // the loop every sub-group of fewer than eight lanes runs) is fed the same
-// seeded random tiles as block_rounds (the short-range P-P Traits: four own
-// lanes per masked vector op) and batch_rounds (the five SPH Traits:
+// seeded random tiles as block_rounds (the short-range P-P Traits: rounds
+// over four lower lanes at a time, each pair of live lanes evaluated once
+// in both directions) and batch_rounds (the five SPH Traits:
 // reach-compacted batches of four pairs), under Select and vISA at
 // sub-group sizes 8-64.  Every live lane's sum must have the same bits (a
 // NaN sum only has to stay NaN), every lane the same touched flag, and the
@@ -11,14 +12,18 @@
 // The P-P tiles mix clustered positions with pairs placed around 0.4999 box
 // and box / 2 (the minimum-image wrap), coincident particles with distinct
 // idx (r² = 0), pairs exactly at r_cut² and one ulp inside it, empty lanes
-// holding garbage, diagonal tiles (each particle in both halves), culled
-// lanes, zero masses, and inf / NaN coordinates.  The SPH tiles add random
+// holding garbage, diagonal tiles (each particle in both halves), halves
+// set apart so that the cull culls many lanes of both and keeps some, zero
+// masses, and inf / NaN coordinates.  The live lanes come from the
+// harness's own cull (cull_tile) against the other half's bounds: the
+// skip of pairs with a culled lane is exact only under that cull.  The SPH tiles add random
 // CRK coefficients, volumes and velocities, pairs at q exactly 1 and 2 and
 // one ulp either side, coincident pairs, pairs whose kernel_w underflows to
 // 0 while their reach test passes (Corrections and Extras must skip them,
 // and their huge coefficients would turn a term that is not skipped into
 // NaN), and velocity differences of ±0 (vdotx = ±0 in the viscosity).  The
-// four-lane minimum image is also held to util::min_image on its own.
+// four-lane minimum image is also held to util::min_image on its own, and
+// both to the oddness the mirrored terms rest on.
 
 #include <gtest/gtest.h>
 
@@ -106,37 +111,42 @@ class Tiles : Dice {
  public:
   explicit Tiles(std::uint64_t seed) : Dice(seed) {}
 
-  // A random tile of `sg_size` lanes in `t.mine` and `t.live`, its sums +0
-  // and untouched.
-  void fill(int sg_size, Registers& t) {
+  // A random tile of `sg_size` lanes in `t.mine`, its registers otherwise
+  // cleared.  Returns whether the tile is diagonal.
+  bool fill(int sg_size, Registers& t) {
     const int H = sg_size / 2;
     t = Registers{};
     const bool diagonal = below(4) == 0;
-    const float centre[3] = {coordinate(kBox), coordinate(kBox), coordinate(kBox)};
-    const float spread = below(2) == 0 ? kRcut : 0.5f * kBox;
+    float centre[2][3];
+    for (float& c : centre[0]) c = coordinate(kBox);
+    const bool apart = below(2) == 0;
+    // Apart, the halves' centres are 1.4 r_cut apart along one axis and each
+    // spreads r_cut / 2 either way: about half the lanes of each lie beyond
+    // r_cut of the other half's box.
+    const float spread = apart ? 0.5f * kRcut : below(2) == 0 ? kRcut : 0.5f * kBox;
+    for (int a = 0; a < 3; ++a) centre[1][a] = centre[0][a];
+    if (apart) centre[1][below(3)] += below(2) == 0 ? 1.4f * kRcut : -1.4f * kRcut;
     for (int l = 0; l < sg_size; ++l) {
       GravState& s = t.mine[l];
       if (diagonal && l >= H) {
         s = t.mine[l - H];  // the same particle, idx included
         continue;
       }
-      if (below(10) == 0) {  // an empty lane; load_tile zeroes it, garbage here
+      if (below(10) == 0) {  // an empty lane; the launch zeroes it, garbage here
         s = {coordinate(kBox), kNaN, coordinate(kBox), 1.f, static_cast<std::int32_t>(l), 0};
         continue;
       }
-      s.px = centre[0] + spread * signed_unit();
-      s.py = centre[1] + spread * signed_unit();
-      s.pz = centre[2] + spread * signed_unit();
+      const float* c = centre[l < H ? 0 : 1];
+      s.px = c[0] + spread * signed_unit();
+      s.py = c[1] + spread * signed_unit();
+      s.pz = c[2] + spread * signed_unit();
       s.mass = below(16) == 0 ? 0.f : 0.5f + static_cast<float>(unit());
       s.idx = 1000 + l;
       s.valid = 1;
-      if (l >= H) place_against(t.mine[below(H)], s);
+      if (l >= H && below(apart ? 4 : 1) == 0) place_against(t.mine[below(H)], s);
       if (below(40) == 0) s.px = special();
     }
-    for (int l = 0; l < sg_size; ++l) {
-      const bool upper_on_diagonal = diagonal && l >= H;
-      t.live[l] = t.mine[l].valid && !upper_on_diagonal && below(10) != 0;
-    }
+    return diagonal;
   }
 
  private:
@@ -221,12 +231,68 @@ TEST(LaneMinImage, MatchesUtilMinImageBitwise) {
   }
 }
 
+// The identity the mirrored terms rest on: the minimum image of a negated
+// displacement is the negated minimum image, bit for bit, in the four-lane
+// forms (one axis, and three with the all-inside fast path) and in
+// util::min_image, for displacements inside the identity bound, around
+// 0.4999 box and ±box / 2, at and around multiples of box, denormals and
+// random ones within 1.6 boxes.  A zero image (±0, or a multiple of box)
+// may differ in sign only.
+TEST(LaneMinImage, IsOddBitwise) {
+  const auto odd = [](float image, float of_negated) {
+    if (image == 0.f) return of_negated == 0.f;
+    return bits(of_negated) == (bits(image) ^ 0x80000000u);
+  };
+  std::mt19937_64 g(2027);
+  const auto unit = [&] { return double(g() >> 11) * 0x1p-53; };
+  for (const float box : {1.0f, 0.7f, 3.0f, 64.0f, 1e-3f, 256.5f, 1000.0f / 3.0f}) {
+    std::vector<float> values = {0.f, -0.f, std::numeric_limits<float>::denorm_min(),
+                                 std::numeric_limits<float>::min()};
+    for (const float mag : {0.4999f * box, box / 2, box, 2 * box, 3 * box, 1000 * box,
+                            0x1p23f * box}) {
+      for (const float x : {mag, -mag}) {
+        values.insert(values.end(), {x, std::nextafter(x, kInf), std::nextafter(x, -kInf)});
+      }
+    }
+    for (int k = 0; k < 20000; ++k) {
+      // Inside the identity bound half the time, else within 1.6 boxes.
+      const double span = k % 2 == 0 ? 0.4999 : 1.6;
+      values.push_back(static_cast<float>((2.0 * unit() - 1.0) * span * box));
+    }
+    const auto pick = [&] { return values[g() % values.size()]; };
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      const Floats4 d([&](auto lane) { return lane == 0 ? values[k] : pick(); });
+      // The other axes stay inside the bound half the time, so that blocks
+      // take both the fast path and the wrap.
+      const bool inside = g() % 2 == 0;
+      const auto other = [&] { return inside ? 0.25f * box : pick(); };
+      const util::Vec3<Floats4> v{d, Floats4([&](auto) { return other(); }),
+                                  Floats4([&](auto) { return other(); })};
+      const Floats4 image = min_image(d, box);
+      const Floats4 negated = min_image(Floats4(-d), box);
+      const util::Vec3<Floats4> image3 = min_image(v, box);
+      const util::Vec3<Floats4> negated3 = min_image(util::Vec3<Floats4>(-v), box);
+      for (int lane = 0; lane < kBlockLanes; ++lane) {
+        ASSERT_TRUE(odd(image[lane], negated[lane])) << "box " << box << " d " << d[lane];
+        for (int a = 0; a < 3; ++a) {
+          ASSERT_TRUE(odd(image3[a][lane], negated3[a][lane]))
+              << "box " << box << " d " << v[a][lane] << " axis " << a;
+        }
+        const float x = d[lane];
+        ASSERT_TRUE(odd(util::min_image(x, box), util::min_image(-x, box)))
+            << "box " << box << " d " << x;
+      }
+    }
+  }
+}
+
 using Param = std::tuple<xsycl::CommVariant, int>;
 
 class LaneBlocks : public ::testing::TestWithParam<Param> {};
 
 TEST_P(LaneBlocks, MatchTheScalarLaneLoopBitwise) {
   const auto [variant, sg_size] = GetParam();
+  const int H = sg_size / 2;
   const gravity::PolyShortForce grid(kRcut / 4, kRcut);
   const gravity::PolyShortForce newtonian = gravity::PolyShortForce::newtonian(kRcut);
 
@@ -236,6 +302,8 @@ TEST_P(LaneBlocks, MatchTheScalarLaneLoopBitwise) {
   Registers vector;
   int reached = 0;
   int non_finite = 0;
+  int culled = 0;     // active lanes the cull culled
+  int half_live = 0;  // live lanes in a tile whose other half has a culled lane
   for (int tile = 0; tile < 3000; ++tile) {
     GravityTraits traits;
     traits.poly = tile % 2 == 0 ? &grid : &newtonian;
@@ -245,15 +313,38 @@ TEST_P(LaneBlocks, MatchTheScalarLaneLoopBitwise) {
     traits.rcut2 = static_cast<float>(traits.poly->r_cut() * traits.poly->r_cut());
     ASSERT_EQ(traits.rcut2, kRcut * kRcut);
 
-    tiles.fill(sg_size, scalar);
+    // The harness's cull, as run_exchange runs it: on a diagonal tile the
+    // upper half holds no active lane.
+    const bool diagonal = tiles.fill(sg_size, scalar);
+    xsycl::Varying<bool> active;
+    for (int l = 0; l < sg_size; ++l) {
+      active[l] = scalar.mine[l].valid && !(diagonal && l >= H);
+    }
+    const HalfTileBounds bounds[2] = {half_tile_bounds(&scalar.mine[0], H),
+                                      half_tile_bounds(&scalar.mine[H], H)};
+    const HalfTileBounds* half[2] = {&bounds[0], &bounds[1]};
+    cull_tile(traits, sg_size, half, diagonal, active,
+              [&](int l0) { return lane_positions4(scalar.mine, l0, l0 < H ? H - 1 : sg_size - 1); },
+              scalar);
+    // The launch's lane arrays hold each tile once: a diagonal tile's upper
+    // half is its lower half.
+    LaneArrays<GravState, GravityTraits::kLaneFields> lanes(static_cast<std::size_t>(sg_size));
+    for (int l = 0; l < sg_size; ++l) lanes.store(static_cast<std::size_t>(l), scalar.mine[l]);
     vector = scalar;
     lane_rounds(traits, variant, sg_size, scalar);
-    block_rounds(traits, variant, sg_size, vector);
+    block_rounds(traits, variant, sg_size, lanes.half(0),
+                 lanes.half(diagonal ? 0 : static_cast<std::size_t>(H)), diagonal, vector);
 
     ASSERT_EQ(vector.interactions, scalar.interactions) << "tile " << tile;
+    int culled_in[2] = {0, 0};
+    for (int l = 0; l < sg_size; ++l) {
+      culled_in[l < H ? 0 : 1] += active[l] && !scalar.live[l] ? 1 : 0;
+    }
+    culled += culled_in[0] + culled_in[1];
     for (int l = 0; l < sg_size; ++l) {
       ASSERT_EQ(vector.touched[l], scalar.touched[l]) << "tile " << tile << " lane " << l;
       if (!scalar.live[l]) continue;
+      half_live += culled_in[l < H ? 1 : 0] > 0 ? 1 : 0;
       const GravityTraits::Accum& a = scalar.acc[l];
       const GravityTraits::Accum& b = vector.acc[l];
       ASSERT_TRUE(same_sum(b.fx, a.fx)) << "tile " << tile << " lane " << l;
@@ -263,9 +354,12 @@ TEST_P(LaneBlocks, MatchTheScalarLaneLoopBitwise) {
       non_finite += std::isfinite(a.fx) ? 0 : 1;
     }
   }
-  // The tiles exercised both finite sums and poisoned ones.
+  // The tiles exercised finite sums and poisoned ones, culled lanes, and
+  // live lanes whose partners were partly culled.
   EXPECT_GT(reached, 1000);
   EXPECT_GT(non_finite, 10);
+  EXPECT_GT(culled, 1000);
+  EXPECT_GT(half_live, 1000);
 }
 
 INSTANTIATE_TEST_SUITE_P(

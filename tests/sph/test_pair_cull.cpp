@@ -1,11 +1,15 @@
 // The pair harness's per-lane bounds cull must be exact: whenever it culls a
-// lane, that lane's own particle reaches no member of the other half-tile.
+// lane, that lane's own particle reaches no member of the other half-tile,
+// and under the P-P cutoff no member reaches it either (the vector blocks
+// skip both directions of a pair with a culled lane).
 // Random own particles are tested against random half-tiles of 1-32
 // members, clustered near the periodic faces so that the minimum image
 // matters, with h spread over three decades plus 0, denormal, negative, inf
 // and NaN, and with occasional NaN positions.  Each of the three radius
 // rules (own support, pair support, P-P cutoff) is checked through the
-// kernels' own Traits.
+// kernels' own Traits.  The four-lane cull must decide as the scalar one
+// does, lane for lane, over the same scenarios and lanes outside the box,
+// non-finite inputs and radii, empty half-tiles and invalid boxes.
 //
 // The tile-pair cull must be exact too: whenever tiles_apart skips a pair of
 // random tiles at the radius the harness uses (tile_pair_reach), no member
@@ -24,6 +28,7 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "gas_fixture.hpp"
@@ -123,71 +128,93 @@ void check_rule(const Traits& traits, const Point& own_p,
   if (!beyond_reach(own, bounds, traits.reach_radius(own, bounds.hmax), box)) return;
   ++stats.culled;
   for (std::size_t k = 0; k < members.size(); ++k) {
-    ASSERT_FALSE(traits.reaches(own, lanes[k]))
-        << "culled lane reaches member " << k << " of " << members.size()
-        << ": own (" << own_p.x << ", " << own_p.y << ", " << own_p.z << ") h "
-        << own_p.h << ", member (" << members[k].x << ", " << members[k].y << ", "
-        << members[k].z << ") h " << members[k].h << ", box " << box;
+    // The P-P reach is the same both ways, which block_rounds relies on.
+    bool reverse = false;
+    if constexpr (std::is_same_v<Traits, gravity::GravityTraits>) {
+      reverse = traits.reaches(lanes[k], own);
+    }
+    ASSERT_FALSE(traits.reaches(own, lanes[k]) || reverse)
+        << (reverse ? "member " : "culled lane reaches member ") << k << " of "
+        << members.size() << (reverse ? " reaches the culled lane" : "") << ": own ("
+        << own_p.x << ", " << own_p.y << ", " << own_p.z << ") h " << own_p.h
+        << ", member (" << members[k].x << ", " << members[k].y << ", " << members[k].z
+        << ") h " << members[k].h << ", box " << box;
   }
+}
+
+// One cull scenario: a half-tile of 1-32 members and an own particle.
+struct CullScenario {
+  double box = 1.0;
+  double r_cut = 0.0;
+  float h0 = 0.f;
+  std::vector<Point> members;
+  Point own;
+};
+
+CullScenario make_scenario(Scenarios& rng) {
+  CullScenario sc;
+  const double box = sc.box = rng.below(2) == 0 ? 1.0 : 64.0;
+  const float h0 = sc.h0 = static_cast<float>(box / 40.0);
+  const double r_cut = sc.r_cut = box / 16.0;
+
+  // A cluster of 1-32 members around a centre that often sits near a face;
+  // a quarter of the clusters collapse to one point, with the own particle
+  // within float rounding of a reach radius.
+  const bool edge = rng.below(4) == 0;
+  const double c[3] = {rng.coordinate(box), rng.coordinate(box), rng.coordinate(box)};
+  const double spread = edge ? 0.0 : box * std::pow(10.0, -4.0 + 2.7 * rng.uniform());
+  std::vector<Point>& members = sc.members;
+  members.resize(1 + rng.below(32));
+  for (Point& m : members) {
+    m.x = Scenarios::wrap(c[0] + spread * (2.0 * rng.uniform() - 1.0), box);
+    m.y = Scenarios::wrap(c[1] + spread * (2.0 * rng.uniform() - 1.0), box);
+    m.z = Scenarios::wrap(c[2] + spread * (2.0 * rng.uniform() - 1.0), box);
+    m.h = rng.smoothing(h0);
+    if (rng.below(200) == 0) m.y = kNaN;
+  }
+
+  // The own particle sits near the edge of one of the reach radii, on a
+  // random direction from the centre (wrapping across faces), or anywhere.
+  Point& own = sc.own;
+  own.h = rng.smoothing(h0);
+  const double scale = rng.below(2) == 0 ? r_cut : 2.0 * std::fabs(double(own.h));
+  const double reach = std::isfinite(scale) ? scale : h0;
+  const double dist =
+      edge ? reach * (1.0 + 2e-5 * (2.0 * rng.uniform() - 1.0))
+      : rng.below(4) == 0
+          ? 0.5 * box * rng.uniform()
+          : spread * std::sqrt(3.0) + reach * (0.95 + 0.1 * rng.uniform());
+  double dir[3];
+  double norm2 = 0.0;
+  do {
+    norm2 = 0.0;
+    for (double& d : dir) {
+      d = 2.0 * rng.uniform() - 1.0;
+      norm2 += d * d;
+    }
+  } while (norm2 < 1e-6 || norm2 > 1.0);
+  const double inv = 1.0 / std::sqrt(norm2);
+  own.x = Scenarios::wrap(c[0] + dist * dir[0] * inv, box);
+  own.y = Scenarios::wrap(c[1] + dist * dir[1] * inv, box);
+  own.z = Scenarios::wrap(c[2] + dist * dir[2] * inv, box);
+  if (rng.below(200) == 0) own.z = kNaN;
+  return sc;
 }
 
 TEST(PairCull, CulledLanesReachNoMember) {
   Scenarios rng(20240611);
   CullStats own_support, pair_support, pp;
   for (int trial = 0; trial < 100000; ++trial) {
-    const double box = rng.below(2) == 0 ? 1.0 : 64.0;
-    const float h0 = static_cast<float>(box / 40.0);
-    const double r_cut = box / 16.0;
-
-    // A cluster of 1-32 members around a centre that often sits near a face;
-    // a quarter of the clusters collapse to one point, with the own particle
-    // within float rounding of a reach radius.
-    const bool edge = rng.below(4) == 0;
-    const double c[3] = {rng.coordinate(box), rng.coordinate(box), rng.coordinate(box)};
-    const double spread = edge ? 0.0 : box * std::pow(10.0, -4.0 + 2.7 * rng.uniform());
-    std::vector<Point> members(1 + rng.below(32));
-    for (Point& m : members) {
-      m.x = Scenarios::wrap(c[0] + spread * (2.0 * rng.uniform() - 1.0), box);
-      m.y = Scenarios::wrap(c[1] + spread * (2.0 * rng.uniform() - 1.0), box);
-      m.z = Scenarios::wrap(c[2] + spread * (2.0 * rng.uniform() - 1.0), box);
-      m.h = rng.smoothing(h0);
-      if (rng.below(200) == 0) m.y = kNaN;
-    }
-
-    // The own particle sits near the edge of one of the reach radii, on a
-    // random direction from the centre (wrapping across faces), or anywhere.
-    Point own;
-    own.h = rng.smoothing(h0);
-    const double scale = rng.below(2) == 0 ? r_cut : 2.0 * std::fabs(double(own.h));
-    const double reach = std::isfinite(scale) ? scale : h0;
-    const double dist =
-        edge ? reach * (1.0 + 2e-5 * (2.0 * rng.uniform() - 1.0))
-        : rng.below(4) == 0
-            ? 0.5 * box * rng.uniform()
-            : spread * std::sqrt(3.0) + reach * (0.95 + 0.1 * rng.uniform());
-    double dir[3];
-    double norm2 = 0.0;
-    do {
-      norm2 = 0.0;
-      for (double& d : dir) {
-        d = 2.0 * rng.uniform() - 1.0;
-        norm2 += d * d;
-      }
-    } while (norm2 < 1e-6 || norm2 > 1.0);
-    const double inv = 1.0 / std::sqrt(norm2);
-    own.x = Scenarios::wrap(c[0] + dist * dir[0] * inv, box);
-    own.y = Scenarios::wrap(c[1] + dist * dir[1] * inv, box);
-    own.z = Scenarios::wrap(c[2] + dist * dir[2] * inv, box);
-    if (rng.below(200) == 0) own.z = kNaN;
-
+    const CullScenario sc = make_scenario(rng);
+    const double box = sc.box;
     const auto fbox = static_cast<float>(box);
-    check_rule(GeometryTraits{nullptr, nullptr, fbox}, own, members, box, own_support);
+    check_rule(GeometryTraits{nullptr, nullptr, fbox}, sc.own, sc.members, box, own_support);
     check_rule(AccelerationTraits{nullptr, nullptr, nullptr, nullptr, nullptr, fbox, {}},
-               own, members, box, pair_support);
+               sc.own, sc.members, box, pair_support);
     gravity::GravityTraits grav{};
     grav.box = fbox;
-    grav.rcut2 = static_cast<float>(r_cut * r_cut);
-    check_rule(grav, own, members, box, pp);
+    grav.rcut2 = static_cast<float>(sc.r_cut * sc.r_cut);
+    check_rule(grav, sc.own, sc.members, box, pp);
     if (HasFatalFailure()) return;
   }
   // Not vacuous: every rule culls often, and also keeps many lanes live.
@@ -195,6 +222,113 @@ TEST(PairCull, CulledLanesReachNoMember) {
     EXPECT_GT(s->culled, s->scenarios / 10);
     EXPECT_LT(s->culled, s->scenarios * 9 / 10);
   }
+}
+
+// A lane of a four-lane cull test: the scenario's own particle, another
+// scenario's, one moved whole boxes out of [0, box) (periodic_gap's fmod
+// wrap), or one with a NaN or inf coordinate or h.
+Point draw_lane(Scenarios& rng, const CullScenario& sc, const std::vector<Point>& earlier,
+                bool& outside) {
+  Point p = sc.own;
+  outside = false;
+  switch (rng.below(4)) {
+    case 0:
+      if (!earlier.empty()) p = earlier[static_cast<std::size_t>(rng.below(static_cast<int>(earlier.size())))];
+      break;
+    case 1: {
+      static constexpr double kShifts[] = {-1.0, 1.0, -3.0, 2.0, 1e3, -1e6};
+      float& c = rng.below(3) == 0 ? p.x : rng.below(2) == 0 ? p.y : p.z;
+      c = static_cast<float>(c + kShifts[rng.below(6)] * sc.box);
+      outside = std::isfinite(c) && !(c >= 0.f && c < static_cast<float>(sc.box));
+      break;
+    }
+    case 2: {
+      const float special = rng.below(3) == 0 ? kNaN : rng.below(2) == 0 ? kInf : -kInf;
+      switch (rng.below(4)) {
+        case 0: p.x = special; break;
+        case 1: p.y = special; break;
+        case 2: p.z = special; break;
+        default: p.h = special; break;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return p;
+}
+
+TEST(PairCull, FourLaneCullMatchesScalar) {
+  Scenarios rng(20261020);
+  std::vector<Point> earlier;  // own particles of earlier scenarios
+  int culled = 0, kept = 0, outside_culled = 0, outside_kept = 0;
+  for (int trial = 0; trial < 50000; ++trial) {
+    CullScenario sc = make_scenario(rng);
+    if (rng.below(50) == 0) sc.members.clear();  // n_valid == 0
+    std::vector<GeoState> members(32, GeoState{});
+    for (std::size_t k = 0; k < sc.members.size(); ++k) {
+      members[k] = as_state<GeoState>(sc.members[k], static_cast<std::int32_t>(k + 1));
+    }
+    const HalfTileBounds bounds = half_tile_bounds(members.data(), 32);
+    double box = sc.box;
+    switch (rng.below(100)) {
+      case 0: box = 0.0; break;
+      case 1: box = -sc.box; break;
+      case 2: box = double(kNaN); break;
+      case 3: box = double(kInf); break;
+      default: break;
+    }
+
+    GeoState lanes[kBlockLanes];
+    bool outside[kBlockLanes];
+    for (int k = 0; k < kBlockLanes; ++k) {
+      lanes[k] = as_state<GeoState>(draw_lane(rng, sc, earlier, outside[k]), 0);
+    }
+    // Each lane's radius by one of the three rules, or not positive or not
+    // finite.
+    const auto fbox = static_cast<float>(sc.box);
+    const GeometryTraits own_support{nullptr, nullptr, fbox};
+    const AccelerationTraits pair_support{nullptr, nullptr, nullptr, nullptr, nullptr, fbox, {}};
+    double radius[kBlockLanes];
+    for (int k = 0; k < kBlockLanes; ++k) {
+      switch (rng.below(10)) {
+        case 0: radius[k] = 0.0; break;
+        case 1: radius[k] = -sc.r_cut; break;
+        case 2: radius[k] = double(kNaN); break;
+        case 3: radius[k] = double(kInf); break;
+        case 4:
+        case 5: radius[k] = own_support.reach_radius(lanes[k], bounds.hmax); break;
+        case 6:
+        case 7:
+          radius[k] = pair_support.reach_radius(with_h<HydroState>(lanes[k].h), bounds.hmax);
+          break;
+        default: radius[k] = sc.r_cut; break;
+      }
+    }
+
+    const LanePositions4 positions{Floats4([&](auto k) { return lanes[k].px; }),
+                                   Floats4([&](auto k) { return lanes[k].py; }),
+                                   Floats4([&](auto k) { return lanes[k].pz; }),
+                                   Floats4([&](auto k) { return lanes[k].h; })};
+    const unsigned bits =
+        beyond_reach4(positions, Doubles4([&](auto k) { return radius[k]; }), bounds, box);
+    for (int k = 0; k < kBlockLanes; ++k) {
+      const bool scalar = beyond_reach(lanes[k], bounds, radius[k], box);
+      ASSERT_EQ((bits >> k & 1u) != 0, scalar)
+          << "trial " << trial << " lane " << k << ": (" << lanes[k].px << ", "
+          << lanes[k].py << ", " << lanes[k].pz << ") h " << lanes[k].h << ", radius "
+          << radius[k] << ", box " << box << ", " << bounds.n_valid << " members";
+      (scalar ? culled : kept) += 1;
+      if (outside[k]) (scalar ? outside_culled : outside_kept) += 1;
+    }
+    earlier.push_back(sc.own);
+    if (earlier.size() > 64) earlier.erase(earlier.begin());
+  }
+  // Not vacuous: lanes are culled and kept, inside the box and outside it.
+  EXPECT_GT(culled, 20000);
+  EXPECT_GT(kept, 20000);
+  EXPECT_GT(outside_culled, 1000);
+  EXPECT_GT(outside_kept, 1000);
 }
 
 TEST(PairCull, NonFiniteOrNonPositiveInputsKeepTheLaneLive) {

@@ -5,12 +5,8 @@
 #include <thread>
 #include <vector>
 
-#include "test_helpers.hpp"
-
 namespace hacc::xsycl {
 namespace {
-
-using testing::StandaloneSubGroup;
 
 TEST(AtomicRef, FloatFetchAddAccumulates) {
   OpCounters c;
@@ -82,33 +78,6 @@ TEST(AtomicRef, ConcurrentMinFindsGlobalMinimum) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FLOAT_EQ(target, 1.0f);  // t=0, i=999
-}
-
-TEST(AtomicAddScatter, AccumulatesOnlyActiveLanes) {
-  StandaloneSubGroup ctx(32);
-  std::vector<float> acc(8, 0.0f);
-  Varying<std::int32_t> idx;
-  Varying<float> val;
-  Varying<bool> active;
-  for (int l = 0; l < 32; ++l) {
-    idx[l] = l % 8;
-    val[l] = 1.0f;
-    active[l] = (l < 16);  // only lower half active
-  }
-  atomic_add_scatter(ctx.sg, acc.data(), idx, val, active);
-  for (int b = 0; b < 8; ++b) EXPECT_FLOAT_EQ(acc[b], 2.0f);  // 16 active / 8 bins
-  EXPECT_EQ(ctx.counters.atomic_f32_add, 16u);
-}
-
-TEST(AtomicAddScatter, CollidingIndicesSumCorrectly) {
-  StandaloneSubGroup ctx(64);
-  float acc = 0.0f;
-  Varying<std::int32_t> idx(0);
-  Varying<float> val;
-  Varying<bool> active(true);
-  for (int l = 0; l < 64; ++l) val[l] = float(l);
-  atomic_add_scatter(ctx.sg, &acc, idx, val, active);
-  EXPECT_FLOAT_EQ(acc, 64.0f * 63.0f / 2.0f);
 }
 
 }  // namespace
