@@ -121,22 +121,6 @@ void BM_PairStream(benchmark::State& state) {
 }
 BENCHMARK(BM_PairStream)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 
-void BM_PairMaterialize(benchmark::State& state) {
-  const DriftingSet set(16);
-  const double cutoff = 0.12 * kBox * static_cast<double>(state.range(0)) / 10.0;
-  domain::InteractionDomain dom(
-      domain_options(0.0, domain::RebuildPolicy::kAlways));
-  dom.update(set.pos);
-  std::uint64_t pairs = 0;
-  for (auto _ : state) {
-    const auto list = dom.interacting_pairs(cutoff);
-    benchmark::DoNotOptimize(list.data());
-    pairs += list.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
-}
-BENCHMARK(BM_PairMaterialize)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // Figure output: build-vs-reuse phase timings + skin sweep -> BENCH_neighbor.json
 

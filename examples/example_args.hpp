@@ -5,7 +5,9 @@
 // is not a value of the wanted type (a number in range, or one of an enum's
 // spellings), or a `threads=` that ThreadPool::parse_thread_count rejects,
 // prints a message naming the key and clears ok(), so the caller exits 1
-// before any work starts.  An absent key gives the fallback.
+// before any work starts.  So does a given key that no read looked up (a
+// misspelt key), which ok() reports: call it after the last read.  An
+// absent key gives the fallback.
 //
 //   hacc::examples::Args args(argc, argv, "quickstart");
 //   cfg.np_side = args.get("np", 8);
@@ -51,8 +53,13 @@ class Args {
     }
   }
 
-  // False once a key was rejected.
-  bool ok() const { return ok_; }
+  // False once a key was rejected or when a given key was never read.
+  bool ok() {
+    for (const std::string& key : cli_.unread_keys()) {
+      reject(("unknown key '" + key + "'").c_str());
+    }
+    return ok_;
+  }
 
  private:
   void reject(const char* error) {

@@ -70,6 +70,7 @@ int main(int argc, char** argv) try {
   const int repeats = args.get<int>("repeats", 3);
   const auto variant = args.get("variant", hacc::xsycl::CommVariant::kSelect);
   const Mode mode = args.get("mode", Mode::kRun);
+  const std::string kernel = args.text("kernel", "upBarAc");
   if (!args.ok()) return 1;
 
   if (mode == Mode::kGenerate) {
@@ -100,7 +101,6 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  const std::string kernel = args.text("kernel", "upBarAc");
   const auto& registry = hacc::core::KernelRegistry::instance();
   if (!registry.has(kernel)) {
     std::fprintf(stderr, "unknown kernel '%s'; available:", kernel.c_str());

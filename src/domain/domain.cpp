@@ -159,9 +159,4 @@ SpeciesView InteractionDomain::second() const {
   return {leaves_second_.data(), order_local_.data(), leaves_second_.size()};
 }
 
-std::vector<tree::LeafPair> InteractionDomain::interacting_pairs(
-    double cutoff) const {
-  return checked_tree().interacting_pairs(cutoff);
-}
-
 }  // namespace hacc::domain

@@ -18,8 +18,6 @@
 /// hot path (short-range gravity) materializes nothing.  Multi-consumer
 /// paths (the five SPH kernels) instead collect ONE walk into a reusable
 /// scratch rather than re-traversing per kernel — see Solver::compute_forces.
-/// `interacting_pairs()` remains as a thin materializing wrapper for tests
-/// and the FMM interaction builder.
 
 #include <cstdint>
 #include <memory>
@@ -60,7 +58,7 @@ struct DomainOptions {
   double skin = 0.0;   ///< Verlet skin; reuse while max drift <= skin / 2
   RebuildPolicy rebuild = RebuildPolicy::kAlways;
   /// When set, tree builds/refreshes run level-parallel on this pool
-  /// (bit-identical to the serial path for any thread count — see
+  /// (bit-identical to the no-pool path for any thread count — see
   /// tree/rcb.hpp).  Must outlive the domain.
   util::ThreadPool* pool = nullptr;
 };
@@ -173,10 +171,6 @@ class InteractionDomain {
                    std::size_t batch = PairSource::kDefaultBatch) const {
     return PairSource::streamed(*this, cutoff, batch);
   }
-
-  /// Materialized pair list — thin wrapper over the streamed walk, kept for
-  /// tests and the FMM interaction builder.
-  std::vector<tree::LeafPair> interacting_pairs(double cutoff) const;
 
  private:
   struct Drift {

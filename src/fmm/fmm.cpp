@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -23,12 +22,8 @@ FmmEvaluator::FmmEvaluator(const RcbTree& tree, std::span<const Vec3d> pos,
   multipoles_.resize(nodes.size());
 
   // P2M over the leaf nodes in parallel (each leaf owns a disjoint slot
-  // range), then M2M bottom-up: children always carry larger indices than
-  // their parent, so a reverse index scan sees them first.
-  std::vector<std::int32_t> leaf_nodes;
-  for (std::int32_t n = 0; n < static_cast<std::int32_t>(nodes.size()); ++n) {
-    if (nodes[n].is_leaf()) leaf_nodes.push_back(n);
-  }
+  // range), then M2M over the tree's levels, deepest first.
+  const auto& leaf_nodes = tree.leaf_nodes();
   // shared: multipoles_ (one slot per leaf node index).
   pool.parallel_for(static_cast<std::int64_t>(leaf_nodes.size()), [&](std::int64_t k) {
     const RcbTree::Node& node = nodes[leaf_nodes[k]];
@@ -46,30 +41,16 @@ FmmEvaluator::FmmEvaluator(const RcbTree& tree, std::span<const Vec3d> pos,
     multipoles_[leaf_nodes[k]] = mp;
   });
 
-  // M2M level-parallel, deepest level first.  Depths come from a forward
-  // scan (children carry larger indices than their parent, so the parent's
-  // depth is always set first).  A node's multipole depends only on its two
-  // children's — complete once all deeper levels are done — and the l-then-r
-  // accumulation order is fixed, so the result is bit-identical to the
-  // serial reverse-index sweep for any thread count.
-  std::vector<int> depth(nodes.size(), 0);
-  int max_depth = 0;
-  for (std::int32_t n = 0; n < static_cast<std::int32_t>(nodes.size()); ++n) {
-    if (nodes[n].is_leaf()) continue;
-    depth[nodes[n].left] = depth[n] + 1;
-    depth[nodes[n].right] = depth[n] + 1;
-    max_depth = std::max(max_depth, depth[n] + 1);
-  }
-  std::vector<std::vector<std::int32_t>> levels(max_depth + 1);
-  for (std::int32_t n = 0; n < static_cast<std::int32_t>(nodes.size()); ++n) {
-    if (!nodes[n].is_leaf()) levels[depth[n]].push_back(n);
-  }
-  for (std::int32_t d = max_depth; d >= 0; --d) {
-    const auto& level = levels[d];
+  // A node's multipole depends only on its two children's — complete once
+  // all deeper levels are done — and the l-then-r accumulation order is
+  // fixed, so the result is bit-identical for any thread count.
+  const auto& levels = tree.levels();
+  for (auto level = levels.rbegin(); level != levels.rend(); ++level) {
     // shared: multipoles_ — each iteration owns one internal node's slot and
     // only reads children finalized by deeper levels.
-    pool.parallel_for(static_cast<std::int64_t>(level.size()), [&](std::int64_t k) {
-      const std::int32_t n = level[static_cast<std::size_t>(k)];
+    pool.parallel_for(static_cast<std::int64_t>(level->size()), [&](std::int64_t k) {
+      const std::int32_t n = (*level)[static_cast<std::size_t>(k)];
+      if (nodes[n].is_leaf()) return;
       const Multipole& l = multipoles_[nodes[n].left];
       const Multipole& r = multipoles_[nodes[n].right];
       Multipole mp;
@@ -134,88 +115,38 @@ util::Vec3d m2p_profile(const Multipole& mp, const util::Vec3d& d, double r2,
   return (mp.mass * g + 0.5 * A * tr + 0.5 * B * dot(d, m2d)) * d + A * m2d;
 }
 
-// Dual-tree MAC traversal state.  Mirrors RcbTree::dual_walk: each recursion
-// step descends exactly one node, so every unordered node pair is visited at
-// most once and the near list is canonical and duplicate-free.
-struct MacWalker {
-  const RcbTree& tree;
-  double theta;
-  double r_cut;
-  InteractionLists& out;
-  std::vector<std::vector<std::int32_t>>& far_per_leaf;
+double diag(const RcbTree::Node& n) { return norm(n.hi - n.lo); }
 
-  static double diag(const RcbTree::Node& n) { return norm(n.hi - n.lo); }
-
-  // The minimum-image force law is discontinuous where a displacement
-  // component crosses half a box: the partner's nearest image flips sides.
-  // A smooth multipole expansion cannot represent that flip, so any node
-  // pair whose per-axis displacement interval straddles +-box/2 must keep
-  // descending — unresolved leaf pairs land in the near field, whose
-  // particle-particle kernel applies the minimum image exactly.
-  bool wrap_ambiguous(const RcbTree::Node& a, const RcbTree::Node& b) const {
-    const double half = 0.5 * tree.box();
-    for (int axis = 0; axis < 3; ++axis) {
-      const double dlo = a.lo[axis] - b.hi[axis];  // interval of (a - b)
-      const double dhi = a.hi[axis] - b.lo[axis];  // components, in [-box, box]
-      if ((dlo <= half && half <= dhi) || (dlo <= -half && -half <= dhi)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Appends `source` to the far list of every leaf under `target`.  Leaves
-  // partition the slots in leaf-index order, so the covered leaves form the
-  // contiguous range [leaf_of_slot(begin), leaf_of_slot(end - 1)].
-  void add_far(std::int32_t target, std::int32_t source) {
-    const RcbTree::Node& t = tree.nodes()[target];
-    const std::int32_t first = tree.leaf_of_slot(t.begin);
-    const std::int32_t last = tree.leaf_of_slot(t.end - 1);
-    for (std::int32_t leaf = first; leaf <= last; ++leaf) {
-      far_per_leaf[leaf].push_back(source);
+// The minimum-image force law is discontinuous where a displacement
+// component crosses half a box: the partner's nearest image flips sides.
+// A smooth multipole expansion cannot represent that flip, so any node
+// pair whose per-axis displacement interval straddles +-box/2 must keep
+// descending — unresolved leaf pairs land in the near field, whose
+// particle-particle kernel applies the minimum image exactly.
+bool wrap_ambiguous(const RcbTree::Node& a, const RcbTree::Node& b, double box) {
+  const double half = 0.5 * box;
+  for (int axis = 0; axis < 3; ++axis) {
+    const double dlo = a.lo[axis] - b.hi[axis];  // interval of (a - b)
+    const double dhi = a.hi[axis] - b.lo[axis];  // components, in [-box, box]
+    if ((dlo <= half && half <= dhi) || (dlo <= -half && -half <= dhi)) {
+      return true;
     }
   }
+  return false;
+}
 
-  void walk(std::int32_t ia, std::int32_t ib) {
-    const RcbTree::Node& a = tree.nodes()[ia];
-    const RcbTree::Node& b = tree.nodes()[ib];
-    const double gap = tree.node_distance(ia, ib);
-    if (gap > r_cut) return;  // the mesh owns this range (TreePM split)
-    // Far acceptance additionally requires the pair to sit entirely inside
-    // the cutoff sphere (gap + diagonals bounds the largest pair distance):
-    // straddlers descend so the exact per-particle cutoff of the near-field
-    // kernel decides, instead of an all-or-nothing test at the com.
-    if (ia != ib && std::max(diag(a), diag(b)) < theta * gap &&
-        gap + diag(a) + diag(b) <= r_cut && !wrap_ambiguous(a, b)) {
-      add_far(ia, ib);
-      add_far(ib, ia);
-      return;
-    }
-    const bool a_is_leaf = a.is_leaf();
-    const bool b_is_leaf = b.is_leaf();
-    if (a_is_leaf && b_is_leaf) {
-      assert(a.leaf <= b.leaf);
-      out.near.push_back({a.leaf, b.leaf});
-      return;
-    }
-    if (ia == ib) {
-      walk(a.left, a.left);
-      walk(a.right, a.right);
-      walk(a.left, a.right);
-      return;
-    }
-    const auto span_of = [](const RcbTree::Node& n) {
-      return (n.hi.x - n.lo.x) + (n.hi.y - n.lo.y) + (n.hi.z - n.lo.z);
-    };
-    if (b_is_leaf || (!a_is_leaf && span_of(a) >= span_of(b))) {
-      walk(a.left, ib);
-      walk(a.right, ib);
-    } else {
-      walk(ia, b.left);
-      walk(ia, b.right);
-    }
+// Appends `source` to the far list of every leaf under `target`.  Leaves
+// partition the slots in leaf-index order, so the covered leaves form the
+// contiguous range [leaf_of_slot(begin), leaf_of_slot(end - 1)].
+void add_far(const RcbTree& tree, std::int32_t target, std::int32_t source,
+             std::vector<std::vector<std::int32_t>>& far_per_leaf) {
+  const RcbTree::Node& t = tree.nodes()[target];
+  const std::int32_t first = tree.leaf_of_slot(t.begin);
+  const std::int32_t last = tree.leaf_of_slot(t.end - 1);
+  for (std::int32_t leaf = first; leaf <= last; ++leaf) {
+    far_per_leaf[leaf].push_back(source);
   }
-};
+}
 
 }  // namespace
 
@@ -224,11 +155,29 @@ InteractionLists FmmEvaluator::build_interactions(double theta, double r_cut) co
   InteractionLists lists;
   const std::size_t n_leaves = tree_->leaves().size();
   lists.far_offsets.assign(n_leaves + 1, 0);
-  if (tree_->root() < 0) return lists;
-
+  const auto& nodes = tree_->nodes();
   std::vector<std::vector<std::int32_t>> far_per_leaf(n_leaves);
-  MacWalker walker{*tree_, theta, r_cut, lists, far_per_leaf};
-  walker.walk(tree_->root(), tree_->root());
+  // Far acceptance: the opening-angle MAC, clear of the wrap ambiguity, and
+  // the pair entirely inside the cutoff sphere (gap + diagonals bounds the
+  // largest pair distance): straddlers descend so the exact per-particle
+  // cutoff of the near-field kernel decides, instead of an all-or-nothing
+  // test at the com.  Pairs beyond r_cut never reach it: the mesh owns that
+  // range in a TreePM split.
+  const auto accept_far = [&](std::int32_t ia, std::int32_t ib, double gap) {
+    const RcbTree::Node& a = nodes[ia];
+    const RcbTree::Node& b = nodes[ib];
+    const double diag_a = diag(a);
+    const double diag_b = diag(b);
+    if (std::max(diag_a, diag_b) < theta * gap && gap + diag_a + diag_b <= r_cut &&
+        !wrap_ambiguous(a, b, tree_->box())) {
+      add_far(*tree_, ia, ib, far_per_leaf);
+      add_far(*tree_, ib, ia, far_per_leaf);
+      return true;
+    }
+    return false;
+  };
+  tree_->walk_pairs(r_cut, accept_far,
+                    [&lists](const tree::LeafPair& lp) { lists.near.push_back(lp); });
 
   for (std::size_t leaf = 0; leaf < n_leaves; ++leaf) {
     lists.far_offsets[leaf + 1] =

@@ -2,9 +2,9 @@
 
 // Tree-multipole far-field gravity (Barnes–Hut/FMM style) over the RCB
 // domain tree.  An upward pass builds monopole+quadrupole expansions for
-// every RcbTree node (P2M at the leaves, M2M up the tree); a dual-tree
-// traversal with an opening-angle acceptance criterion then splits the
-// interaction set into
+// every RcbTree node (P2M at the tree's leaf nodes, M2M up its levels); the
+// tree's one dual-tree walk (RcbTree::walk_pairs), given an opening-angle
+// far acceptance, then splits the interaction set into
 //   - a near-field list of canonical leaf pairs, evaluated by the existing
 //     half-warp particle-particle machinery (gravity::run_pp_short), and
 //   - a far-field list of (leaf, source node) multipole interactions,
@@ -59,7 +59,8 @@ class FmmEvaluator {
 
   const std::vector<Multipole>& multipoles() const { return multipoles_; }
 
-  // Dual-tree MAC walk.  A node pair is deferred to the far field when
+  // The tree's dual-tree walk (RcbTree::walk_pairs) with a MAC far
+  // acceptance.  A node pair is deferred to the far field when
   // max(diag_a, diag_b) < theta * gap(a, b) AND its displacement interval
   // stays clear of the +-box/2 minimum-image discontinuity (a smooth
   // expansion cannot represent the image flip; such pairs keep descending

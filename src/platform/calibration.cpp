@@ -12,7 +12,6 @@
 //   - Frontier: dedicated cross-lane instructions (like NVIDIA) on a SIMD
 //     architecture (like Intel); Memory is "almost always second best";
 //     Broadcast sits near 0.6 efficiency.
-// EXPERIMENTS.md records paper-vs-model numbers for every figure.
 
 namespace hacc::platform {
 

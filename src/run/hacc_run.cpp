@@ -146,6 +146,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "hacc_run: %s\n", e.what());
     return 1;
   }
+  // Every key hacc_run knows has been looked up by now, so a key left over
+  // (from the command line or the --config file) is misspelt.
+  const auto unread = cli.unread_keys();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "hacc_run: unknown key '%s' (keys: docs/CONFIG.md)\n", key.c_str());
+  }
+  if (!unread.empty()) return 1;
   // Tracing must be armed BEFORE the pool exists: the worker-start hook
   // names each worker's lane as its thread launches.
   if (!trace_path.empty()) {

@@ -44,8 +44,10 @@ bool find_scenario(const std::string& name, Scenario& out);
 /// util::Config::read.  Returns false and fills `error` (naming the key and
 /// its text) on an invalid value: text that does not parse in full or fit
 /// its field (`np=16x`, `np=4294967304`, `steps=1e3`, `hydro=ture`,
-/// `gravity.backend=TreePM`), or a value a key's range check refuses;
-/// unknown keys are ignored (they may belong to the caller, e.g. `threads`).
+/// `gravity.backend=TreePM`), or a value a key's range check refuses.
+/// Keys it does not know are left alone (they may belong to the caller,
+/// e.g. `threads`); the caller lists the keys nobody read with
+/// util::Config::unread_keys, and hacc_run rejects them.
 bool apply_config(const util::Config& cfg, core::SimConfig& sim,
                   RunOptions& run, std::string& error);
 

@@ -56,7 +56,7 @@ Pipeline build_pipeline(const core::ParticleSet& p, const PipelineOptions& opt) 
   dopt.leaf_size = opt.leaf_size;
   pipe.domain = std::make_unique<domain::InteractionDomain>(dopt);
   pipe.domain->update(p.positions());
-  pipe.pairs = pipe.domain->interacting_pairs(support_cutoff(p));
+  pipe.pairs = pipe.domain->tree().interacting_pairs(support_cutoff(p));
   return pipe;
 }
 

@@ -15,13 +15,14 @@ using util::Vec3d;
 
 namespace {
 
-// AABB of the slots [begin, end) under the tree permutation — the exact loop
-// the serial build runs, factored out so the level-parallel pass and refresh
-// produce bit-identical boxes.
+// AABB of the slots [begin, end) under the tree permutation — the one loop
+// the build and refresh share, so their boxes are bit-identical.  The box
+// accumulates in locals, which the compiler can keep in registers (stores
+// through out_lo/out_hi might alias `pos`).
 void scan_aabb(std::span<const Vec3d> pos, const std::vector<std::int32_t>& order,
-               std::int32_t begin, std::int32_t end, Vec3d& lo, Vec3d& hi) {
-  lo = Vec3d(std::numeric_limits<double>::max());
-  hi = Vec3d(std::numeric_limits<double>::lowest());
+               std::int32_t begin, std::int32_t end, Vec3d& out_lo, Vec3d& out_hi) {
+  Vec3d lo(std::numeric_limits<double>::max());
+  Vec3d hi(std::numeric_limits<double>::lowest());
   for (std::int32_t k = begin; k < end; ++k) {
     const Vec3d& p = pos[order[k]];
     for (int a = 0; a < 3; ++a) {
@@ -29,6 +30,8 @@ void scan_aabb(std::span<const Vec3d> pos, const std::vector<std::int32_t>& orde
       hi[a] = std::max(hi[a], p[a]);
     }
   }
+  out_lo = lo;
+  out_hi = hi;
 }
 
 }  // namespace
@@ -46,147 +49,87 @@ RcbTree::RcbTree(std::span<const Vec3d> pos, double box, int leaf_size,
   order_.resize(pos.size());
   std::iota(order_.begin(), order_.end(), 0);
   slot_leaf_.resize(pos.size());
-  if (!pos.empty()) {
-    if (pool_ != nullptr) {
-      std::vector<int> depths;
-      root_ = build_topology(0, static_cast<std::int32_t>(pos.size()), 0, depths);
-      fill_levels(pos, depths);
-    } else {
-      root_ = build(0, static_cast<std::int32_t>(pos.size()), pos);
-    }
-  }
-  leaf_nodes_.resize(leaves_.size());
-  for (std::int32_t i = 0; i < static_cast<std::int32_t>(nodes_.size()); ++i) {
-    if (nodes_[i].is_leaf()) leaf_nodes_[nodes_[i].leaf] = i;
-  }
+  if (pos.empty()) return;
+  root_ = build_topology(0, static_cast<std::int32_t>(pos.size()), 0);
+  fill_levels(pos);
 }
 
-std::int32_t RcbTree::build_topology(std::int32_t begin, std::int32_t end,
-                                     int depth, std::vector<int>& depths) {
-  // Mirrors build()'s index assignment exactly: pre-order node numbering,
-  // leaves numbered in slot order, children pushed after their parent.  No
-  // positions are read — the split point is always the median slot.
+std::int32_t RcbTree::build_topology(std::int32_t begin, std::int32_t end, int depth) {
+  // Pre-order node numbering, leaves numbered in slot order, children
+  // pushed after their parent.  No positions are read — the split point is
+  // always the median slot.
   Node node;
   node.begin = begin;
   node.end = end;
   const std::int32_t self = static_cast<std::int32_t>(nodes_.size());
+  if (levels_.size() <= static_cast<std::size_t>(depth)) levels_.resize(depth + 1);
+  levels_[depth].push_back(self);
   if (end - begin <= leaf_size_) {
     Leaf leaf;
     leaf.begin = begin;
     leaf.end = end;
     node.leaf = static_cast<std::int32_t>(leaves_.size());
     leaves_.push_back(leaf);
+    leaf_nodes_.push_back(self);
     for (std::int32_t k = begin; k < end; ++k) slot_leaf_[k] = node.leaf;
     nodes_.push_back(node);
-    depths.push_back(depth);
     return self;
   }
   nodes_.push_back(node);
-  depths.push_back(depth);
   const std::int32_t mid = begin + (end - begin) / 2;
-  const std::int32_t left = build_topology(begin, mid, depth + 1, depths);
-  const std::int32_t right = build_topology(mid, end, depth + 1, depths);
+  const std::int32_t left = build_topology(begin, mid, depth + 1);
+  const std::int32_t right = build_topology(mid, end, depth + 1);
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;
 }
 
-void RcbTree::fill_levels(std::span<const Vec3d> pos,
-                          const std::vector<int>& depths) {
-  // Bucket node indices by depth, preserving index order within a level.
-  int max_depth = 0;
-  for (const int d : depths) max_depth = std::max(max_depth, d);
-  std::vector<std::vector<std::int32_t>> levels(max_depth + 1);
-  for (std::int32_t i = 0; i < static_cast<std::int32_t>(nodes_.size()); ++i) {
-    levels[depths[i]].push_back(i);
+void RcbTree::fill_levels(std::span<const Vec3d> pos) {
+  // A node's AABB scan and nth_element need its slot range's content
+  // finalized, which happens exactly when every ancestor's nth_element has
+  // run.  Siblings own disjoint slot ranges, so any schedule that runs
+  // ancestors first gives every node the same data and, through the same
+  // deterministic code, the same bits.
+  const auto split = [&](std::int32_t n) {
+    Node& node = nodes_[n];
+    scan_aabb(pos, order_, node.begin, node.end, node.lo, node.hi);
+    if (node.is_leaf()) {
+      leaves_[node.leaf].lo = node.lo;
+      leaves_[node.leaf].hi = node.hi;
+      return;
+    }
+    // Split along the longest axis at the median slot (strict >: ties pick
+    // the lowest axis).
+    int axis = 0;
+    double extent = node.hi[0] - node.lo[0];
+    for (int a = 1; a < 3; ++a) {
+      if (node.hi[a] - node.lo[a] > extent) {
+        extent = node.hi[a] - node.lo[a];
+        axis = a;
+      }
+    }
+    const std::int32_t mid = node.begin + (node.end - node.begin) / 2;
+    std::nth_element(order_.begin() + node.begin, order_.begin() + mid,
+                     order_.begin() + node.end, [&](std::int32_t i, std::int32_t j) {
+                       return pos[i][axis] < pos[j][axis];
+                     });
+  };
+  if (pool_ == nullptr) {
+    // Pre-order (index order) puts ancestors first and splits each range
+    // while it is still cache-hot from its parent's split.
+    for (std::int32_t n = 0; n < static_cast<std::int32_t>(nodes_.size()); ++n) split(n);
+    return;
   }
-
-  // Top-down level sweep.  A node's AABB scan and nth_element need its slot
-  // range's content finalized, which happens exactly when every ancestor's
-  // nth_element has run — i.e. when all shallower levels are done, which the
-  // parallel_for barrier guarantees.  Within a level the slot ranges are
-  // pairwise disjoint, so the splits and box writes never race, and each
-  // node runs the same deterministic code over the same data as the serial
-  // recursion — the result is bit-identical for any thread count.
-  for (const auto& level : levels) {
+  // Top-down level sweep: parallel_for's barrier finishes every shallower
+  // level first.
+  for (const auto& level : levels_) {
     // shared: nodes_/leaves_/order_ — each iteration owns one node: its own
     // nodes_/leaves_ entries and a slot range disjoint from every other
     // node's on this level.
     pool_->parallel_for(static_cast<std::int64_t>(level.size()), [&](std::int64_t li) {
-      Node& node = nodes_[level[static_cast<std::size_t>(li)]];
-      scan_aabb(pos, order_, node.begin, node.end, node.lo, node.hi);
-      if (node.is_leaf()) {
-        leaves_[node.leaf].lo = node.lo;
-        leaves_[node.leaf].hi = node.hi;
-        return;
-      }
-      // Split along the longest axis at the median slot (strict > keeps the
-      // serial build's tie rule: ties pick the lowest axis).
-      int axis = 0;
-      double extent = node.hi[0] - node.lo[0];
-      for (int a = 1; a < 3; ++a) {
-        if (node.hi[a] - node.lo[a] > extent) {
-          extent = node.hi[a] - node.lo[a];
-          axis = a;
-        }
-      }
-      const std::int32_t mid = node.begin + (node.end - node.begin) / 2;
-      std::nth_element(order_.begin() + node.begin, order_.begin() + mid,
-                       order_.begin() + node.end, [&](std::int32_t i, std::int32_t j) {
-                         return pos[i][axis] < pos[j][axis];
-                       });
+      split(level[static_cast<std::size_t>(li)]);
     });
   }
-}
-
-std::int32_t RcbTree::build(std::int32_t begin, std::int32_t end,
-                            std::span<const Vec3d> pos) {
-  Node node;
-  node.begin = begin;
-  node.end = end;
-  node.lo = Vec3d(std::numeric_limits<double>::max());
-  node.hi = Vec3d(std::numeric_limits<double>::lowest());
-  for (std::int32_t k = begin; k < end; ++k) {
-    const Vec3d& p = pos[order_[k]];
-    for (int a = 0; a < 3; ++a) {
-      node.lo[a] = std::min(node.lo[a], p[a]);
-      node.hi[a] = std::max(node.hi[a], p[a]);
-    }
-  }
-
-  if (end - begin <= leaf_size_) {
-    Leaf leaf;
-    leaf.begin = begin;
-    leaf.end = end;
-    leaf.lo = node.lo;
-    leaf.hi = node.hi;
-    node.leaf = static_cast<std::int32_t>(leaves_.size());
-    leaves_.push_back(leaf);
-    for (std::int32_t k = begin; k < end; ++k) slot_leaf_[k] = node.leaf;
-    nodes_.push_back(node);
-    return static_cast<std::int32_t>(nodes_.size()) - 1;
-  }
-
-  // Split along the longest axis at the median slot.
-  int axis = 0;
-  double extent = node.hi[0] - node.lo[0];
-  for (int a = 1; a < 3; ++a) {
-    if (node.hi[a] - node.lo[a] > extent) {
-      extent = node.hi[a] - node.lo[a];
-      axis = a;
-    }
-  }
-  const std::int32_t mid = begin + (end - begin) / 2;
-  std::nth_element(order_.begin() + begin, order_.begin() + mid, order_.begin() + end,
-                   [&](std::int32_t i, std::int32_t j) { return pos[i][axis] < pos[j][axis]; });
-
-  const std::int32_t self = static_cast<std::int32_t>(nodes_.size());
-  nodes_.push_back(node);  // placeholder; children filled below
-  const std::int32_t left = build(begin, mid, pos);
-  const std::int32_t right = build(mid, end, pos);
-  nodes_[self].left = left;
-  nodes_[self].right = right;
-  return self;
 }
 
 void RcbTree::refresh(std::span<const Vec3d> pos) {
@@ -195,48 +138,33 @@ void RcbTree::refresh(std::span<const Vec3d> pos) {
         "RcbTree::refresh(): position count does not match the particle "
         "count the tree was built from");
   }
+  // Leaf AABBs only depend on the (fixed) permutation and the positions, so
+  // the per-leaf scans are independent and bit-identical for any thread
+  // count.
+  const auto scan_leaf = [&](std::int64_t li) {
+    Node& n = nodes_[leaf_nodes_[static_cast<std::size_t>(li)]];
+    scan_aabb(pos, order_, n.begin, n.end, n.lo, n.hi);
+    leaves_[n.leaf].lo = n.lo;
+    leaves_[n.leaf].hi = n.hi;
+  };
+  const auto n_leaves = static_cast<std::int64_t>(leaf_nodes_.size());
   if (pool_ != nullptr) {
-    // Leaf AABBs only depend on the (fixed) permutation and the positions,
-    // so the per-leaf scans are independent; results are bit-identical to
-    // the serial sweep because each leaf runs the identical scan loop.
     // shared: nodes_/leaves_ — each iteration owns one leaf's AABB entries;
     // the upward merge below starts after the pool barrier.
-    pool_->parallel_for(static_cast<std::int64_t>(leaf_nodes_.size()),
-                        [&](std::int64_t li) {
-                          Node& n = nodes_[leaf_nodes_[static_cast<std::size_t>(li)]];
-                          scan_aabb(pos, order_, n.begin, n.end, n.lo, n.hi);
-                          leaves_[n.leaf].lo = n.lo;
-                          leaves_[n.leaf].hi = n.hi;
-                        });
-    // Children carry larger indices than their parents, so a reverse-index
-    // sweep sees both children before every internal node.
-    for (std::int32_t i = static_cast<std::int32_t>(nodes_.size()) - 1; i >= 0; --i) {
-      Node& n = nodes_[i];
-      if (n.is_leaf()) continue;
-      const Node& l = nodes_[n.left];
-      const Node& r = nodes_[n.right];
-      for (int a = 0; a < 3; ++a) {
-        n.lo[a] = std::min(l.lo[a], r.lo[a]);
-        n.hi[a] = std::max(l.hi[a], r.hi[a]);
-      }
-    }
-    return;
+    pool_->parallel_for(n_leaves, scan_leaf);
+  } else {
+    for (std::int64_t li = 0; li < n_leaves; ++li) scan_leaf(li);
   }
   // Children carry larger indices than their parents, so a reverse-index
   // sweep sees both children before every internal node.
   for (std::int32_t i = static_cast<std::int32_t>(nodes_.size()) - 1; i >= 0; --i) {
     Node& n = nodes_[i];
-    if (n.is_leaf()) {
-      scan_aabb(pos, order_, n.begin, n.end, n.lo, n.hi);
-      leaves_[n.leaf].lo = n.lo;
-      leaves_[n.leaf].hi = n.hi;
-    } else {
-      const Node& l = nodes_[n.left];
-      const Node& r = nodes_[n.right];
-      for (int a = 0; a < 3; ++a) {
-        n.lo[a] = std::min(l.lo[a], r.lo[a]);
-        n.hi[a] = std::max(l.hi[a], r.hi[a]);
-      }
+    if (n.is_leaf()) continue;
+    const Node& l = nodes_[n.left];
+    const Node& r = nodes_[n.right];
+    for (int a = 0; a < 3; ++a) {
+      n.lo[a] = std::min(l.lo[a], r.lo[a]);
+      n.hi[a] = std::max(l.hi[a], r.hi[a]);
     }
   }
 }

@@ -9,12 +9,14 @@
 // Periodic boundaries are handled with minimum-image distances between
 // leaf bounding boxes when enumerating interacting leaf pairs.
 //
-// Construction optionally takes a util::ThreadPool and then builds the
-// median splits level-parallel.  The parallel build is bit-identical to the
-// serial one for ANY thread count: the tree topology (node indices, leaf
-// numbering, slot ranges) depends only on range sizes, every node's AABB
-// scan and nth_element run over exactly the range content the serial
-// recursion would see (ancestors complete before descendants; siblings own
+// There is one build: a topology pass numbers every node and leaf from the
+// range sizes alone, then one per-node body runs each node's AABB scan and
+// median split, ancestors first.  Construction optionally takes a
+// util::ThreadPool and then runs the nodes level by level in parallel;
+// without one the body runs inline in node-index (pre-)order.  The result
+// is bit-identical for ANY thread count: the topology never reads
+// positions, every node's AABB scan and nth_element see exactly their slot
+// range's content (ancestors complete before descendants; siblings own
 // disjoint ranges), and nth_element is deterministic for a fixed input.
 
 #include <cstdint>
@@ -65,9 +67,10 @@ class RcbTree {
   // Builds from positions in [0, box)^3.  leaf_size bounds leaf occupancy.
   RcbTree(std::span<const util::Vec3d> pos, double box, int leaf_size);
 
-  // Level-parallel build on `pool`; bit-identical to the serial constructor
-  // for any thread count (see file comment).  The pool is remembered and
-  // reused by refresh() for the per-leaf AABB pass; it must outlive the tree.
+  // The same build with each level's nodes run on `pool`; bit-identical to
+  // the no-pool constructor for any thread count (see file comment).  The
+  // pool is remembered and reused by refresh() for the per-leaf AABB pass;
+  // it must outlive the tree.
   RcbTree(std::span<const util::Vec3d> pos, double box, int leaf_size,
           util::ThreadPool& pool);
 
@@ -79,6 +82,13 @@ class RcbTree {
   const std::vector<Leaf>& leaves() const { return leaves_; }
   const std::vector<Node>& nodes() const { return nodes_; }
   std::int32_t root() const { return root_; }  // -1 for an empty tree
+
+  // Node index of each leaf, in leaf order.
+  const std::vector<std::int32_t>& leaf_nodes() const { return leaf_nodes_; }
+  // Node indices by depth (levels()[0] holds the root), in index order
+  // within a level: the schedule of the build's sweep and of a level-
+  // parallel upward pass (deepest level first).
+  const std::vector<std::vector<std::int32_t>>& levels() const { return levels_; }
 
   // Leaf index containing tree slot k.
   std::int32_t leaf_of_slot(std::int32_t k) const { return slot_leaf_[k]; }
@@ -98,11 +108,24 @@ class RcbTree {
   // (a <= b) and duplicate-free by construction — the recursion partitions
   // leaf pairs by their deepest common ancestor — and are emitted in
   // traversal order.  This is the hot-path API; interacting_pairs() is the
-  // materializing wrapper kept for tests and the FMM interaction builder.
+  // materializing form kept for tests and tools.
   template <typename Visitor>
   void for_each_pair(double cutoff, Visitor&& visit) const {
+    walk_pairs(cutoff, [](std::int32_t, std::int32_t, double) { return false; }, visit);
+  }
+
+  // The dual-tree walk behind for_each_pair, with far acceptance: a node
+  // pair within `cutoff` of distinct nodes ia != ib is offered to
+  // `accept_far(ia, ib, gap)` (gap = node_distance(ia, ib)) before the walk
+  // descends it; returning true prunes the pair, which the caller then owns
+  // as a whole (the FMM's multipole far field).  Every other pair within
+  // `cutoff` descends to leaf pairs, which reach `visit(LeafPair)`.  Each
+  // recursion step descends one node, so every unordered node pair is
+  // offered at most once.
+  template <typename AcceptFar, typename Visitor>
+  void walk_pairs(double cutoff, AcceptFar&& accept_far, Visitor&& visit) const {
     if (root_ < 0) return;
-    walk_pairs(root_, root_, cutoff, visit);
+    walk_pairs(root_, root_, cutoff, accept_far, visit);
   }
 
   // All interacting leaf pairs, materialized in traversal order.
@@ -120,25 +143,23 @@ class RcbTree {
   RcbTree(std::span<const util::Vec3d> pos, double box, int leaf_size,
           util::ThreadPool* pool);
 
-  std::int32_t build(std::int32_t begin, std::int32_t end,
-                     std::span<const util::Vec3d> pos);
-  // Parallel-build phase 0: allocate every node/leaf with the exact indices,
-  // slot ranges, and leaf numbering the serial recursion would produce —
-  // topology depends only on range sizes, never on the positions.  Records
-  // each node's depth for the level scheduler.
-  std::int32_t build_topology(std::int32_t begin, std::int32_t end, int depth,
-                              std::vector<int>& depths);
-  // Parallel-build phase 1: per-level AABB scans and median splits.
-  void fill_levels(std::span<const util::Vec3d> pos,
-                   const std::vector<int>& depths);
+  // Build phase 0: allocate every node/leaf with its index (pre-order),
+  // slot range and leaf number — topology depends only on range sizes,
+  // never on the positions — and file each node under its depth.
+  std::int32_t build_topology(std::int32_t begin, std::int32_t end, int depth);
+  // Build phase 1: every node's AABB scan and median split, ancestors
+  // first: level by level on the pool, or in index order without one.
+  void fill_levels(std::span<const util::Vec3d> pos);
   double node_distance(const Node& a, const Node& b) const;
 
-  template <typename Visitor>
+  template <typename AcceptFar, typename Visitor>
   void walk_pairs(std::int32_t ia, std::int32_t ib, double cutoff,
-                  Visitor& visit) const {
+                  AcceptFar& accept_far, Visitor& visit) const {
     const Node& a = nodes_[ia];
     const Node& b = nodes_[ib];
-    if (node_distance(a, b) > cutoff) return;
+    const double gap = node_distance(a, b);
+    if (gap > cutoff) return;
+    if (ia != ib && accept_far(ia, ib, gap)) return;
     const bool a_is_leaf = a.leaf >= 0;
     const bool b_is_leaf = b.leaf >= 0;
     if (a_is_leaf && b_is_leaf) {
@@ -149,31 +170,32 @@ class RcbTree {
     }
     // Descend the larger (non-leaf) node; for self pairs descend both sides.
     if (ia == ib) {
-      walk_pairs(a.left, a.left, cutoff, visit);
-      walk_pairs(a.right, a.right, cutoff, visit);
-      walk_pairs(a.left, a.right, cutoff, visit);
+      walk_pairs(a.left, a.left, cutoff, accept_far, visit);
+      walk_pairs(a.right, a.right, cutoff, accept_far, visit);
+      walk_pairs(a.left, a.right, cutoff, accept_far, visit);
       return;
     }
     const auto span_of = [](const Node& n) {
       return (n.hi.x - n.lo.x) + (n.hi.y - n.lo.y) + (n.hi.z - n.lo.z);
     };
     if (b_is_leaf || (!a_is_leaf && span_of(a) >= span_of(b))) {
-      walk_pairs(a.left, ib, cutoff, visit);
-      walk_pairs(a.right, ib, cutoff, visit);
+      walk_pairs(a.left, ib, cutoff, accept_far, visit);
+      walk_pairs(a.right, ib, cutoff, accept_far, visit);
     } else {
-      walk_pairs(ia, b.left, cutoff, visit);
-      walk_pairs(ia, b.right, cutoff, visit);
+      walk_pairs(ia, b.left, cutoff, accept_far, visit);
+      walk_pairs(ia, b.right, cutoff, accept_far, visit);
     }
   }
 
   double box_;
   int leaf_size_;
-  util::ThreadPool* pool_ = nullptr;  // optional; set by the parallel ctor
+  util::ThreadPool* pool_ = nullptr;  // optional; set by the pool ctor
   std::vector<std::int32_t> order_;
   std::vector<Leaf> leaves_;
   std::vector<std::int32_t> slot_leaf_;
   std::vector<Node> nodes_;
   std::vector<std::int32_t> leaf_nodes_;  // node index of each leaf
+  std::vector<std::vector<std::int32_t>> levels_;  // node indices by depth
   std::int32_t root_ = -1;
 };
 

@@ -82,8 +82,17 @@ void Config::apply_overrides(int argc, const char* const* argv) {
 }
 
 std::string Config::get_string(const std::string& key, const std::string& fallback) const {
+  looked_up_.insert(key);
   if (auto it = values_.find(key); it != values_.end()) return it->second;
   return fallback;
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : values_) {
+    if (looked_up_.count(key) == 0) keys.push_back(key);
+  }
+  return keys;
 }
 
 namespace {

@@ -6,9 +6,11 @@
 
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "util/enum_names.hpp"
 
@@ -36,7 +38,14 @@ class Config {
   // key=value (including a program path containing '=') are skipped.
   void apply_overrides(int argc, const char* const* argv);
 
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
+  // has, get_string and read record the key they look up, so a caller that
+  // has looked up every key it knows can list the rest (unread_keys) as
+  // misspelt.  The record is a mutable member: a Config is not for
+  // concurrent lookups.
+  bool has(const std::string& key) const {
+    looked_up_.insert(key);
+    return values_.count(key) != 0;
+  }
 
   std::string get_string(const std::string& key, const std::string& fallback) const;
 
@@ -55,13 +64,18 @@ class Config {
   const std::string& error() const { return error_; }
   const std::map<std::string, std::string>& values() const { return values_; }
 
+  // The keys present but never looked up, in key order.
+  std::vector<std::string> unread_keys() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> looked_up_;
   std::string error_;
 };
 
 template <typename T>
 bool Config::read(const std::string& key, T& field, std::string& error) const {
+  looked_up_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return true;
   const std::string& text = it->second;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iomanip>
 #include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "gravity/pp_short.hpp"
@@ -337,6 +341,121 @@ TEST(Fmm, OpCountersRecordM2P) {
       ev.evaluate_far(lists, buf.arrays(), FarOptions{box, 1.0, 0.0, nullptr}, &ops);
   EXPECT_GT(stats.m2p_ops, 0u);
   EXPECT_EQ(ops.m2p_ops, stats.m2p_ops);
+}
+
+// Recorded bits of the upward pass and the MAC walk.  Every row hashes
+// (FNV-1a) the near list in order, far_offsets, far_nodes and every node's
+// multipole, for one (theta, r_cut) on a clustered box: half the particles
+// uniform, half in four tight clumps (one straddling the periodic corner),
+// so both cutoffs defer work to the far field.  Pool sizes 1 and 4 must
+// reproduce each row.
+struct FmmListsRow {
+  double theta;
+  double r_cut;
+  std::uint64_t near_pairs;
+  std::uint64_t far_entries;
+  std::uint64_t hash;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+constexpr FmmListsRow kFmmLists[] = {
+#include "fmm_lists_snapshot.inc"
+};
+
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (const unsigned char b : bytes) {
+      h_ ^= b;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(const Vec3d& v) {
+    for (int axis = 0; axis < 3; ++axis) add(v[axis]);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::vector<Vec3d> clustered_positions(double box) {
+  const int n = 8000;
+  std::vector<Vec3d> pos = random_positions(n / 2, box, 31);
+  const Vec3d centers[] = {{2.0, 2.5, 3.0}, {7.0, 6.0, 2.0}, {4.0, 8.0, 7.5}, {0.1, 9.9, 0.2}};
+  util::CounterRng rng(32);
+  for (int i = 0; i < n / 2; ++i) {
+    const Vec3d& c = centers[i % 4];
+    Vec3d p;
+    for (int axis = 0; axis < 3; ++axis) {
+      p[axis] = c[axis] + 0.25 * rng.normal(3 * i + axis);
+      p[axis] -= box * std::floor(p[axis] / box);
+    }
+    pos.push_back(p);
+  }
+  return pos;
+}
+
+class FmmListsSnapshot : public ::testing::TestWithParam<unsigned> {};
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, FmmListsSnapshot, ::testing::Values(1u, 4u),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+TEST_P(FmmListsSnapshot, MatchesRecordedHashes) {
+  const double box = 10.0;
+  const auto pos = clustered_positions(box);
+  const auto mass = random_masses(static_cast<int>(pos.size()), 33);
+  util::ThreadPool pool(GetParam());
+  const tree::RcbTree tr(pos, box, 8);
+  const FmmEvaluator ev(tr, pos, mass, pool);
+
+  std::vector<FmmListsRow> got;
+  for (const double theta : {0.0, 0.5, 0.7}) {
+    for (const double r_cut : {2.0, kInf}) {
+      const InteractionLists lists = ev.build_interactions(theta, r_cut);
+      Fnv1a h;
+      for (const tree::LeafPair& lp : lists.near) {
+        h.add(lp.a);
+        h.add(lp.b);
+      }
+      for (const std::int64_t o : lists.far_offsets) h.add(o);
+      for (const std::int32_t node : lists.far_nodes) h.add(node);
+      for (const Multipole& mp : ev.multipoles()) {
+        h.add(mp.mass);
+        h.add(mp.com);
+        for (const double c : {mp.m2.xx, mp.m2.xy, mp.m2.xz, mp.m2.yy, mp.m2.yz, mp.m2.zz}) {
+          h.add(c);
+        }
+      }
+      got.push_back({theta, r_cut, lists.near.size(), lists.far_entries(), h.value()});
+    }
+  }
+
+  std::ostringstream measured;
+  for (const FmmListsRow& r : got) {
+    std::ostringstream r_cut;
+    r_cut << std::fixed << std::setprecision(1) << r.r_cut;
+    measured << "{" << std::fixed << std::setprecision(1) << r.theta << ", "
+             << (std::isinf(r.r_cut) ? "kInf" : r_cut.str()) << ", " << r.near_pairs << ", " << r.far_entries << ", 0x" << std::hex << r.hash
+             << std::dec << "ull},\n";
+  }
+  ASSERT_EQ(got.size(), std::size(kFmmLists)) << "measured:\n" << measured.str();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].theta, kFmmLists[i].theta) << i;
+    EXPECT_EQ(got[i].r_cut, kFmmLists[i].r_cut) << i;
+    EXPECT_EQ(got[i].near_pairs, kFmmLists[i].near_pairs) << i;
+    EXPECT_EQ(got[i].far_entries, kFmmLists[i].far_entries) << i;
+    EXPECT_EQ(got[i].hash, kFmmLists[i].hash)
+        << "theta " << got[i].theta << " r_cut " << got[i].r_cut << "; measured:\n"
+        << measured.str();
+    if (got[i].theta > 0.0) EXPECT_GT(got[i].far_entries, 0u) << "far field not exercised";
+  }
 }
 
 }  // namespace

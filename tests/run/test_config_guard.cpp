@@ -3,12 +3,15 @@
 // `hacc_run key=value` accepts and rejects whatever reader sits behind it.
 // A parse rejection must name the key and quote the text; a value that
 // parses but fails the key's own check (np >= 2, box > 0, skin >= 0, ...)
-// is rejected by that check instead.
+// is rejected by that check instead.  A key apply_config does not read
+// (a misspelling) changes nothing and is left for Config::unread_keys,
+// which hacc_run turns into an error.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "run/scenario.hpp"
 
@@ -19,6 +22,7 @@ enum class Outcome {
   kAccept,        // applied; the field then reads `want`
   kRejectParse,   // the text does not parse or fit: error quotes it
   kRejectCheck,   // parses, but the key's own range check refuses it
+  kUnread,        // not a key: applied nowhere, listed by unread_keys()
 };
 
 struct Row {
@@ -55,6 +59,7 @@ std::string field(const Scenario& s, const std::string& key) {
 constexpr Outcome kOk = Outcome::kAccept;
 constexpr Outcome kBad = Outcome::kRejectParse;
 constexpr Outcome kRange = Outcome::kRejectCheck;
+constexpr Outcome kUnknown = Outcome::kUnread;
 
 const Row kRows[] = {
     // 32-bit integers.
@@ -152,6 +157,9 @@ const Row kRows[] = {
     {"run.mode", "adaptive", kOk, "adaptive"},
     {"run.mode", "Fixed", kBad},
     {"run.mode", "sometimes", kBad},
+    // Misspelt keys.
+    {"stpes", "1", kUnknown},
+    {"gravity.backedn", "fmm", kUnknown},
 };
 
 TEST(ConfigGuard, EveryKeyAcceptsExactlyItsTexts) {
@@ -167,6 +175,7 @@ TEST(ConfigGuard, EveryKeyAcceptsExactlyItsTexts) {
       case Outcome::kAccept:
         EXPECT_TRUE(ok) << error;
         EXPECT_EQ(field(s, row.key), row.want);
+        EXPECT_TRUE(cfg.unread_keys().empty());
         break;
       case Outcome::kRejectParse:
         EXPECT_FALSE(ok);
@@ -178,6 +187,15 @@ TEST(ConfigGuard, EveryKeyAcceptsExactlyItsTexts) {
         EXPECT_FALSE(ok);
         EXPECT_NE(error.find(row.key), std::string::npos) << error;
         break;
+      case Outcome::kUnread: {
+        Scenario preset;
+        ASSERT_TRUE(find_scenario("paper-benchmark", preset));
+        EXPECT_TRUE(ok) << error;
+        EXPECT_EQ(s.sim.n_steps, preset.sim.n_steps);
+        EXPECT_EQ(s.sim.gravity_backend, preset.sim.gravity_backend);
+        EXPECT_EQ(cfg.unread_keys(), std::vector<std::string>{row.key});
+        break;
+      }
     }
   }
 }

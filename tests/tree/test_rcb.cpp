@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -342,12 +345,13 @@ TEST(RcbRefresh, RejectsMismatchedParticleCount) {
   EXPECT_THROW(tree.refresh(fewer), std::invalid_argument);
 }
 
-// The level-parallel build promises bitwise identity with the serial
-// constructor for any pool size: identical topology (node indexing, leaf
-// numbering, slot ranges), identical permutation, and identical AABBs —
-// nth_element on the same range with the same comparator is deterministic,
-// and the level barrier reproduces the serial ancestor-before-descendant
-// order.  CONCURRENCY.md row: tree build.
+// The pool constructor promises bitwise identity with the no-pool one for
+// any pool size: identical topology (node indexing, leaf numbering, slot
+// ranges), identical permutation, and identical AABBs — nth_element on the
+// same range with the same comparator is deterministic, and the level
+// barrier keeps ancestors before descendants.  Both run the one build, so
+// the reference for their bits is the recorded TreeBitsSnapshot below.
+// CONCURRENCY.md row: tree build.
 void expect_trees_identical(const RcbTree& a, const RcbTree& b) {
   ASSERT_EQ(a.root(), b.root());
   ASSERT_EQ(a.order(), b.order());
@@ -437,6 +441,141 @@ TEST(RcbEdgeCases, DuplicatePositionsDoNotBreakSplit) {
     covered += leaf.count();
   }
   EXPECT_EQ(covered, 100);
+}
+
+// Recorded bits of the build and of refresh.  Every row hashes (FNV-1a)
+// the permutation, leaf_of_slot, every Leaf and every Node field of one
+// input after the build ("build") or after refresh round r ("refresh<r>");
+// the no-pool constructor and the pool constructor at 1 and 4 threads must
+// all reproduce each row.  This is the reference RcbParallelBuild's
+// constructor comparisons rest on.
+struct TreeBitsRow {
+  const char* input;  // "n<count>" (random) or "dup100" (coincident)
+  int leaf_size;
+  const char* stage;  // "build", "refresh1", "refresh2", "refresh3"
+  std::uint64_t hash;
+};
+
+constexpr TreeBitsRow kTreeBits[] = {
+#include "tree_bits_snapshot.inc"
+};
+
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (const unsigned char b : bytes) {
+      h_ ^= b;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(const Vec3d& v) {
+    for (int axis = 0; axis < 3; ++axis) add(v[axis]);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::uint64_t tree_hash(const RcbTree& t) {
+  Fnv1a h;
+  h.add(t.root());
+  for (const std::int32_t i : t.order()) h.add(i);
+  for (std::int32_t k = 0; k < static_cast<std::int32_t>(t.order().size()); ++k) {
+    h.add(t.leaf_of_slot(k));
+  }
+  for (const Leaf& l : t.leaves()) {
+    h.add(l.begin);
+    h.add(l.end);
+    h.add(l.lo);
+    h.add(l.hi);
+  }
+  for (const RcbTree::Node& n : t.nodes()) {
+    h.add(n.lo);
+    h.add(n.hi);
+    h.add(n.begin);
+    h.add(n.end);
+    h.add(n.left);
+    h.add(n.right);
+    h.add(n.leaf);
+  }
+  return h.value();
+}
+
+// Measured rows in snapshot order for one constructor: `make` builds the
+// tree from positions, box and leaf size.
+template <typename Make>
+std::vector<TreeBitsRow> measure_tree_bits(Make make) {
+  const double box = 10.0;
+  std::vector<TreeBitsRow> rows;
+  const std::pair<const char*, int> inputs[] = {{"n0", 0},     {"n1", 1},     {"n33", 33},
+                                                {"n200", 200}, {"n1000", 1000}, {"n8000", 8000},
+                                                {"dup100", 100}};
+  for (const auto& [input, n] : inputs) {
+    for (const int leaf_size : {1, 8, 16, 32}) {
+      std::vector<Vec3d> pos = std::string(input) == "dup100"
+                                   ? std::vector<Vec3d>(n, Vec3d{5.0, 5.0, 5.0})
+                                   : random_positions(n, box, 200 + n);
+      RcbTree tree = make(pos, box, leaf_size);
+      rows.push_back({input, leaf_size, "build", tree_hash(tree)});
+      util::CounterRng rng(300 + n + leaf_size);
+      for (int round = 1; round <= 3; ++round) {
+        for (std::size_t i = 0; i < pos.size(); ++i) {
+          for (int axis = 0; axis < 3; ++axis) {
+            pos[i][axis] += 0.2 * (rng.uniform(3 * i + axis + 100000 * round) - 0.5);
+            if (pos[i][axis] < 0.0) pos[i][axis] += box;
+            if (pos[i][axis] >= box) pos[i][axis] -= box;
+          }
+        }
+        tree.refresh(pos);
+        static const char* const kStages[] = {"refresh1", "refresh2", "refresh3"};
+        rows.push_back({input, leaf_size, kStages[round - 1], tree_hash(tree)});
+      }
+    }
+  }
+  return rows;
+}
+
+void expect_tree_bits(const std::vector<TreeBitsRow>& got) {
+  std::ostringstream measured;
+  for (const TreeBitsRow& r : got) {
+    measured << "{\"" << r.input << "\", " << r.leaf_size << ", \"" << r.stage << "\", 0x"
+             << std::hex << r.hash << std::dec << "ull},\n";
+  }
+  ASSERT_EQ(got.size(), std::size(kTreeBits)) << "measured:\n" << measured.str();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::string(got[i].input), kTreeBits[i].input) << i;
+    EXPECT_EQ(got[i].leaf_size, kTreeBits[i].leaf_size) << i;
+    EXPECT_EQ(std::string(got[i].stage), kTreeBits[i].stage) << i;
+    EXPECT_EQ(got[i].hash, kTreeBits[i].hash)
+        << got[i].input << " leaf " << got[i].leaf_size << " " << got[i].stage
+        << "; measured:\n" << measured.str();
+  }
+}
+
+// Parameter: the constructor's pool size, 0 for the no-pool constructor.
+class TreeBitsSnapshot : public ::testing::TestWithParam<unsigned> {};
+
+INSTANTIATE_TEST_SUITE_P(Constructors, TreeBitsSnapshot, ::testing::Values(0u, 1u, 4u),
+                         [](const auto& info) {
+                           return info.param == 0 ? std::string("nopool")
+                                                  : "threads" + std::to_string(info.param);
+                         });
+
+TEST_P(TreeBitsSnapshot, MatchesRecordedHashes) {
+  if (GetParam() == 0) {
+    expect_tree_bits(measure_tree_bits([](std::span<const Vec3d> pos, double box, int leaf) {
+      return RcbTree(pos, box, leaf);
+    }));
+    return;
+  }
+  util::ThreadPool pool(GetParam());
+  expect_tree_bits(measure_tree_bits([&pool](std::span<const Vec3d> pos, double box, int leaf) {
+    return RcbTree(pos, box, leaf, pool);
+  }));
 }
 
 }  // namespace

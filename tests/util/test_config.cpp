@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace hacc::util {
 namespace {
@@ -184,6 +185,29 @@ TEST(Config, DottedKeysRoundTrip) {
   const char* argv[] = {"gravity.backend=treepm"};
   c.apply_overrides(1, argv);
   EXPECT_EQ(c.get_string("gravity.backend", ""), "treepm");
+}
+
+TEST(Config, UnreadKeysListsWhatNoLookupTouched) {
+  Config c;
+  ASSERT_TRUE(c.parse("np = 8\nstpes = 1\nkernel = upGeo\n"));
+  const char* argv[] = {"threads=2", "box=25", "hydro=ture"};
+  c.apply_overrides(3, argv);
+  EXPECT_EQ(c.unread_keys(),
+            (std::vector<std::string>{"box", "hydro", "kernel", "np", "stpes", "threads"}));
+  // read, get_string and has each count as a lookup, whether the value
+  // parses (np), is refused (hydro) or is absent (steps).
+  int np = 0;
+  bool hydro = false;
+  int steps = 5;
+  std::string error;
+  EXPECT_TRUE(c.read("np", np, error));
+  EXPECT_FALSE(c.read("hydro", hydro, error));
+  EXPECT_TRUE(c.read("steps", steps, error));
+  EXPECT_EQ(c.get_string("kernel", ""), "upGeo");
+  EXPECT_TRUE(c.has("threads"));
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"box", "stpes"}));
+  EXPECT_TRUE(c.has("box"));
+  EXPECT_EQ(c.unread_keys(), std::vector<std::string>{"stpes"});
 }
 
 TEST(ParseNumber, WholeTextOnly) {
