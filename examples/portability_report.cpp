@@ -1,7 +1,8 @@
 // Portability report: runs the full §6 analysis — measured op profiles fed
 // through the three simulated platform models — and prints the paper's
 // headline numbers: per-kernel variant efficiencies, PP per configuration,
-// and the cascade orderings of Fig. 12.
+// the cascade orderings of Fig. 12, and Fig. 2's modeled totals at paper
+// scale (CUDA/HIP vs SYCL, default vs optimized).
 
 #include <cmath>
 #include <cstdio>
@@ -52,5 +53,27 @@ int main() {
 
   std::printf("\nPaper anchors: Broadcast 0.44, Memory(Object) 0.79, Unified 0.90,\n");
   std::printf("Select+Memory 0.91, Select+vISA 0.96; CUDA/HIP and vISA alone are 0.\n");
+
+  // Fig. 2: the platform models price the measured op profiles, scaled to
+  // the paper's per-rank problem; no GPU ran these seconds.
+  const double scale = study.paper_problem_scale();
+  std::printf("\n--- modeled total GPU seconds at paper scale (Fig. 2, x%.3g) ---\n", scale);
+  const auto platforms = platform::all_platforms();
+  std::printf("%-18s", "build");
+  for (const auto& p : platforms) std::printf(" %10s", p.name.c_str());
+  std::printf("\n");
+  for (const auto& row : study.figure2(scale)) {
+    std::printf("%-18s", row.label.c_str());
+    for (const auto& p : platforms) {
+      const auto it = row.seconds_by_platform.find(p.name);
+      if (it == row.seconds_by_platform.end()) {
+        std::printf(" %10s", "-");
+      } else {
+        std::printf(" %10.2f", it->second);
+      }
+    }
+    std::printf("\n");
+  }
+  std::printf("Modeled, not measured: '-' marks a build the platform cannot run.\n");
   return 0;
 }

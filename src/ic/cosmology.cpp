@@ -42,14 +42,6 @@ double Cosmology::growth_deriv(double a) const {
   return (growth(a + da) - growth(a - da)) / (2.0 * da);
 }
 
-double Cosmology::growth_rate(double a) const {
-  return a * growth_deriv(a) / growth(a);
-}
-
-double Cosmology::drift_factor(double a0, double a1) const {
-  return integrate([this](double a) { return 1.0 / (a * a * a * e_of_a(a)); }, a0, a1);
-}
-
 double Cosmology::kick_factor(double a0, double a1) const {
   return integrate([this](double a) { return 1.0 / (a * e_of_a(a)); }, a0, a1);
 }

@@ -22,16 +22,10 @@ struct Cosmology {
   // dD/da by numerical differentiation of growth().
   double growth_deriv(double a) const;
 
-  // Logarithmic growth rate f = dlnD/dlna.
-  double growth_rate(double a) const;
-
   static double a_of_z(double z) { return 1.0 / (1.0 + z); }
   static double z_of_a(double a) { return 1.0 / a - 1.0; }
 
-  // KDK integrals over [a0, a1] with p = a^2 dx/dt and dp/dt = -∇Φ:
-  //   drift: Δx = p ∫ dt/a^2 = p ∫ da/(a^3 E)
-  //   kick : Δp = -∇Φ ∫ dt   = -∇Φ ∫ da/(a E)
-  double drift_factor(double a0, double a1) const;
+  // Kick integral over [a0, a1] with dp/dt = -∇Φ: Δp = -∇Φ ∫ dt = -∇Φ ∫ da/(a E).
   double kick_factor(double a0, double a1) const;
 
   // ∫ dt/a = ∫ da/(a^2 E): drift factor for the peculiar-velocity form

@@ -110,11 +110,6 @@ void CicDepositor::deposit(GridD& grid, std::span<const util::Vec3d> pos,
   scatter_phase(1);
 }
 
-void cic_deposit(GridD& grid, std::span<const util::Vec3d> pos,
-                 std::span<const double> mass, double box, util::ThreadPool& pool) {
-  CicDepositor(pool).deposit(grid, pos, mass, box);
-}
-
 double cic_interpolate(const GridD& grid, const util::Vec3d& pos, double box) {
   const int n = grid.n();
   const CicStencil s = cic_stencil(pos, n, box);

@@ -64,11 +64,6 @@ class CicDepositor {
   std::vector<std::uint32_t> offsets_;
 };
 
-// Convenience overload: one-shot threaded deposit.
-void cic_deposit(GridD& grid, std::span<const util::Vec3d> pos,
-                 std::span<const double> mass, double box,
-                 util::ThreadPool& pool);
-
 // Trilinear (CIC) interpolation of a grid field at one position.
 double cic_interpolate(const GridD& grid, const util::Vec3d& pos, double box);
 

@@ -157,13 +157,11 @@ TreeClassification classify_tree(std::span<const SourceFile> files,
   for (const auto& f : files) {
     out.files.push_back(classify_file(f.name, f.content, configs));
     const auto& cf = out.files.back();
-    for (std::size_t i = 0; i < cf.masks.size(); ++i) {
-      if (!cf.is_code[i]) continue;
-      ++out.histogram[cf.masks[i]];
-      ++out.total_sloc;
-      if (cf.masks[i] == 0) ++out.unused_sloc;
-    }
+    for (const auto& [mask, count] : cf.histogram()) out.histogram[mask] += count;
+    out.total_sloc += cf.sloc();
   }
+  const auto unused = out.histogram.find(0);
+  if (unused != out.histogram.end()) out.unused_sloc = unused->second;
   return out;
 }
 

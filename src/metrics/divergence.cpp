@@ -1,17 +1,6 @@
 #include "metrics/divergence.hpp"
 
-#include <algorithm>
-
 namespace hacc::metrics {
-
-std::size_t lines_used(const MaskHistogram& hist, int config_bit) {
-  const std::uint32_t bit = 1u << config_bit;
-  std::size_t total = 0;
-  for (const auto& [mask, count] : hist) {
-    if (mask & bit) total += count;
-  }
-  return total;
-}
 
 double jaccard_distance(const MaskHistogram& hist, int bit_i, int bit_j) {
   const std::uint32_t bi = 1u << bit_i;
@@ -42,31 +31,6 @@ double code_divergence(const MaskHistogram& hist, int n_configs) {
 
 double code_convergence(const MaskHistogram& hist, int n_configs) {
   return 1.0 - code_divergence(hist, n_configs);
-}
-
-double jaccard_distance(const std::vector<std::uint64_t>& set_a,
-                        const std::vector<std::uint64_t>& set_b) {
-  std::vector<std::uint64_t> a = set_a, b = set_b;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
-  std::size_t intersection = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++intersection;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  const std::size_t uni = a.size() + b.size() - intersection;
-  if (uni == 0) return 0.0;
-  return 1.0 - static_cast<double>(intersection) / static_cast<double>(uni);
 }
 
 }  // namespace hacc::metrics

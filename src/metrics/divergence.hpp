@@ -8,15 +8,11 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 namespace hacc::metrics {
 
 // Histogram: usage mask -> number of source lines with that mask.
 using MaskHistogram = std::map<std::uint32_t, std::size_t>;
-
-// |c_i| for configuration bit i.
-std::size_t lines_used(const MaskHistogram& hist, int config_bit);
 
 // Jaccard distance between the line sets of two configurations (eq. 3).
 // Two empty sets have distance 0 (identical).
@@ -27,9 +23,5 @@ double code_divergence(const MaskHistogram& hist, int n_configs);
 
 // Code convergence = 1 - divergence (used by the navigation chart, Fig. 13).
 double code_convergence(const MaskHistogram& hist, int n_configs);
-
-// Direct set-based Jaccard distance, for callers with explicit line sets.
-double jaccard_distance(const std::vector<std::uint64_t>& set_a,
-                        const std::vector<std::uint64_t>& set_b);
 
 }  // namespace hacc::metrics

@@ -118,9 +118,4 @@ std::vector<int> ShardLayout::neighbors_within(int cell, double radius) const {
   return out;
 }
 
-std::string ShardLayout::describe() const {
-  return std::to_string(nx_) + "x" + std::to_string(ny_) + "x" +
-         std::to_string(nz_);
-}
-
 }  // namespace hacc::shard

@@ -13,7 +13,6 @@
 /// exactly on a cell boundary plane goes to the higher cell (floor of the
 /// scaled coordinate), so residency is a total function of position.
 
-#include <string>
 #include <vector>
 
 #include "util/vec3.hpp"
@@ -53,9 +52,6 @@ class ShardLayout {
   /// the neighbor set a shard exchanges ghosts with.  With a radius larger
   /// than a cell extent this degrades gracefully to "all other cells".
   std::vector<int> neighbors_within(int cell, double radius) const;
-
-  /// "nx x ny x nz" — log/debug spelling.
-  std::string describe() const;
 
  private:
   ShardLayout(double box, int nx, int ny, int nz);

@@ -29,11 +29,6 @@ std::vector<Message> Mailbox::drain() {
   return out;
 }
 
-std::size_t Mailbox::pending() const {
-  util::MutexLock lock(mu_);
-  return queue_.size();
-}
-
 InProcTransport::InProcTransport(int size) : boxes_(size) {
   if (size < 1) {
     throw std::invalid_argument("InProcTransport: size must be >= 1");

@@ -64,10 +64,9 @@ class Mailbox {
   void post(Message&& m);
   /// Removes and returns everything posted so far, sorted by (from, tag).
   std::vector<Message> drain();
-  std::size_t pending() const;
 
  private:
-  mutable util::Mutex mu_;
+  util::Mutex mu_;
   std::vector<Message> queue_ HACC_GUARDED_BY(mu_);
 };
 

@@ -63,7 +63,4 @@ inline Real pair_h(Real hi, Real hj) {
   return lanes::Scalar<Real>(0.5) * (hi + hj);
 }
 
-// Numerically integrates W over its support (unit-normalization check).
-double kernel_normalization(int n_samples);
-
 }  // namespace hacc::sph

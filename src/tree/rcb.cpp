@@ -190,15 +190,6 @@ double RcbTree::node_distance(const Node& a, const Node& b) const {
   return std::sqrt(d2);
 }
 
-double RcbTree::leaf_distance(std::int32_t a, std::int32_t b) const {
-  Node na, nb;
-  na.lo = leaves_[a].lo;
-  na.hi = leaves_[a].hi;
-  nb.lo = leaves_[b].lo;
-  nb.hi = leaves_[b].hi;
-  return node_distance(na, nb);
-}
-
 std::vector<LeafPair> RcbTree::interacting_pairs(double cutoff) const {
   std::vector<LeafPair> pairs;
   for_each_pair(cutoff, [&pairs](const LeafPair& lp) {

@@ -131,9 +131,6 @@ class RcbTree {
   // All interacting leaf pairs, materialized in traversal order.
   std::vector<LeafPair> interacting_pairs(double cutoff) const;
 
-  // Minimum-image distance between two leaf AABBs (0 when overlapping).
-  double leaf_distance(std::int32_t a, std::int32_t b) const;
-
   // Minimum-image distance between two node AABBs (0 when overlapping).
   double node_distance(std::int32_t a, std::int32_t b) const {
     return node_distance(nodes_[a], nodes_[b]);

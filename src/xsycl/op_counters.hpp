@@ -30,7 +30,12 @@ struct OpCounters {
   std::uint64_t shift_ops = 0;        // shift_group_left/right
   std::uint64_t reduce_ops = 0;       // reduce_over_group
 
-  // Synchronization and atomics.
+  // Synchronization and atomics.  The pair kernels commit with plain adds
+  // under a leaf flag and charge the atomics a device commit would issue
+  // (charge_commit).  SYCL 2020 exposes floating-point fetch_min/fetch_max
+  // on all hardware, but devices without native support (NVIDIA) emulate
+  // them with a compare-and-swap loop (paper §5.1), so min/max are counted
+  // apart from adds and the platform model prices the two per architecture.
   std::uint64_t barriers = 0;
   std::uint64_t atomic_f32_add = 0;
   std::uint64_t atomic_f32_minmax = 0;

@@ -371,7 +371,7 @@ std::vector<Vec3d> reference_forces(const PmOptions& opt, const gradient_modes::
   const bool spectral = opt.gradient == PmGradient::kSpectral;
 
   mesh::GridD mass_grid(n);
-  mesh::cic_deposit(mass_grid, s.pos, s.mass, box, pool);
+  mesh::CicDepositor(pool).deposit(mass_grid, s.pos, s.mass, box);
   const fft::Fft3D fft(n, pool);
   std::vector<fft::cplx> phi_k;
   fft.forward_r2c(mass_grid.data(), phi_k);

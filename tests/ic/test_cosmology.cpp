@@ -50,26 +50,11 @@ TEST(Cosmology, LambdaSuppressesLateGrowth) {
   EXPECT_NEAR(c.growth(0.01) / c.growth(0.005), 2.0, 0.02);
 }
 
-TEST(Cosmology, GrowthRateNearUnityInMatterEra) {
-  Cosmology c;
-  c.omega_m = 0.31;
-  EXPECT_NEAR(c.growth_rate(0.01), 1.0, 0.02);
-  // Today: f ~ Omega_m(a)^0.55 ~ 0.52.
-  EXPECT_NEAR(c.growth_rate(1.0), std::pow(0.31, 0.55), 0.05);
-}
-
 TEST(Cosmology, EdsKickFactorClosedForm) {
   const Cosmology c = eds();
   const double a0 = 0.1, a1 = 0.3;
   const double expect = (2.0 / 3.0) * (std::pow(a1, 1.5) - std::pow(a0, 1.5));
   EXPECT_NEAR(c.kick_factor(a0, a1), expect, 1e-8);
-}
-
-TEST(Cosmology, EdsDriftFactorClosedForm) {
-  const Cosmology c = eds();
-  const double a0 = 0.1, a1 = 0.3;
-  const double expect = 2.0 * (1.0 / std::sqrt(a0) - 1.0 / std::sqrt(a1));
-  EXPECT_NEAR(c.drift_factor(a0, a1), expect, 1e-7);
 }
 
 TEST(Cosmology, EdsConformalFactorClosedForm) {
@@ -85,8 +70,8 @@ TEST(Cosmology, IntegralsAdditiveOverSubintervals) {
   const double a0 = 0.005, am = 0.01, a1 = 0.02;
   EXPECT_NEAR(c.kick_factor(a0, a1), c.kick_factor(a0, am) + c.kick_factor(am, a1),
               1e-10);
-  EXPECT_NEAR(c.drift_factor(a0, a1), c.drift_factor(a0, am) + c.drift_factor(am, a1),
-              1e-7);
+  EXPECT_NEAR(c.conformal_factor(a0, a1),
+              c.conformal_factor(a0, am) + c.conformal_factor(am, a1), 1e-7);
 }
 
 TEST(Cosmology, RedshiftScaleFactorRoundTrip) {

@@ -34,22 +34,6 @@ TEST(Jaccard, SymmetricInArguments) {
   EXPECT_DOUBLE_EQ(jaccard_distance(hist, 0, 1), jaccard_distance(hist, 1, 0));
 }
 
-TEST(Jaccard, ExplicitSetsTriangleInequality) {
-  const std::vector<std::uint64_t> a = {1, 2, 3, 4};
-  const std::vector<std::uint64_t> b = {3, 4, 5, 6};
-  const std::vector<std::uint64_t> c = {5, 6, 7, 8};
-  const double dab = jaccard_distance(a, b);
-  const double dbc = jaccard_distance(b, c);
-  const double dac = jaccard_distance(a, c);
-  EXPECT_LE(dac, dab + dbc + 1e-12);
-  EXPECT_DOUBLE_EQ(jaccard_distance(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(dac, 1.0);  // disjoint
-}
-
-TEST(Jaccard, ExplicitSetsDeduplicate) {
-  EXPECT_DOUBLE_EQ(jaccard_distance({1, 1, 2}, {2, 2, 1}), 0.0);
-}
-
 TEST(CodeDivergence, ZeroWhenAllCodeShared) {
   // CD = 0: no specialization for any platform (paper §3.3).
   MaskHistogram hist = {{kA | kB | kC, 1000}};
@@ -78,13 +62,6 @@ TEST(CodeDivergence, SmallSpecializationStaysNearZero) {
 TEST(CodeDivergence, SinglePlatformIsZero) {
   MaskHistogram hist = {{kA, 10}};
   EXPECT_DOUBLE_EQ(code_divergence(hist, 1), 0.0);
-}
-
-TEST(LinesUsed, CountsPerConfiguration) {
-  MaskHistogram hist = {{kA | kB, 5}, {kA, 3}, {kC, 2}, {0, 7}};
-  EXPECT_EQ(lines_used(hist, 0), 8u);
-  EXPECT_EQ(lines_used(hist, 1), 5u);
-  EXPECT_EQ(lines_used(hist, 2), 2u);
 }
 
 }  // namespace

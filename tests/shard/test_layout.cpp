@@ -109,10 +109,5 @@ TEST(ShardLayoutTest, NeighborsWithinMatchesDistance) {
   EXPECT_FALSE(nb_set.count(row.owner_of({5.0, 0.5, 0.5})));  // middle cell
 }
 
-TEST(ShardLayoutTest, DescribeSpellsTheGrid) {
-  EXPECT_EQ(ShardLayout::make(1.0, 8).describe(), "2x2x2");
-  EXPECT_EQ(ShardLayout::make(1.0, 1).describe(), "1x1x1");
-}
-
 }  // namespace
 }  // namespace hacc::shard

@@ -97,15 +97,5 @@ TEST(TransportTest, RejectsBadRanks) {
   EXPECT_THROW(InProcTransport(0), std::invalid_argument);
 }
 
-TEST(TransportTest, PendingReflectsUndrainedMessages) {
-  Mailbox box;
-  EXPECT_EQ(box.pending(), 0u);
-  box.post(make_message(0, 0, 0, MsgKind::kMigrate));
-  box.post(make_message(1, 0, 0, MsgKind::kMigrate));
-  EXPECT_EQ(box.pending(), 2u);
-  EXPECT_EQ(box.drain().size(), 2u);
-  EXPECT_EQ(box.pending(), 0u);
-}
-
 }  // namespace
 }  // namespace hacc::shard

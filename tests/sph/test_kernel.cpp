@@ -2,8 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace hacc::sph {
 namespace {
+
+// Radial quadrature of 4*pi*r^2*W(r,1) over [0, kSupport] (midpoint rule).
+double kernel_normalization(int n_samples) {
+  const double h = 1.0;
+  const double rmax = kSupport * h;
+  const double dr = rmax / n_samples;
+  double total = 0.0;
+  for (int i = 0; i < n_samples; ++i) {
+    const double r = (i + 0.5) * dr;
+    total += 4.0 * M_PI * r * r * kernel_w(r, h) * dr;
+  }
+  return total;
+}
 
 TEST(SphKernel, NormalizesToUnity) {
   EXPECT_NEAR(kernel_normalization(100'000), 1.0, 1e-6);

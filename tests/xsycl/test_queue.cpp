@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "xsycl/atomic.hpp"
 #include "xsycl/group_algorithms.hpp"
 
 namespace hacc::xsycl {

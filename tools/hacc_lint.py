@@ -32,6 +32,11 @@ the determinism and concurrency conventions documented in docs/CONCURRENCY.md:
                    naming convention from docs/OBSERVABILITY.md
                    (lowercase, dotted, e.g. `pm.deposit`, `core.step`), so
                    traces group cleanly by subsystem.
+  module-table     The modules src/CMakeLists.txt adds (`add_subdirectory`)
+                   are exactly the backticked first column of the module map
+                   in docs/ARCHITECTURE.md, and README.md's "`src/` holds N
+                   modules" counts them, so a module cannot come or go
+                   without its docs.
   allowlist        Every allowlist entry must carry a justification, and must
                    match at least one current finding (stale entries are
                    errors, so suppressions cannot outlive their cause).
@@ -39,7 +44,8 @@ the determinism and concurrency conventions documented in docs/CONCURRENCY.md:
 Usage:
   python3 tools/hacc_lint.py [--allowlist tools/lint_allowlist.txt] [paths...]
 
-Paths default to src/.  Exit status is 0 when clean, 1 when findings remain.
+Paths default to src/; module-table always checks the repository's files.
+Exit status is 0 when clean, 1 when findings remain.
 """
 
 from __future__ import annotations
@@ -117,6 +123,12 @@ SPAN_LITERAL_PATTERNS = [
 # capitalization so dynamic kernel names (`xsycl.upBarAcF`) fit the same
 # convention checked by tools/check_events.py on exported traces.
 SPAN_NAME = re.compile(r"^[a-z][a-z0-9_]*\.[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*$")
+
+# module-table: the build's module list and the two documents that name it.
+ADD_SUBDIRECTORY = re.compile(r"^\s*add_subdirectory\(\s*([\w-]+)\s*\)", re.M)
+MODULE_MAP_HEADING = "## Module map"
+MODULE_ROW = re.compile(r"^\|\s*`([\w-]+)`\s*\|")
+MODULE_COUNT = re.compile(r"`src/` holds (\d+) modules")
 
 
 class Finding:
@@ -261,6 +273,56 @@ def lint_file(path: Path, repo_root: Path) -> list[Finding]:
     return findings
 
 
+def check_module_table(cmake_text: str, architecture_text: str,
+                       readme_text: str) -> list[Finding]:
+    """module-table: src/CMakeLists.txt, ARCHITECTURE's map, README's count."""
+    modules = ADD_SUBDIRECTORY.findall(cmake_text)
+    table: dict[str, int] = {}
+    in_map = False
+    for lineno, line in enumerate(architecture_text.splitlines(), start=1):
+        if line.startswith("## "):
+            in_map = line.strip() == MODULE_MAP_HEADING
+            continue
+        m = MODULE_ROW.match(line) if in_map else None
+        if m:
+            table[m.group(1)] = lineno
+    findings: list[Finding] = []
+    arch = "docs/ARCHITECTURE.md"
+    for name in modules:
+        if name not in table:
+            findings.append(Finding(
+                arch, 0, "module-table",
+                f"module `{name}` (src/CMakeLists.txt) has no row in the module map"))
+    for name, lineno in table.items():
+        if name not in modules:
+            findings.append(Finding(
+                arch, lineno, "module-table",
+                f"module map row `{name}` is not a module of src/CMakeLists.txt"))
+    counts = [(lineno, int(m.group(1)))
+              for lineno, line in enumerate(readme_text.splitlines(), start=1)
+              for m in MODULE_COUNT.finditer(line)]
+    if not counts:
+        findings.append(Finding(
+            "README.md", 0, "module-table",
+            "no \"`src/` holds N modules\" sentence to check"))
+    for lineno, n in counts:
+        if n != len(modules):
+            findings.append(Finding(
+                "README.md", lineno, "module-table",
+                f"says `src/` holds {n} modules; src/CMakeLists.txt adds {len(modules)}"))
+    return findings
+
+
+def lint_module_table(repo_root: Path) -> list[Finding]:
+    def read(rel: str) -> str:
+        try:
+            return (repo_root / rel).read_text(encoding="utf-8")
+        except OSError:
+            return ""
+    return check_module_table(read("src/CMakeLists.txt"),
+                              read("docs/ARCHITECTURE.md"), read("README.md"))
+
+
 def load_allowlist(path: Path, repo_root: Path) -> tuple[list[tuple[str, str, str, int]], list[Finding]]:
     """Parse `path | rule | justification` lines.
 
@@ -334,6 +396,7 @@ def main(argv: list[str]) -> int:
     entries, findings = load_allowlist(allowlist_path, repo_root)
     for f in collect_files(paths):
         findings.extend(lint_file(f.resolve(), repo_root))
+    findings.extend(lint_module_table(repo_root))
 
     try:
         allowlist_rel = allowlist_path.resolve().relative_to(repo_root).as_posix()

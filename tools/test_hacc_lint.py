@@ -277,6 +277,41 @@ class AllowlistBehavior(unittest.TestCase):
         self.assertEqual(n, 2)  # the finding survives + the entry goes stale
 
 
+class ModuleTableRule(unittest.TestCase):
+    CMAKE = "add_subdirectory(util)\nadd_subdirectory(core)\n"
+    ARCH = ("# Architecture\n\n## Module map\n\n| Module | Contents |\n"
+            "|---|---|\n| `util` | basics |\n| `core` | solver |\n\n"
+            "## Other\n\n| `extra` | a row outside the map |\n")
+    README = "`src/` holds 2 modules, each a static library.\n"
+
+    def check(self, cmake=CMAKE, arch=ARCH, readme=README) -> list[str]:
+        return [f.message for f in hacc_lint.check_module_table(cmake, arch, readme)]
+
+    def test_matching_docs_clean(self):
+        # `extra` sits in another section's table, not in the module map.
+        self.assertEqual(self.check(), [])
+
+    def test_module_without_row_flagged(self):
+        msgs = self.check(cmake=self.CMAKE + "add_subdirectory(fmm)\n",
+                          readme="`src/` holds 3 modules\n")
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("`fmm`", msgs[0])
+
+    def test_row_without_module_flagged(self):
+        msgs = self.check(cmake="add_subdirectory(util)\n",
+                          readme="`src/` holds 1 modules\n")
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("row `core`", msgs[0])
+
+    def test_readme_count_flagged(self):
+        msgs = self.check(readme="`src/` holds 15 modules\n")
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("holds 15 modules", msgs[0])
+
+    def test_missing_readme_sentence_flagged(self):
+        self.assertEqual(len(self.check(readme="no count here\n")), 1)
+
+
 class CommentStripping(unittest.TestCase):
     def test_block_comment_spanning_lines(self):
         src = "/* rand() in a\n   block comment */\nint x;\n"
