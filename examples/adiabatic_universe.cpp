@@ -18,16 +18,9 @@ int main(int argc, char** argv) try {
   hacc::examples::Args args(argc, argv, "adiabatic_universe");
   const unsigned threads = args.threads();
 
-  hacc::core::SimConfig cfg;
-  cfg.np_side = args.get<int>("np", 12);
-  cfg.n_steps = args.get<int>("steps", 5);
-  cfg.box = args.get("box", 25.0);
-  cfg.pm_grid = args.get<int>("pm_grid", 32);
-  cfg.z_init = args.get("z_init", 200.0);
-  cfg.z_final = args.get("z_final", 50.0);
+  hacc::core::SimConfig cfg;  // the paper's benchmark configuration
+  args.read(cfg);
   cfg.sub_group_size = args.get<int>("sg", 32);
-  cfg.seed = args.get<std::uint64_t>("seed", 42);
-  cfg.pm_gradient = args.get("gravity.pm_gradient", hacc::gravity::PmGradient::kSpectral);
   const auto variant = args.get("variant", hacc::xsycl::CommVariant::kSelect);
   if (!args.ok()) return 1;
   cfg.variants = hacc::core::VariantSelection::uniform(variant);

@@ -1,7 +1,8 @@
 #pragma once
 
 // The key=value arguments of the example CLIs, read by the same strict
-// util::Config::read as hacc_run's scenario keys.  A present key whose text
+// util::Config::read as hacc_run's keys: read() takes the SimConfig keys
+// with their ranges, get() the example's own.  A present key whose text
 // is not a value of the wanted type (a number in range, or one of an enum's
 // spellings), or a `threads=` that ThreadPool::parse_thread_count rejects,
 // prints a message naming the key and clears ok(), so the caller exits 1
@@ -10,14 +11,16 @@
 // absent key gives the fallback.
 //
 //   hacc::examples::Args args(argc, argv, "quickstart");
-//   cfg.np_side = args.get("np", 8);
 //   const unsigned threads = args.threads();
+//   cfg.np_side = 8;  // the example's default; np= overrides it
+//   args.read(cfg);
 //   if (!args.ok()) return 1;
 
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 
+#include "core/solver.hpp"
 #include "util/config.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,8 +32,8 @@ class Args {
     cli_.apply_overrides(argc - 1, argv + 1);
   }
 
-  // Any type util::Config::read takes: an integer, a double, a bool or a
-  // config enum.
+  // Any type util::Config::read takes: an integer, a double, a bool, a
+  // config enum or a std::string.
   template <typename T>
   T get(const char* key, T fallback) {
     std::string error;
@@ -38,8 +41,9 @@ class Args {
     return fallback;
   }
 
-  std::string text(const char* key, const std::string& fallback) const {
-    return cli_.get_string(key, fallback);
+  // Overlays the SimConfig keys given (np, box, steps, ...) onto `cfg`.
+  void read(core::SimConfig& cfg) {
+    if (std::string error; !core::read_sim_keys(cli_, cfg, error)) reject(error.c_str());
   }
 
   // The pool size `threads=` asks for; 0 = hardware concurrency.

@@ -19,15 +19,11 @@ int main(int argc, char** argv) {
 
   hacc::core::SimConfig cfg;
   cfg.hydro = false;
-  cfg.np_side = args.get<int>("np", 16);
-  cfg.n_steps = args.get<int>("steps", 2);
-  cfg.box = args.get("box", 25.0);
-  cfg.pm_grid = args.get<int>("pm_grid", 32);
-  cfg.leaf_size = args.get<int>("leaf", 8);
-  cfg.fmm_theta = args.get("gravity.theta", 0.5);
-  cfg.seed = args.get<std::uint64_t>("seed", 42);
-  cfg.gravity_backend = args.get("gravity.backend", hacc::core::GravityBackend::kFmm);
-  cfg.pm_gradient = args.get("gravity.pm_gradient", hacc::gravity::PmGradient::kSpectral);
+  cfg.np_side = 16;
+  cfg.n_steps = 2;
+  cfg.leaf_size = 8;
+  cfg.gravity_backend = hacc::core::GravityBackend::kFmm;
+  args.read(cfg);
   if (!args.ok()) return 1;
 
   hacc::util::ThreadPool pool(threads);

@@ -16,13 +16,12 @@ int main(int argc, char** argv) {
   const unsigned threads = args.threads();
 
   hacc::core::SimConfig cfg;
-  cfg.np_side = args.get<int>("np", 14);
-  cfg.n_steps = args.get<int>("steps", 8);
-  cfg.z_final = args.get("z_final", 10.0);  // run deeper for clustering
+  cfg.np_side = 14;
+  cfg.n_steps = 8;
+  cfg.z_final = 10.0;  // run deeper for clustering
   cfg.hydro = false;
-  cfg.box = args.get("box", 25.0);
-  cfg.pm_grid = 32;
-  cfg.sigma_norm = args.get("sigma", 2.5);  // boosted power -> visible halos
+  cfg.sigma_norm = 2.5;  // boosted power -> visible halos
+  args.read(cfg);
   const double b = args.get("b", 0.28);
   const auto min_members = args.get<std::int32_t>("min_members", 8);
   if (!args.ok()) return 1;

@@ -14,12 +14,9 @@ int main(int argc, char** argv) {
   const unsigned threads = args.threads();
 
   hacc::core::SimConfig cfg;
-  cfg.np_side = args.get<int>("np", 8);
-  cfg.n_steps = args.get<int>("steps", 3);
-  cfg.box = args.get("box", 25.0);
-  cfg.pm_grid = args.get<int>("pm_grid", 32);
-  cfg.seed = args.get<std::uint64_t>("seed", 42);
-  cfg.pm_gradient = args.get("gravity.pm_gradient", hacc::gravity::PmGradient::kSpectral);
+  cfg.np_side = 8;
+  cfg.n_steps = 3;
+  args.read(cfg);
   if (!args.ok()) return 1;
 
   hacc::util::ThreadPool pool(threads);

@@ -62,7 +62,7 @@ hacc::core::ParticleSet generate_gas(int n_side, double box, std::uint64_t seed)
 int main(int argc, char** argv) try {
   hacc::examples::Args args(argc, argv, "standalone_kernel");
   const unsigned threads = args.threads();
-  const std::string path = args.text("checkpoint", "/tmp/crkhacc_gas.ckpt");
+  const std::string path = args.get<std::string>("checkpoint", "/tmp/crkhacc_gas.ckpt");
   const int np = args.get<int>("np", 12);
   const double box = args.get("box", 1.0);
   const auto seed = args.get<std::uint64_t>("seed", 7);
@@ -70,7 +70,7 @@ int main(int argc, char** argv) try {
   const int repeats = args.get<int>("repeats", 3);
   const auto variant = args.get("variant", hacc::xsycl::CommVariant::kSelect);
   const Mode mode = args.get("mode", Mode::kRun);
-  const std::string kernel = args.text("kernel", "upBarAc");
+  const std::string kernel = args.get<std::string>("kernel", "upBarAc");
   if (!args.ok()) return 1;
 
   if (mode == Mode::kGenerate) {

@@ -1,8 +1,8 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -13,39 +13,28 @@
 
 namespace hacc::core {
 
+bool read_sim_keys(const util::Config& cfg, SimConfig& sim, std::string& error) {
+  bool ok = true;
+  for_each_sim_field(sim, [&](const util::KeyRow& row, auto& field) {
+    ok = ok && cfg.read(row, field, error);
+  });
+  if (!ok || sim.z_init > sim.z_final) return ok;
+  error = "invalid z_init/z_final (need z_init > z_final)";
+  return false;
+}
+
 std::uint64_t config_signature(const SimConfig& cfg) {
   std::uint64_t h = 0x4352'4b48'4143'4321ull;  // "CRKHACC!"
-  const auto mix = [&h](std::uint64_t v) { h = util::splitmix64(h ^ v); };
-  const auto mix_d = [&](double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
-  mix(static_cast<std::uint64_t>(cfg.np_side));
-  mix_d(cfg.box);
-  mix_d(cfg.z_init);
-  mix_d(cfg.z_final);
-  mix(static_cast<std::uint64_t>(cfg.n_steps));
-  mix_d(cfg.cosmo.omega_m);
-  mix_d(cfg.cosmo.h);
-  mix_d(cfg.cosmo.n_s);
-  mix_d(cfg.sigma_norm);
-  mix_d(cfg.r_norm);
-  mix(cfg.seed);
-  mix(cfg.hydro ? 1u : 0u);
-  mix_d(cfg.baryon_fraction);
-  mix_d(cfg.u_init);
-  mix(static_cast<std::uint64_t>(cfg.pm_grid));
-  mix(static_cast<std::uint64_t>(cfg.pm_gradient));
-  mix_d(cfg.r_split_cells);
-  mix_d(cfg.pp_cut_factor);
-  mix(static_cast<std::uint64_t>(cfg.poly_order));
-  mix_d(cfg.softening_cells);
-  mix(static_cast<std::uint64_t>(cfg.gravity_backend));
-  mix_d(cfg.fmm_theta);
-  mix(static_cast<std::uint64_t>(cfg.leaf_size));
-  mix(static_cast<std::uint64_t>(cfg.ic_kind));
-  mix_d(cfg.sedov_energy);
+  for_each_sim_field(cfg, [&h](const util::KeyRow& row, const auto& field) {
+    using T = std::remove_cvref_t<decltype(field)>;
+    if (row.role != util::Role::kPhysics) return;
+    // Physics rows are numbers, bools and enums (the scenario label is neutral).
+    if constexpr (std::is_floating_point_v<T>) {
+      h = util::splitmix64(h ^ std::bit_cast<std::uint64_t>(field));
+    } else if constexpr (!std::is_same_v<T, std::string>) {
+      h = util::splitmix64(h ^ static_cast<std::uint64_t>(field));
+    }
+  });
   return h;
 }
 

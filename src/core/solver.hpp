@@ -34,6 +34,7 @@
 #include "ic/zeldovich.hpp"
 #include "shard/engine.hpp"
 #include "sph/pipeline.hpp"
+#include "util/config.hpp"
 #include "util/enum_names.hpp"
 #include "xsycl/queue.hpp"
 
@@ -95,11 +96,9 @@ inline const char* to_string(InitialConditions ic) { return util::enum_name(ic);
 
 /// Full simulation configuration: problem size, cosmology, gravity solver
 /// selection, and the per-kernel execution knobs of the portability study.
-/// Every field maps to a config key documented in docs/CONFIG.md.
+/// Keys, roles and ranges: for_each_sim_field below.
 struct SimConfig {
-  /// Named scenario preset this config was derived from (run module);
-  /// informational — the physics is entirely determined by the fields below.
-  std::string scenario = "paper-benchmark";
+  std::string scenario = "paper-benchmark";  ///< preset it came from: a label
 
   int np_side = 12;             ///< particles per side, per species
   double box = 25.0;            ///< comoving box (code length units)
@@ -115,18 +114,15 @@ struct SimConfig {
   double baryon_fraction = 0.15;  ///< mass fraction in the baryon species
   double u_init = 1e-4;           ///< initial specific internal energy
 
-  /// IC family (config key ic.kind).  Physics-affecting: both fields below
-  /// are part of config_signature().
   InitialConditions ic_kind = InitialConditions::kZeldovich;
   /// Blast energy for `kSedov`, deposited as thermal energy into the gas
-  /// particles within ~1.5 lattice spacings of the box center (config key
-  /// ic.sedov_energy; ignored for Zel'dovich ICs).
+  /// particles within ~1.5 lattice spacings of the box center.
   double sedov_energy = 1.0;
 
   int pm_grid = 32;  ///< PM mesh cells per side (power of two)
-  /// PM force derivation (config key gravity.pm_gradient): "spectral" is the
-  /// accuracy reference; "fd4"/"fd6" differentiate the real-space potential,
-  /// cutting the inverse transforms per solve from three to one.
+  /// PM force derivation: "spectral" is the accuracy reference; "fd4"/"fd6"
+  /// differentiate the real-space potential, cutting the inverse transforms
+  /// per solve from three to one.
   gravity::PmGradient pm_gradient = gravity::PmGradient::kSpectral;
   double r_split_cells = 1.25;  ///< Gaussian split scale in PM cells
   double pp_cut_factor = 5.0;   ///< short-range cutoff in units of r_split
@@ -141,32 +137,72 @@ struct SimConfig {
   int sg_per_wg = 4;          ///< block size 128 / warp 32 (HACC_CUDA_BLOCK_SIZE)
   int leaf_size = 32;         ///< RCB tree leaf capacity
 
-  /// Interaction-domain reuse knobs (config keys domain.skin /
-  /// domain.rebuild).  Execution tuning, not physics: pair enumeration stays
-  /// exact under reuse, so — like `variants` — they are excluded from
-  /// config_signature() and may change across a restart.
+  /// Interaction-domain reuse: pair enumeration stays exact under reuse.
   double domain_skin = 0.0;  ///< Verlet skin; reuse while drift <= skin / 2
   domain::RebuildPolicy domain_rebuild = domain::RebuildPolicy::kAlways;
 
-  /// Multi-domain spatial sharding (config keys shard.count /
-  /// shard.ghost_factor).  With count > 1 the box is decomposed into that
-  /// many sub-domains, each owning its own interaction domain over resident
-  /// particles plus an exact ghost halo (src/shard).  Execution tuning like
-  /// `variants`: the short-range pair set is exact for any count, so these
-  /// are excluded from config_signature() and may change across a restart —
-  /// but note the float summation order (and hence the low bits of the
-  /// forces) legitimately differs between count == 1 and count > 1; see
-  /// docs/CONFIG.md.
+  /// Multi-domain spatial sharding: with count > 1 the box is decomposed
+  /// into that many sub-domains, each owning its own interaction domain over
+  /// resident particles plus an exact ghost halo (src/shard).  The pair set
+  /// is exact for any count, but the float summation order (the forces' low
+  /// bits) differs between count == 1 and count > 1; see docs/CONFIG.md.
   int shard_count = 1;
   double shard_ghost_factor = 1.0;
 };
 
-/// Hash of every physics-affecting SimConfig field (particle counts, box,
-/// cosmology, seed, gravity solver selection).  Stored in run checkpoints so
-/// a restart against a different configuration is rejected instead of
-/// silently producing a diverging run.  Execution-tuning knobs (variants,
-/// sub-group sizes, thread counts) are deliberately excluded: they may be
-/// changed across a restart.
+/// The SimConfig field table: `visit(row, field)` for every field, with its
+/// key (docs/CONFIG.md; nullptr if struct-only), role and range.  Physics
+/// rows come first, in config_signature()'s order.  `C`: [const] SimConfig.
+template <typename C, typename Visit>
+void for_each_sim_field(C& c, Visit&& visit) {
+  using enum util::Role;
+  using util::above, util::at_least, util::Range;
+  visit({"np", kPhysics, at_least(2)}, c.np_side);
+  visit({"box", kPhysics, above(0)}, c.box);
+  visit({"z_init", kPhysics}, c.z_init);
+  visit({"z_final", kPhysics, at_least(0)}, c.z_final);
+  visit({"steps", kPhysics, at_least(1)}, c.n_steps);
+  visit({nullptr, kPhysics}, c.cosmo.omega_m);
+  visit({nullptr, kPhysics}, c.cosmo.h);
+  visit({nullptr, kPhysics}, c.cosmo.n_s);
+  visit({"sigma", kPhysics, at_least(0)}, c.sigma_norm);
+  visit({nullptr, kPhysics}, c.r_norm);
+  visit({"seed", kPhysics}, c.seed);
+  visit({"hydro", kPhysics}, c.hydro);
+  visit({"baryon_fraction", kPhysics, {Range::kUnit}}, c.baryon_fraction);
+  visit({"u_init", kPhysics, at_least(0)}, c.u_init);
+  visit({"pm_grid", kPhysics, {Range::kPowerOfTwo}}, c.pm_grid);
+  visit({"gravity.pm_gradient", kPhysics}, c.pm_gradient);
+  visit({nullptr, kPhysics}, c.r_split_cells);
+  visit({nullptr, kPhysics}, c.pp_cut_factor);
+  visit({nullptr, kPhysics}, c.poly_order);
+  visit({nullptr, kPhysics}, c.softening_cells);
+  visit({"gravity.backend", kPhysics}, c.gravity_backend);
+  visit({"gravity.theta", kPhysics, at_least(0)}, c.fmm_theta);
+  visit({"leaf", kPhysics, at_least(1)}, c.leaf_size);
+  visit({"ic.kind", kPhysics}, c.ic_kind);
+  visit({"ic.sedov_energy", kPhysics, above(0)}, c.sedov_energy);
+  visit({"domain.skin", kNeutral, at_least(0)}, c.domain_skin);
+  visit({"domain.rebuild", kNeutral}, c.domain_rebuild);
+  visit({"shard.count", kNeutral, at_least(1)}, c.shard_count);
+  visit({"shard.ghost_factor", kNeutral, at_least(1)}, c.shard_ghost_factor);
+  for (auto* v : {&c.variants.geometry, &c.variants.corrections, &c.variants.extras,
+                  &c.variants.acceleration, &c.variants.energy, &c.variants.gravity}) {
+    visit({nullptr, kNeutral}, *v);
+  }
+  visit({nullptr, kNeutral}, c.sub_group_size);
+  visit({nullptr, kNeutral}, c.sg_per_wg);
+  visit({nullptr, kNeutral}, c.scenario);
+}
+
+/// Reads every keyed row of the table from `cfg` into `sim`, then checks
+/// z_init > z_final; false, with `error` naming the key, on a value refused.
+bool read_sim_keys(const util::Config& cfg, SimConfig& sim, std::string& error);
+
+/// Hash of the table's physics rows, in table order.  Stored in run
+/// checkpoints so a restart against a different configuration is rejected
+/// instead of silently producing a diverging run; the neutral rows may
+/// change across a restart.
 std::uint64_t config_signature(const SimConfig& cfg);
 
 /// What one KDK step did — the record the scenario runner consumes for

@@ -115,7 +115,8 @@ class Parser {
 
  private:
   const Token& peek() const { return tokens_[idx_]; }
-  Token take() { return tokens_[idx_++]; }
+  // Stops at kEnd, so peek() stays in range after a truncated "1 +".
+  Token take() { return tokens_[tokens_[idx_].kind == Token::Kind::kEnd ? idx_ : idx_++]; }
   bool accept_op(const char* op) {
     if (peek().kind == Token::Kind::kOp && peek().text == op) {
       ++idx_;

@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
     for (const auto& [k, v] : cli.values()) file_then_cli.set(k, v);
     cli = file_then_cli;
   }
+  // --restart is run.restart, over any run.restart key.
+  if (!restart.empty()) cli.set("run.restart", restart);
 
   hacc::run::Scenario scenario;
   const std::string name = cli.get_string("scenario", "paper-benchmark");
@@ -124,7 +126,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "hacc_run: %s\n", error.c_str());
     return 1;
   }
-  if (!restart.empty()) scenario.run.restart_from = restart;
   if (scenario.run.log_path.empty()) {
     scenario.run.log_path = scenario.name + ".jsonl";
   }

@@ -1,6 +1,7 @@
 #include "util/config.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -85,6 +86,36 @@ std::string Config::get_string(const std::string& key, const std::string& fallba
   looked_up_.insert(key);
   if (auto it = values_.find(key); it != values_.end()) return it->second;
   return fallback;
+}
+
+bool Config::read(const std::string& key, std::vector<double>& field,
+                  std::string& error) const {
+  if (!has(key)) return true;
+  std::vector<double> items;
+  std::istringstream in(values_.at(key));
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!parse_number(item, items.emplace_back())) {
+      error = "invalid " + key + " '" + values_.at(key) +
+              "' (need a comma-separated list of numbers)";
+      return false;
+    }
+  }
+  field = std::move(items);
+  return true;
+}
+
+std::string Range::refused(double v, const std::string& key) const {
+  const std::string b = std::to_string(bound);
+  int exponent = 0;
+  switch (kind) {
+    case kAny: return "";
+    case kAtLeast: return v >= bound ? "" : key + " >= " + b;
+    case kAbove: return v > bound ? "" : key + " > " + b;
+    case kUnit: return v >= 0.0 && v <= 1.0 ? "" : key + " in [0, 1]";
+    case kPowerOfTwo:
+      return v >= 2.0 && std::frexp(v, &exponent) == 0.5 ? "" : key + " = a power of two >= 2";
+  }
+  return "";
 }
 
 std::vector<std::string> Config::unread_keys() const {

@@ -25,6 +25,29 @@ namespace hacc::util {
 bool parse_number(const std::string& text, long& out);
 bool parse_number(const std::string& text, double& out);
 
+// A config field's role (docs/CONFIG.md, "Restart safety"): physics (in the
+// checkpoint signature), neutral (execution tuning) or run control.
+enum class Role { kPhysics, kNeutral, kRunControl };
+
+// The numbers a key accepts (docs/CONFIG.md's "Valid values").  refused()
+// is "" for a `v` in range (NaN is in none but kAny), else what `key`
+// needs: "np >= 2", "pm_grid = a power of two >= 2".
+struct Range {
+  enum Kind { kAny, kAtLeast, kAbove, kUnit, kPowerOfTwo } kind = kAny;
+  int bound = 0;
+  std::string refused(double v, const std::string& key) const;
+};
+constexpr Range at_least(int b) { return {Range::kAtLeast, b}; }
+constexpr Range above(int b) { return {Range::kAbove, b}; }
+
+// One row of a config field table: the key that sets the field (nullptr
+// for a struct-only field), its role and its range.
+struct KeyRow {
+  const char* key;
+  Role role;
+  Range range{};
+};
+
 class Config {
  public:
   Config() = default;
@@ -58,6 +81,12 @@ class Config {
   // the read returns false.
   template <typename T>
   bool read(const std::string& key, T& field, std::string& error) const;
+  // A comma-separated list of parse_number doubles ("50, 20,10").
+  bool read(const std::string& key, std::vector<double>& field, std::string& error) const;
+  // A table row: nothing if keyless, else as above, and then a number out
+  // of the row's range fails the same way, `need` naming the range.
+  template <typename T>
+  bool read(const KeyRow& row, T& field, std::string& error) const;
 
   void set(const std::string& key, const std::string& value) { values_[key] = value; }
 
@@ -105,6 +134,22 @@ bool Config::read(const std::string& key, T& field, std::string& error) const {
   }
   error = "invalid " + key + " '" + text + "' (need " + need + ")";
   return false;
+}
+
+template <typename T>
+bool Config::read(const KeyRow& row, T& field, std::string& error) const {
+  if (row.key == nullptr || !has(row.key)) return true;
+  T value = field;
+  if (!read(row.key, value, error)) return false;
+  std::string need;
+  if constexpr (std::is_arithmetic_v<T>) need = row.range.refused(value, row.key);
+  if (!need.empty()) {
+    error = "invalid " + std::string(row.key) + " '" + values_.at(row.key) + "' (need " +
+            need + ")";
+    return false;
+  }
+  field = std::move(value);
+  return true;
 }
 
 }  // namespace hacc::util

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "run/scenario.hpp"
@@ -157,6 +158,18 @@ const Row kRows[] = {
     {"run.mode", "adaptive", kOk, "adaptive"},
     {"run.mode", "Fixed", kBad},
     {"run.mode", "sometimes", kBad},
+    // Range checks: each key's Valid values in docs/CONFIG.md.
+    {"z_final", "-1", kRange},
+    {"sigma", "-1", kRange},
+    {"baryon_fraction", "2", kRange},
+    {"u_init", "-1", kRange},
+    {"pm_grid", "3", kRange},
+    {"pm_grid", "0", kRange},
+    {"leaf", "0", kRange},
+    {"run.da_max", "-1", kRange},
+    {"run.fof_b", "0", kRange},
+    {"run.fof_min_members", "0", kRange},
+    {"run.checkpoint_every", "-1", kRange},
     // Misspelt keys.
     {"stpes", "1", kUnknown},
     {"gravity.backedn", "fmm", kUnknown},
@@ -197,6 +210,31 @@ TEST(ConfigGuard, EveryKeyAcceptsExactlyItsTexts) {
         break;
       }
     }
+  }
+}
+
+// Every keyed row of the two field tables whose field is not a string
+// refuses text that is no value of any type, naming its key.
+TEST(ConfigGuard, EveryTypedKeyRejectsNonsense) {
+  std::vector<std::string> keys;
+  const auto collect = [&keys](const util::KeyRow& row, const auto& field) {
+    if (!std::is_same_v<std::remove_cvref_t<decltype(field)>, std::string> && row.key) {
+      keys.emplace_back(row.key);
+    }
+  };
+  const Scenario defaults;
+  core::for_each_sim_field(defaults.sim, collect);
+  for_each_run_field(defaults.run, collect);
+  EXPECT_GE(keys.size(), 30u);
+  for (const std::string& key : keys) {
+    SCOPED_TRACE(key);
+    Scenario s;
+    ASSERT_TRUE(find_scenario("paper-benchmark", s));
+    util::Config cfg;
+    cfg.set(key, "x!");
+    std::string error;
+    EXPECT_FALSE(apply_config(cfg, s.sim, s.run, error));
+    EXPECT_NE(error.find(key), std::string::npos) << error;
   }
 }
 

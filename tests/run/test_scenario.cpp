@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 namespace hacc::run {
 namespace {
@@ -40,6 +41,41 @@ TEST(Scenario, PaperBenchmarkIsTheSolverDefaultConfiguration) {
   core::SimConfig named = defaults;
   named.scenario = "paper-benchmark";
   EXPECT_EQ(core::config_signature(s.sim), core::config_signature(named));
+}
+
+// The checkpoint signature of each preset and of a few overrides, pinned:
+// a moved value makes every existing checkpoint unrestartable.  shard.count
+// is execution tuning, so its row must equal its preset's value.
+TEST(Scenario, ConfigSignatureIsPinned) {
+  struct Pin {
+    const char* preset;
+    const char* key;  // nullptr: the preset as shipped
+    const char* text;
+    std::uint64_t signature;
+  };
+  const Pin kPins[] = {
+      {"paper-benchmark", nullptr, nullptr, 0x60cb932617a2504cull},
+      {"cosmology-box", nullptr, nullptr, 0x993e3c80530e7c10ull},
+      {"sph-adiabatic", nullptr, nullptr, 0x47b76ba80638b5d3ull},
+      {"sedov-blast", nullptr, nullptr, 0x91e251efd7d5d497ull},
+      {"paper-benchmark", "hydro", "false", 0xd261d3b4afbe9eeull},
+      {"paper-benchmark", "gravity.backend", "fmm", 0x60e88a31dd2801c3ull},
+      {"paper-benchmark", "ic.kind", "sedov", 0xc4ae73e3ec8e7b68ull},
+      {"paper-benchmark", "shard.count", "4", 0x60cb932617a2504cull},
+      {"cosmology-box", "shard.count", "4", 0x993e3c80530e7c10ull},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(std::string(pin.preset) + " " + (pin.key ? pin.key : "") + "=" +
+                 (pin.text ? pin.text : ""));
+    Scenario s;
+    ASSERT_TRUE(find_scenario(pin.preset, s));
+    util::Config cfg;
+    if (pin.key != nullptr) cfg.set(pin.key, pin.text);
+    std::string error;
+    ASSERT_TRUE(apply_config(cfg, s.sim, s.run, error)) << error;
+    EXPECT_EQ(core::config_signature(s.sim), pin.signature)
+        << "0x" << std::hex << core::config_signature(s.sim) << "ull";
+  }
 }
 
 TEST(Scenario, UnknownNameRejected) {

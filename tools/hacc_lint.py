@@ -37,6 +37,12 @@ the determinism and concurrency conventions documented in docs/CONCURRENCY.md:
                    in docs/ARCHITECTURE.md, and README.md's "`src/` holds N
                    modules" counts them, so a module cannot come or go
                    without its docs.
+  config-table     The backticked key column of docs/CONFIG.md's `| Key |`
+                   tables is exactly the keys of the two config field tables
+                   (core::for_each_sim_field in src/core/solver.hpp,
+                   run::for_each_run_field in src/run/scenario.hpp) plus the
+                   CLI keys `scenario` and `threads`, so a key cannot come or
+                   go without its docs.
   allowlist        Every allowlist entry must carry a justification, and must
                    match at least one current finding (stale entries are
                    errors, so suppressions cannot outlive their cause).
@@ -44,7 +50,8 @@ the determinism and concurrency conventions documented in docs/CONCURRENCY.md:
 Usage:
   python3 tools/hacc_lint.py [--allowlist tools/lint_allowlist.txt] [paths...]
 
-Paths default to src/; module-table always checks the repository's files.
+Paths default to src/; module-table and config-table always check the
+repository's files.
 Exit status is 0 when clean, 1 when findings remain.
 """
 
@@ -129,6 +136,13 @@ ADD_SUBDIRECTORY = re.compile(r"^\s*add_subdirectory\(\s*([\w-]+)\s*\)", re.M)
 MODULE_MAP_HEADING = "## Module map"
 MODULE_ROW = re.compile(r"^\|\s*`([\w-]+)`\s*\|")
 MODULE_COUNT = re.compile(r"`src/` holds (\d+) modules")
+
+# config-table: the field tables' keyed rows and CONFIG.md's key column.
+CONFIG_TABLE_SOURCES = ("src/core/solver.hpp", "src/run/scenario.hpp")
+TABLE_KEY = re.compile(r'visit\(\{"([\w.]+)"')
+CLI_KEYS = ("scenario", "threads")
+KEY_TABLE_HEADER = re.compile(r"^\|\s*Key\s*\|")
+KEY_ROW = re.compile(r"^\|\s*`([\w.-]+)`\s*\|")
 
 
 class Finding:
@@ -313,14 +327,53 @@ def check_module_table(cmake_text: str, architecture_text: str,
     return findings
 
 
+def read_repo_file(repo_root: Path, rel: str) -> str:
+    try:
+        return (repo_root / rel).read_text(encoding="utf-8")
+    except OSError:
+        return ""
+
+
 def lint_module_table(repo_root: Path) -> list[Finding]:
     def read(rel: str) -> str:
-        try:
-            return (repo_root / rel).read_text(encoding="utf-8")
-        except OSError:
-            return ""
+        return read_repo_file(repo_root, rel)
     return check_module_table(read("src/CMakeLists.txt"),
                               read("docs/ARCHITECTURE.md"), read("README.md"))
+
+
+def check_config_table(sources: list[str], config_text: str) -> list[Finding]:
+    """config-table: the field tables' keys (+ CLI keys) = CONFIG.md's."""
+    keys = [k for text in sources for k in TABLE_KEY.findall(text)] + list(CLI_KEYS)
+    rows: dict[str, int] = {}
+    in_key_table = False
+    for lineno, line in enumerate(config_text.splitlines(), start=1):
+        if KEY_TABLE_HEADER.match(line):
+            in_key_table = True
+        elif not line.startswith("|"):
+            in_key_table = False
+        elif in_key_table and (m := KEY_ROW.match(line)):
+            rows[m.group(1)] = lineno
+    findings: list[Finding] = []
+    doc = "docs/CONFIG.md"
+    for key in sorted({k for k in keys if keys.count(k) > 1}):
+        findings.append(Finding(
+            doc, 0, "config-table", f"key `{key}` is declared by more than one row"))
+    for key in keys:
+        if key not in rows:
+            findings.append(Finding(
+                doc, 0, "config-table", f"key `{key}` has no row in a `| Key |` table"))
+    for key, lineno in rows.items():
+        if key not in keys:
+            findings.append(Finding(
+                doc, lineno, "config-table",
+                f"row `{key}` is neither a field-table key nor a CLI key"))
+    return findings
+
+
+def lint_config_table(repo_root: Path) -> list[Finding]:
+    return check_config_table(
+        [read_repo_file(repo_root, rel) for rel in CONFIG_TABLE_SOURCES],
+        read_repo_file(repo_root, "docs/CONFIG.md"))
 
 
 def load_allowlist(path: Path, repo_root: Path) -> tuple[list[tuple[str, str, str, int]], list[Finding]]:
@@ -397,6 +450,7 @@ def main(argv: list[str]) -> int:
     for f in collect_files(paths):
         findings.extend(lint_file(f.resolve(), repo_root))
     findings.extend(lint_module_table(repo_root))
+    findings.extend(lint_config_table(repo_root))
 
     try:
         allowlist_rel = allowlist_path.resolve().relative_to(repo_root).as_posix()

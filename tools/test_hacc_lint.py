@@ -312,6 +312,43 @@ class ModuleTableRule(unittest.TestCase):
         self.assertEqual(len(self.check(readme="no count here\n")), 1)
 
 
+class ConfigTableRule(unittest.TestCase):
+    SIM = ('  visit({"np", kPhysics, at_least(2)}, c.np_side);\n'
+           '  visit({nullptr, kPhysics}, c.r_norm);\n')
+    RUN = '  visit({"run.mode", kRun}, r.stepping.mode);\n'
+    DOC = ("| Field type | Accepted text |\n|---|---|\n| `double` | a number |\n\n"
+           "| Key | Default | Meaning |\n|---|---|---|\n| `scenario` | x | preset |\n"
+           "| `np` | 12 | particles |\n\n| Key | Default |\n|---|---|\n"
+           "| `run.mode` | `fixed` |\n| `threads` | 0 |\n")
+
+    def check(self, sim=SIM, run=RUN, doc=DOC) -> list[str]:
+        return [f.message for f in hacc_lint.check_config_table([sim, run], doc)]
+
+    def test_matching_docs_clean(self):
+        # `double` sits in a table that is not a `| Key |` table.
+        self.assertEqual(self.check(), [])
+
+    def test_key_without_row_flagged(self):
+        msgs = self.check(run=self.RUN + '  visit({"run.log", kRun}, r.log_path);\n')
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("`run.log`", msgs[0])
+
+    def test_row_without_key_flagged(self):
+        msgs = self.check(doc=self.DOC + "| `run.stpes` | 1 |\n")
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("row `run.stpes`", msgs[0])
+
+    def test_cli_key_without_row_flagged(self):
+        msgs = self.check(doc=self.DOC.replace("| `threads` | 0 |\n", ""))
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("`threads`", msgs[0])
+
+    def test_key_declared_twice_flagged(self):
+        msgs = self.check(run=self.RUN + '  visit({"np", kRun}, r.max_steps);\n')
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("more than one row", msgs[0])
+
+
 class CommentStripping(unittest.TestCase):
     def test_block_comment_spanning_lines(self):
         src = "/* rand() in a\n   block comment */\nint x;\n"
