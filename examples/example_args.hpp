@@ -2,13 +2,13 @@
 
 // The key=value arguments of the example CLIs, read by the same strict
 // util::Config::read as hacc_run's keys: read() takes the SimConfig keys
-// with their ranges, get() the example's own.  A present key whose text
-// is not a value of the wanted type (a number in range, or one of an enum's
-// spellings), or a `threads=` that ThreadPool::parse_thread_count rejects,
-// prints a message naming the key and clears ok(), so the caller exits 1
-// before any work starts.  So does a given key that no read looked up (a
-// misspelt key), which ok() reports: call it after the last read.  An
-// absent key gives the fallback.
+// (all of them, or one) with their ranges, get() the example's own.  A
+// present key whose text is not a value of the wanted type (a number in
+// range, or one of an enum's spellings), or a `threads=` that
+// ThreadPool::parse_thread_count rejects, prints a message naming the key
+// and clears ok(), so the caller exits 1 before any work starts.  So does
+// a given key that no read looked up (a misspelt key), which ok() reports:
+// call it after the last read.  An absent key gives the fallback.
 //
 //   hacc::examples::Args args(argc, argv, "quickstart");
 //   const unsigned threads = args.threads();
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "core/solver.hpp"
 #include "util/config.hpp"
@@ -44,6 +45,17 @@ class Args {
   // Overlays the SimConfig keys given (np, box, steps, ...) onto `cfg`.
   void read(core::SimConfig& cfg) {
     if (std::string error; !core::read_sim_keys(cli_, cfg, error)) reject(error.c_str());
+  }
+
+  // Overlays the one SimConfig key `key` onto `cfg`, with its table range,
+  // for an example that takes only that key.
+  void read(core::SimConfig& cfg, std::string_view key) {
+    core::for_each_sim_field(cfg, [&](const util::KeyRow& row, auto& field) {
+      std::string error;
+      if (row.key != nullptr && row.key == key && !cli_.read(row, field, error)) {
+        reject(error.c_str());
+      }
+    });
   }
 
   // The pool size `threads=` asks for; 0 = hardware concurrency.

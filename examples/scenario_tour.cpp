@@ -12,8 +12,11 @@
 int main(int argc, char** argv) {
   hacc::examples::Args args(argc, argv, "scenario_tour");
   const unsigned threads = args.threads();
-  const int np = args.get<int>("np", 8);
+  hacc::core::SimConfig keys;
+  keys.np_side = 8;
+  args.read(keys, "np");
   if (!args.ok()) return 1;
+  const int np = keys.np_side;
   hacc::util::ThreadPool pool(threads);
 
   for (const auto& preset : hacc::run::scenarios()) {

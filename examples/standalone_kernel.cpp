@@ -63,9 +63,14 @@ int main(int argc, char** argv) try {
   hacc::examples::Args args(argc, argv, "standalone_kernel");
   const unsigned threads = args.threads();
   const std::string path = args.get<std::string>("checkpoint", "/tmp/crkhacc_gas.ckpt");
-  const int np = args.get<int>("np", 12);
-  const double box = args.get("box", 1.0);
-  const auto seed = args.get<std::uint64_t>("seed", 7);
+  hacc::core::SimConfig keys;
+  keys.np_side = 12;
+  keys.box = 1.0;
+  keys.seed = 7;
+  for (const char* key : {"np", "box", "seed"}) args.read(keys, key);
+  const int np = keys.np_side;
+  const double box = keys.box;
+  const std::uint64_t seed = keys.seed;
   const int sg = args.get<int>("sg", 32);
   const int repeats = args.get<int>("repeats", 3);
   const auto variant = args.get("variant", hacc::xsycl::CommVariant::kSelect);

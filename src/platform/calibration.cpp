@@ -3,7 +3,7 @@
 // Calibration of the three platform models and the per-kernel statics.
 // The constants below were tuned so that the evaluation reproduces the
 // SHAPE of the paper's results (§4.4, §5.4, §6.1):
-//   - Aurora: select_from_group compiles to indirect register access
+//   - Aurora: a sub-group select compiles to indirect register access
 //     (~1 cycle/lane, Fig. 5) -> high select cost; broadcasts via register
 //     regioning are nearly free (Fig. 6); the vISA butterfly is 4 movs.
 //   - Polaris: native warp shuffles make Select best everywhere; float
@@ -41,7 +41,6 @@ PlatformModel aurora() {
 
   p.atomic_add_cost = 16.0;     // native, but SLM/L2 round trips are real
   p.atomic_minmax_cost = 16.0;  // native float min/max
-  p.atomic_int_cost = 12.0;
 
   p.regs_per_item = 84;  // 128-register GRF at sg32
   p.has_large_grf = true;
@@ -79,7 +78,6 @@ PlatformModel polaris() {
 
   p.atomic_add_cost = 4.0;      // native red.global.add
   p.atomic_minmax_cost = 14.0;  // CAS loop for float min/max (§5.1)
-  p.atomic_int_cost = 4.0;
 
   p.regs_per_item = 126;  // occupancy-limited register budget
   p.has_large_grf = false;
@@ -117,7 +115,6 @@ PlatformModel frontier() {
 
   p.atomic_add_cost = 6.0;
   p.atomic_minmax_cost = 7.0;
-  p.atomic_int_cost = 5.0;
 
   p.regs_per_item = 132;  // large VGPR file at wave64
   p.has_large_grf = false;

@@ -46,8 +46,7 @@ CostBreakdown predict(const xsycl::OpCounters& ops, const KernelStatics& ks,
              static_cast<double>(ops.local32_words) * p.local_word_cost +
              static_cast<double>(ops.localobj_bytes) * p.local_byte_cost +
              static_cast<double>(ops.barriers) * p.barrier_cost +
-             static_cast<double>(ops.reduce_ops) * p.reduce_cost +
-             static_cast<double>(ops.shift_ops) * p.shift_cost;
+             static_cast<double>(ops.reduce_ops) * p.reduce_cost;
 
   // NVIDIA-style shared/L1 trade-off penalizes local-memory variants more
   // the larger the staged object (§5.4: "memory variants perform worst on
@@ -58,8 +57,7 @@ CostBreakdown predict(const xsycl::OpCounters& ops, const KernelStatics& ks,
   }
 
   out.atomics = static_cast<double>(ops.atomic_f32_add) * p.atomic_add_cost +
-                static_cast<double>(ops.atomic_f32_minmax) * p.atomic_minmax_cost +
-                static_cast<double>(ops.atomic_i32) * p.atomic_int_cost;
+                static_cast<double>(ops.atomic_f32_minmax) * p.atomic_minmax_cost;
 
   out.regs_needed = registers_needed(ks, variant);
   out.regs_available = p.regs_available(tuning.sg_size, tuning.large_grf);

@@ -36,18 +36,16 @@ struct PlatformModel {
 
   // ---- Communication primitive costs (flop-equivalents) ----
   double select_word_cost = 1.0;     // per 32-bit word-lane moved by select
-  double broadcast_cost = 1.0;       // per group_broadcast op
+  double broadcast_cost = 1.0;       // per broadcast word
   double butterfly_word_cost = 1.0;  // per word-lane via the 4-mov sequence
   double local_word_cost = 1.0;      // per word-lane through local memory
   double local_byte_cost = 0.25;     // per byte for the object exchange
   double barrier_cost = 8.0;         // per sub-group barrier
-  double reduce_cost = 8.0;          // per reduce_over_group
-  double shift_cost = 1.0;
+  double reduce_cost = 8.0;          // per word reduced over the sub-group
 
   // ---- Atomics ----
   double atomic_add_cost = 4.0;
   double atomic_minmax_cost = 4.0;  // CAS-emulated on NVIDIA (§5.1)
-  double atomic_int_cost = 4.0;
 
   // ---- Register model ----
   // 32-bit registers available per work-item at full occupancy, at the

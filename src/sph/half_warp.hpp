@@ -9,7 +9,7 @@
 //
 // The Broadcast variant restructures the loop (§5.3.2): every lane owns an
 // A-particle, B-particles are broadcast one at a time, partial forces on the
-// broadcast particle are combined with reduce_over_group, and only one
+// broadcast particle are combined with a sub-group reduction, and only one
 // commit per particle is issued — "fewer atomic instructions".
 //
 // The paper commits with atomics.  Here a commit adds plainly under its
@@ -81,7 +81,10 @@ namespace hacc::sph {
 // started at +0, so culling leaves every result bit unchanged.  The op
 // counters model the GPU, which evaluates every candidate lane pair: each
 // one counts as an interaction, reached or not, and every exchange round is
-// charged in full even where the CPU reads the partner lane in place.
+// charged in full.  The four exchange variants differ only in that charge
+// (charge_exchange) and in the partner schedule (partner_lane): the CPU
+// reads every variant's partner lane in place, so Memory32 and MemoryObject
+// compute Select's bits.
 //
 // Eight more pieces spare the CPU work, and change no output bit and no
 // counter:
@@ -128,36 +131,36 @@ namespace hacc::sph {
 //     counted arithmetically.  Where the reach is the same both ways (P-P:
 //     r² < r_cut², and r² has the same bits from either side), no lane of
 //     the other half reaches a culled lane either.
-//   - Lane-major order.  Select and vISA loop over lanes outside and rounds
-//     inside (vector blocks, below, the other way round), reading the
-//     partner lane in place.  Each lane's sum still receives its terms in
-//     round order, so no bit changes.  Memory32 and MemoryObject keep the
-//     round-major loop: each round's local-memory exchange fills `theirs`.
-//     A tile whose lanes were all culled runs no rounds at all.
-//   - Reach-compacted batches.  Under Select and vISA, Traits with a term
-//     form (the five SPH kernels) run in two passes once a half holds at
-//     least four lanes (batch_rounds).  Pass 1 tests each live lane's
-//     partners four rounds at a time with a four-lane `reaches` and lists
-//     the pairs that reach, lane by lane in round order.  Pass 2 evaluates
-//     the list four pairs at a time as one Floats4 term and adds lane k of
-//     it to pair k's own scalar sum, in list order: every sum receives the
-//     float operations of lane_rounds in the same order.  The last batch
-//     repeats its final pair in its empty slots and drops their terms.
-//     Own-lane blocks (below) do not pay for these kernels: on hydro-paper
-//     a tile with a live lane holds ~6 of 32 after the bounds cull, and a
-//     live lane reaches ~4 of its 16 candidates, so a block of four own
-//     lanes fills ~1.7 lanes of each term vector while every field of the
-//     tile (up to 28) is transposed; the batches are 98% full.
-//   - Vector blocks and mirrored rounds.  Under Select and vISA, Traits
-//     with a four-lane form (P-P) run a tile through block_rounds once a
-//     half holds at least four lanes.  The launch stores every tile's lanes
-//     once, per field (LaneArrays: the kLaneFields, idx and valid), each
-//     tile from a four-aligned element, so four lanes of a field are one
-//     aligned load.  Rounds run outside, the lower half's blocks of four
-//     inside.  In round r, lower lanes j .. j + 3 meet the upper lanes the
-//     schedule pairs them with: Select's j ^ r are one aligned block and one
-//     of four fixed shuffles, by r & 3; vISA's (j + r) mod H span at most
-//     two aligned blocks.  Each pair is evaluated once, from one profile, in
+//   - Lane-major order.  Every exchange variant loops over lanes outside
+//     and rounds inside (vector blocks, below, the other way round),
+//     reading the partner lane in place.  Each lane's sum still receives
+//     its terms in round order, so no bit changes.  A tile whose lanes were
+//     all culled runs no rounds at all.
+//   - Reach-compacted batches.  Under every exchange variant, Traits with
+//     a term form (the five SPH kernels) run in two passes once a half
+//     holds at least four lanes (batch_rounds).  Pass 1 tests each live
+//     lane's partners four rounds at a time with a four-lane `reaches`
+//     and lists the pairs that reach, lane by lane in round order.  Pass 2
+//     evaluates the list four pairs at a time as one Floats4 term and adds
+//     lane k of it to pair k's own scalar sum, in list order: every sum
+//     receives the float operations of lane_rounds in the same order.  The
+//     last batch repeats its final pair in its empty slots and drops their
+//     terms.  Own-lane blocks (below) do not pay for these kernels: on
+//     hydro-paper a tile with a live lane holds ~6 of 32 after the bounds
+//     cull, and a live lane reaches ~4 of its 16 candidates, so a block of
+//     four own lanes fills ~1.7 lanes of each term vector while every field
+//     of the tile (up to 28) is transposed; the batches are 98% full.
+//   - Vector blocks and mirrored rounds.  Under every exchange variant,
+//     Traits with a four-lane form (P-P) run a tile through block_rounds
+//     once a half holds at least four lanes.  The launch stores every
+//     tile's lanes once, per field (LaneArrays: the kLaneFields, idx and
+//     valid), each tile from a four-aligned element, so four lanes of a
+//     field are one aligned load.  Rounds run outside, the lower half's
+//     blocks of four inside.  In round r, lower lanes j .. j + 3 meet the
+//     upper lanes the schedule pairs them with: the XOR schedule's j ^ r
+//     (Select and both Memory variants) are one aligned block and one of
+//     four fixed shuffles, by r & 3; vISA's (j + r) mod H span at most two
+//     aligned blocks.  Each pair is evaluated once, from one profile, in
 //     both directions (terms4): the own term goes to the lower lane's sum,
 //     the mirrored term back through the same shuffle to the upper lane's,
 //     and the upper lane meets that lower lane in the same round, so both
@@ -442,7 +445,7 @@ concept BlockTraits =
       { Traits::lane(acc, 0) } -> std::same_as<typename Traits::Accum>;
     };
 
-// The Select or vISA partner rounds of the live lanes of a tile of
+// The exchange variant's partner rounds of the live lanes of a tile of
 // `sg_size` lanes, one lane at a time: lanes outside, rounds inside, each
 // partner read in place.
 template <typename Traits>
@@ -617,8 +620,9 @@ void block_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
   }
 }
 
-// Select and vISA on the lanes of `mine`: reach-compacted batches where the
-// Traits and the sub-group size allow them, else one lane at a time.
+// The partner rounds of any exchange variant on the lanes of `mine`:
+// reach-compacted batches where the Traits and the sub-group size allow
+// them, else one lane at a time.
 template <typename Traits>
 void register_rounds(const Traits& traits, xsycl::CommVariant v, int sg_size,
                      TileRegisters<Traits>& t) {
@@ -728,7 +732,7 @@ class PairLaunch {
         view_(view),
         variant_(variant),
         tile_width_(tile_width),
-        blocked_(BlockTraits<Traits> && xsycl::permutes_registers(variant) &&
+        blocked_(BlockTraits<Traits> && variant != xsycl::CommVariant::kBroadcast &&
                  tile_width >= kBlockLanes),
         first_state_(view.n_leaves),
         first_tile_(view.n_leaves),
@@ -839,10 +843,6 @@ class PairInteractionKernel {
   std::string name() const { return name_; }
   std::size_t n_pairs() const { return n_pairs_; }
 
-  std::size_t local_bytes_per_sg(int sg_size) const {
-    return xsycl::local_bytes_for(variant_, sg_size, sizeof(State));
-  }
-
   void operator()(xsycl::SubGroup& sg) const {
     if (sg.index() >= n_pairs_) return;
     const tree::LeafPair lp = pairs_[sg.index()];
@@ -921,8 +921,7 @@ class PairInteractionKernel {
     // Lane registers, shared by every tile: each tile rewrites lanes [0, S)
     // before reading them.
     TileRegisters<Traits> t;
-    xsycl::Varying<State> theirs;  // the SLM variants' exchanged partners
-    xsycl::Varying<bool> active;   // owns a particle and commits its sum
+    xsycl::Varying<bool> active;  // owns a particle and commits its sum
     xsycl::Varying<std::int32_t> idx;
 
     for (int ta = 0; ta < tiles_a; ++ta) {
@@ -933,6 +932,8 @@ class PairInteractionKernel {
         const bool diagonal = self && ta == tb;
         const HalfTileBounds* half[2] = {&launch_->bounds(lp.a, ta),
                                          &launch_->bounds(lp.b, tb)};
+        // Every exchange round is charged, whether the pair runs or not.
+        for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
         if (!diagonal &&
             tiles_apart(*half[0], *half[1], tile_pair_reach(traits_, *half[0], *half[1]),
                         traits_.box)) {
@@ -942,7 +943,7 @@ class PairInteractionKernel {
         if (launch_->blocked()) {
           block_tile(sg, lp, ta, tb, diagonal, half, t, active, idx);
         } else {
-          register_tile(sg, lp, ta, tb, diagonal, half, t, theirs, active, idx);
+          register_tile(sg, lp, ta, tb, diagonal, half, t, active, idx);
         }
         commit_lanes(sg, lp.a, 0, H, active, idx, t.acc, t.touched);
         commit_lanes(sg, lp.b, H, S, active, idx, t.acc, t.touched);
@@ -952,11 +953,11 @@ class PairInteractionKernel {
   }
 
   // One tile pair from the launch's states: culled, then run through the
-  // exchange rounds of the variant.
+  // exchange rounds of the variant, each partner read in place.
   void register_tile(xsycl::SubGroup& sg, const tree::LeafPair& lp, int ta, int tb,
                      bool diagonal, const HalfTileBounds* const half[2],
-                     TileRegisters<Traits>& t, xsycl::Varying<State>& theirs,
-                     xsycl::Varying<bool>& active, xsycl::Varying<std::int32_t>& idx) const {
+                     TileRegisters<Traits>& t, xsycl::Varying<bool>& active,
+                     xsycl::Varying<std::int32_t>& idx) const {
     const int S = sg.size();
     const int H = S / 2;
     xsycl::Varying<State>& mine = t.mine;
@@ -968,22 +969,8 @@ class PairInteractionKernel {
     const auto read4 = [&](int l0) {
       return lane_positions4(mine, l0, l0 < H ? H - 1 : S - 1);
     };
-    const bool any_live = cull_tile(traits_, S, half, diagonal, active, read4, t);
-
-    if (xsycl::permutes_registers(variant_)) {
-      // Select and vISA: read the partner lane of `mine` in place.
-      for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
-      if (any_live) register_rounds(traits_, variant_, S, t);
-    } else {
-      // The SLM variants round-trip the partner through local memory.
-      for (int r = 0; r < H; ++r) {
-        xsycl::exchange(sg, mine, r, variant_, theirs);
-        for (int l = 0; l < S; ++l) {
-          if (t.live[l] && add_pair(traits_, t.interactions, t.acc[l], mine[l], theirs[l])) {
-            t.touched[l] = true;
-          }
-        }
-      }
+    if (cull_tile(traits_, S, half, diagonal, active, read4, t)) {
+      register_rounds(traits_, variant_, S, t);
     }
   }
 
@@ -1017,20 +1004,20 @@ class PairInteractionKernel {
         return LanePositions4{load4(lanes.f[0] + j), load4(lanes.f[1] + j),
                               load4(lanes.f[2] + j), Floats4(0.f)};
       };
-      const bool any_live = cull_tile(traits_, S, half, diagonal, active, read4, t);
-      for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
-      if (any_live) block_rounds(traits_, variant_, S, lower, upper, diagonal, t);
+      if (cull_tile(traits_, S, half, diagonal, active, read4, t)) {
+        block_rounds(traits_, variant_, S, lower, upper, diagonal, t);
+      }
     }
   }
 
   // Charges a tile pair that tiles_apart skipped, of `na` and `nb` valid
-  // lanes, exactly as the full path would: both tile loads, every exchange
-  // round, each lane's candidates in the other half, and each lane's commit.
+  // lanes, exactly as the full path would: both tile loads, each lane's
+  // candidates in the other half, and each lane's commit (run_exchange
+  // charges the exchange rounds of every tile pair).
   void charge_apart(xsycl::SubGroup& sg, int na, int nb,
                     std::uint64_t& interactions) const {
     const int H = sg.size() / 2;
     sg.counters().global_loads += 2 * static_cast<std::uint64_t>(H);
-    for (int r = 0; r < H; ++r) xsycl::charge_exchange(sg, variant_, sizeof(State));
     interactions += 2 * static_cast<std::uint64_t>(na) * static_cast<std::uint64_t>(nb);
     for (int k = 0; k < na + nb; ++k) Traits::charge_commit(sg.counters());
   }
@@ -1154,7 +1141,6 @@ class ForEachParticleKernel {
       : name_(std::move(name)), n_(n), body_(std::move(body)) {}
 
   std::string name() const { return name_; }
-  std::size_t local_bytes_per_sg(int) const { return 0; }
   std::size_t n_particles() const { return n_; }
 
   void operator()(xsycl::SubGroup& sg) const {

@@ -13,12 +13,10 @@ void OpCounters::merge(const OpCounters& o) {
   localobj_barriers += o.localobj_barriers;
   broadcast_ops += o.broadcast_ops;
   butterfly_words += o.butterfly_words;
-  shift_ops += o.shift_ops;
   reduce_ops += o.reduce_ops;
   barriers += o.barriers;
   atomic_f32_add += o.atomic_f32_add;
   atomic_f32_minmax += o.atomic_f32_minmax;
-  atomic_i32 += o.atomic_i32;
   interactions += o.interactions;
   m2p_ops += o.m2p_ops;
   lanes_launched += o.lanes_launched;
@@ -39,8 +37,7 @@ std::string OpCounters::summary() const {
      << " butterfly_words=" << butterfly_words
      << " reduces=" << reduce_ops
      << " barriers=" << barriers
-     << " atomics(f32 add/minmax, i32)=" << atomic_f32_add << '/'
-     << atomic_f32_minmax << '/' << atomic_i32;
+     << " atomics(f32 add/minmax)=" << atomic_f32_add << '/' << atomic_f32_minmax;
   return os.str();
 }
 

@@ -19,16 +19,15 @@ namespace hacc::xsycl {
 
 struct OpCounters {
   // Cross-lane communication.
-  std::uint64_t select_ops = 0;       // sycl::select_from_group invocations
+  std::uint64_t select_ops = 0;       // sub-group selects (Select exchanges)
   std::uint64_t select_words = 0;     // 32-bit words moved by selects
   std::uint64_t local32_words = 0;    // 32-bit words through work-group local memory
   std::uint64_t local32_barriers = 0; // barriers issued by the 32-bit exchange
   std::uint64_t localobj_bytes = 0;   // bytes through local memory (object exchange)
   std::uint64_t localobj_barriers = 0;
-  std::uint64_t broadcast_ops = 0;    // group_broadcast invocations (register regioning)
+  std::uint64_t broadcast_ops = 0;    // broadcast words (register regioning)
   std::uint64_t butterfly_words = 0;  // words moved by the specialized vISA shuffle
-  std::uint64_t shift_ops = 0;        // shift_group_left/right
-  std::uint64_t reduce_ops = 0;       // reduce_over_group
+  std::uint64_t reduce_ops = 0;       // words reduced over the sub-group (Broadcast)
 
   // Synchronization and atomics.  The pair kernels commit with plain adds
   // under a leaf flag and charge the atomics a device commit would issue
@@ -39,7 +38,6 @@ struct OpCounters {
   std::uint64_t barriers = 0;
   std::uint64_t atomic_f32_add = 0;
   std::uint64_t atomic_f32_minmax = 0;
-  std::uint64_t atomic_i32 = 0;
 
   // Work accounting.
   std::uint64_t interactions = 0;     // candidate lane pairs, reached or not

@@ -1,7 +1,6 @@
 #include "xsycl/queue.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -9,7 +8,6 @@
 namespace hacc::xsycl {
 
 LaunchStats Queue::submit_impl(const KernelFn& fn, const std::string& name,
-                               std::size_t local_bytes_per_sg,
                                std::uint64_t n_sub_groups, const LaunchConfig& cfg) {
   check_sub_group_size(cfg.sub_group_size);
   LaunchStats stats;
@@ -34,15 +32,13 @@ LaunchStats Queue::submit_impl(const KernelFn& fn, const std::string& name,
 
   const double t0 = util::wtime();
   // shared: total (kernel-wide OpCounters, merged under merge_mu); each
-  // chunk otherwise works on its own local_counters and arena slice.
+  // chunk otherwise works on its own local_counters.
   pool_->parallel_for_chunks(
       static_cast<std::int64_t>(n_wg), /*chunk=*/4,
       [&](std::int64_t wg_begin, std::int64_t wg_end) {
         const obs::TraceSpan chunk_span(span_name);
-        // One local arena + counter block per worker chunk; arenas are
-        // per-work-group on hardware, and sub-groups get disjoint slices.
+        // One counter block per worker chunk.
         OpCounters local_counters;
-        std::vector<std::byte> arena(local_bytes_per_sg * sg_per_wg);
         for (std::int64_t wg = wg_begin; wg < wg_end; ++wg) {
           ++local_counters.work_groups;
           for (int s = 0; s < sg_per_wg; ++s) {
@@ -51,9 +47,7 @@ LaunchStats Queue::submit_impl(const KernelFn& fn, const std::string& name,
             if (sg_index >= n_sub_groups) break;
             ++local_counters.sub_groups;
             local_counters.lanes_launched += cfg.sub_group_size;
-            std::span<std::byte> slice(arena.data() + s * local_bytes_per_sg,
-                                       local_bytes_per_sg);
-            SubGroup sg(cfg.sub_group_size, sg_index, slice, local_counters);
+            SubGroup sg(cfg.sub_group_size, sg_index, local_counters);
             fn(sg);
           }
         }

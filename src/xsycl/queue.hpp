@@ -22,13 +22,11 @@
 namespace hacc::xsycl {
 
 // Every xsycl kernel satisfies this concept.  name() keys the launch history
-// and the by-name launch registry; local_bytes_per_sg sizes the work-group
-// local arena (paper §5.3.1).
+// and the by-name launch registry.
 template <typename K>
 concept SubGroupKernel = requires(const K k, SubGroup& sg) {
   { k(sg) } -> std::same_as<void>;
   { k.name() } -> std::convertible_to<std::string>;
-  { k.local_bytes_per_sg(32) } -> std::convertible_to<std::size_t>;
 };
 
 struct LaunchConfig {
@@ -65,8 +63,7 @@ using KernelTotalsByName = std::map<std::string, KernelTotals>;
 // Thread-safe: submit() may be called from several driver threads at once
 // (each launch still fans its work-groups out over the shared pool), and the
 // launch history is snapshotted under mu_.  Kernel bodies themselves see
-// per-chunk OpCounters and disjoint local-arena slices, so they never share
-// mutable state across workers.
+// per-chunk OpCounters, so they never share mutable state across workers.
 class Queue {
  public:
   explicit Queue(util::ThreadPool& pool = util::ThreadPool::global())
@@ -77,9 +74,8 @@ class Queue {
   template <SubGroupKernel K>
   LaunchStats submit(const K& kernel, std::uint64_t n_sub_groups,
                      const LaunchConfig& cfg = {}) {
-    return submit_impl(
-        [&kernel](SubGroup& sg) { kernel(sg); }, kernel.name(),
-        kernel.local_bytes_per_sg(cfg.sub_group_size), n_sub_groups, cfg);
+    return submit_impl([&kernel](SubGroup& sg) { kernel(sg); }, kernel.name(),
+                       n_sub_groups, cfg);
   }
 
   // The pool launches run on; a launch's host-side preparation (the pair
@@ -105,8 +101,7 @@ class Queue {
   using KernelFn = std::function<void(SubGroup&)>;
 
   LaunchStats submit_impl(const KernelFn& fn, const std::string& name,
-                          std::size_t local_bytes_per_sg, std::uint64_t n_sub_groups,
-                          const LaunchConfig& cfg);
+                          std::uint64_t n_sub_groups, const LaunchConfig& cfg);
 
   util::ThreadPool* pool_;
   mutable util::Mutex mu_;

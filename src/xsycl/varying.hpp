@@ -3,9 +3,9 @@
 // Varying<T> is a per-lane "register": one value per work-item of a
 // sub-group executing in lockstep.  This realizes the SIMD lane data layout
 // of the paper's half-warp algorithm (Fig. 3) directly on the CPU: compute
-// phases are explicit lane loops, communication phases go through the
-// primitives in group_algorithms.hpp, which are instrumented so the platform
-// cost model can price each variant.
+// phases are explicit lane loops, and a lane reads its partner's register in
+// place while the charges in group_algorithms.hpp count the communication
+// the device would do, so the platform cost model can price each variant.
 
 #include <array>
 #include <cstdint>

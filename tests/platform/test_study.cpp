@@ -56,7 +56,7 @@ TEST(StudyFig9Aurora, NoSingleVariantBestEverywhere) {
 
 TEST(StudyFig9Aurora, BestVariantGivesTwoToFiveX) {
   // "Selecting the best variant for a kernel can improve performance by
-  // 2-5x" over select_from_group (§5.4).
+  // 2-5x" over the Select variant (§5.4).
   const auto eff = study().variant_efficiencies(aurora());
   double worst_gain = 1e9, best_gain = 0.0;
   for (const auto& kernel : PortabilityStudy::figure_kernels()) {

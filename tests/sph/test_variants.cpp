@@ -221,7 +221,7 @@ TEST(VariantCounters, VariantSpecificTrafficRecorded) {
 // size, on a fixed lattice.  A mismatch prints the measured row in the
 // table's own format.
 
-using CounterRow = std::array<std::uint64_t, 21>;
+using CounterRow = std::array<std::uint64_t, 19>;
 
 struct SnapshotRow {
   const char* variant;
@@ -232,12 +232,11 @@ struct SnapshotRow {
 
 // In OpCounters declaration order.
 CounterRow counter_row(const xsycl::OpCounters& c) {
-  return {c.select_ops,     c.select_words,      c.local32_words,  c.local32_barriers,
-          c.localobj_bytes, c.localobj_barriers, c.broadcast_ops,  c.butterfly_words,
-          c.shift_ops,      c.reduce_ops,        c.barriers,       c.atomic_f32_add,
-          c.atomic_f32_minmax, c.atomic_i32,     c.interactions,   c.m2p_ops,
-          c.lanes_launched, c.sub_groups,        c.work_groups,    c.global_loads,
-          c.global_stores};
+  return {c.select_ops,        c.select_words,      c.local32_words,  c.local32_barriers,
+          c.localobj_bytes,    c.localobj_barriers, c.broadcast_ops,  c.butterfly_words,
+          c.reduce_ops,        c.barriers,          c.atomic_f32_add, c.atomic_f32_minmax,
+          c.interactions,      c.m2p_ops,           c.lanes_launched, c.sub_groups,
+          c.work_groups,       c.global_loads,      c.global_stores};
 }
 
 constexpr SnapshotRow kCounterSnapshot[] = {
@@ -423,6 +422,28 @@ TEST_P(OutputBitsSnapshot, MatchesRecordedHashes) {
       ADD_FAILURE() << "no snapshot row; measured:\n" << row.str();
     } else {
       EXPECT_EQ(got, want->hashes) << "measured:\n" << row.str();
+    }
+  }
+}
+
+// Memory32 and MemoryObject differ from Select only in what an exchange
+// round charges: they pair lanes by the same XOR schedule, and the harness
+// reads every partner in place.  So every output bit equals Select's, at
+// every sub-group size the emulation runs, including those below the
+// snapshot's, where a half of fewer than four lanes takes lane_rounds.
+class MemoryVariantBits : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(AllSgSizes, MemoryVariantBits, ::testing::Values(2, 4, 8, 16, 32, 64),
+                         [](const auto& info) { return "sg" + std::to_string(info.param); });
+
+TEST_P(MemoryVariantBits, EqualSelectBitwise) {
+  const int sg_size = GetParam();
+  const std::pair<const char*, core::ParticleSet> fixtures[] = {
+      {"small", make_gas(small_gas_options())}, {"varied_h", varied_h_gas()}};
+  for (const auto& [fixture, gas] : fixtures) {
+    const BitsRow select = output_bits(gas, CommVariant::kSelect, sg_size);
+    for (const auto v : {CommVariant::kMemory32, CommVariant::kMemoryObject}) {
+      EXPECT_EQ(output_bits(gas, v, sg_size), select) << fixture << ", " << to_string(v);
     }
   }
 }

@@ -28,14 +28,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(CommVariants, ExchangeDeliversPartnerState) {
+  // The pair harness reads a lane's partner in place, at partner_lane: the
+  // lane whose state the variant's exchange delivers on the device.  Select
+  // and both local-memory variants pair by the XOR schedule (paper Fig. 4),
+  // vISA by the butterfly (Fig. 7).
   const auto [variant, S] = GetParam();
   struct State {
     float pos[3];
     float vel[3];
     float mass;
-    float pad;  // keep size a 4-byte multiple with even word count
+    float pad;
   };
-  StandaloneSubGroup ctx(S, sizeof(State) * kMaxLanes);
   Varying<State> mine;
   for (int l = 0; l < S; ++l) {
     mine[l] = {{float(l), float(l + 1), float(l + 2)},
@@ -43,14 +46,16 @@ TEST_P(CommVariants, ExchangeDeliversPartnerState) {
                float(l) * 0.5f,
                0.f};
   }
-  for (int r = 0; r < S / 2; ++r) {
-    Varying<State> theirs;
-    exchange(ctx.sg, mine, r, variant, theirs);
+  const int H = S / 2;
+  for (int r = 0; r < H; ++r) {
     for (int l = 0; l < S; ++l) {
-      const int p = partner_lane(variant, l, r, S);
-      ASSERT_EQ(theirs[l].pos[0], float(p));
-      ASSERT_EQ(theirs[l].vel[2], float(-p - 2));
-      ASSERT_EQ(theirs[l].mass, float(p) * 0.5f);
+      const int p = variant == CommVariant::kVISA
+                        ? (l < H ? H + (l + r) % H : (l - H - r + H) % H)
+                        : l ^ (H | r);
+      const State& theirs = mine[partner_lane(variant, l, r, S)];
+      ASSERT_EQ(theirs.pos[0], float(p));
+      ASSERT_EQ(theirs.vel[2], float(-p - 2));
+      ASSERT_EQ(theirs.mass, float(p) * 0.5f);
     }
   }
 }
@@ -79,9 +84,8 @@ TEST_P(CommVariants, AllCrossHalfPairsCoveredExactlyOnce) {
 
 TEST_P(CommVariants, OnlyTheExpectedCountersMove) {
   const auto [variant, S] = GetParam();
-  StandaloneSubGroup ctx(S, 64 * kMaxLanes);
-  Varying<float> x, out;
-  exchange(ctx.sg, x, 0, variant, out);
+  StandaloneSubGroup ctx(S);
+  charge_exchange(ctx.sg, variant, sizeof(float));
   const auto& c = ctx.counters;
   switch (variant) {
     case CommVariant::kSelect:
@@ -107,39 +111,12 @@ TEST_P(CommVariants, OnlyTheExpectedCountersMove) {
   }
 }
 
-TEST(CommVariantExchange, InPlaceChargeMatchesExchange) {
-  // The pair harness reads Select/vISA partners in place, and skips whole
-  // tile pairs of every variant, charging each round with charge_exchange;
-  // the cost model must see the same counts as a real exchange of the same
-  // object.
-  struct Obj {
-    float w[30];
-  };
-  for (const auto variant : kExchangeVariants) {
-    for (const int S : {16, 32, 64}) {
-      StandaloneSubGroup exchanged(S, sizeof(Obj) * S), charged(S);
-      Varying<Obj> x, out;
-      exchange(exchanged.sg, x, 1, variant, out);
-      charge_exchange(charged.sg, variant, sizeof(Obj));
-      EXPECT_EQ(charged.counters, exchanged.counters) << to_string(variant) << " S=" << S;
-      EXPECT_EQ(charged.counters.summary(), exchanged.counters.summary());
-    }
-  }
-  EXPECT_TRUE(permutes_registers(CommVariant::kSelect));
-  EXPECT_TRUE(permutes_registers(CommVariant::kVISA));
-  EXPECT_FALSE(permutes_registers(CommVariant::kMemory32));
-  EXPECT_FALSE(permutes_registers(CommVariant::kMemoryObject));
-  StandaloneSubGroup ctx(16);
-  EXPECT_THROW(charge_exchange(ctx.sg, CommVariant::kBroadcast, sizeof(Obj)),
-               std::logic_error);
-}
-
 TEST(CommVariantExchange, BroadcastThrowsInEveryBuild) {
-  // Broadcast restructures the loop instead of exchanging; a call that
-  // reached exchange() used to return the lanes unexchanged under NDEBUG.
+  // Broadcast restructures the loop instead of exchanging; a charge that
+  // reached it would otherwise price a round that never runs.
   StandaloneSubGroup ctx(16);
-  Varying<float> x, out;
-  EXPECT_THROW(exchange(ctx.sg, x, 0, CommVariant::kBroadcast, out), std::logic_error);
+  EXPECT_THROW(charge_exchange(ctx.sg, CommVariant::kBroadcast, sizeof(float)),
+               std::logic_error);
   EXPECT_EQ(ctx.counters.summary(), OpCounters{}.summary());
 }
 
@@ -175,16 +152,6 @@ TEST(CommVariantNames, CompactAliases) {
   EXPECT_EQ(v, CommVariant::kBroadcast);
   EXPECT_FALSE(util::parse_name("warp", v));
   EXPECT_EQ(v, CommVariant::kBroadcast);  // untouched on failure
-}
-
-TEST(CommVariantLocalBytes, SizedFromLargestExchangedObject) {
-  // §5.3.1: bytes = object size × work-items for the object variant; the
-  // 32-bit variant stages a single word per work-item.
-  EXPECT_EQ(local_bytes_for(CommVariant::kMemoryObject, 32, 40), 40u * 32u);
-  EXPECT_EQ(local_bytes_for(CommVariant::kMemory32, 32, 40), 4u * 32u);
-  EXPECT_EQ(local_bytes_for(CommVariant::kSelect, 32, 40), 0u);
-  EXPECT_EQ(local_bytes_for(CommVariant::kVISA, 64, 40), 0u);
-  EXPECT_EQ(local_bytes_for(CommVariant::kBroadcast, 16, 40), 0u);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <set>
 
 #include "test_helpers.hpp"
+#include "xsycl/comm_variant.hpp"
 
 namespace hacc::xsycl {
 namespace {
@@ -26,76 +26,14 @@ Varying<int> iota_lanes(int n) {
   return v;
 }
 
-TEST_P(GroupAlgorithms, SelectFromGroupAppliesArbitraryPermutation) {
-  const int S = GetParam();
-  StandaloneSubGroup ctx(S);
-  const auto x = iota_lanes(S);
-  Varying<int> src;
-  for (int l = 0; l < S; ++l) src[l] = (l * 3 + 1) % S;  // some permutation-ish map
-  const auto out = select_from_group(ctx.sg, x, src);
-  for (int l = 0; l < S; ++l) EXPECT_EQ(out[l], 100 + (l * 3 + 1) % S);
-  EXPECT_EQ(ctx.counters.select_ops, 1u);
-  EXPECT_EQ(ctx.counters.select_words, static_cast<std::uint64_t>(S));
-}
-
-TEST_P(GroupAlgorithms, XorPermuteIsInvolution) {
-  const int S = GetParam();
-  StandaloneSubGroup ctx(S);
-  const auto x = iota_lanes(S);
-  for (int mask = 1; mask < S; ++mask) {
-    const auto once = permute_by_xor(ctx.sg, x, mask);
-    const auto twice = permute_by_xor(ctx.sg, once, mask);
-    for (int l = 0; l < S; ++l) {
-      ASSERT_EQ(once[l], 100 + (l ^ mask));
-      ASSERT_EQ(twice[l], x[l]) << "mask " << mask << " lane " << l;
-    }
-  }
-}
-
 TEST_P(GroupAlgorithms, BroadcastReadsNamedLane) {
   const int S = GetParam();
   StandaloneSubGroup ctx(S);
   const auto x = iota_lanes(S);
   for (int lane = 0; lane < S; ++lane) {
-    EXPECT_EQ(group_broadcast(ctx.sg, x, lane), 100 + lane);
+    EXPECT_EQ(broadcast_object(ctx.sg, x, lane), 100 + lane);
   }
   EXPECT_EQ(ctx.counters.broadcast_ops, static_cast<std::uint64_t>(S));
-}
-
-TEST_P(GroupAlgorithms, ShiftLeftMovesLanesDown) {
-  const int S = GetParam();
-  StandaloneSubGroup ctx(S);
-  const auto x = iota_lanes(S);
-  const auto out = shift_group_left(ctx.sg, x, 2);
-  for (int l = 0; l + 2 < S; ++l) EXPECT_EQ(out[l], 100 + l + 2);
-}
-
-TEST_P(GroupAlgorithms, ShiftRightMovesLanesUp) {
-  const int S = GetParam();
-  StandaloneSubGroup ctx(S);
-  const auto x = iota_lanes(S);
-  const auto out = shift_group_right(ctx.sg, x, 3);
-  for (int l = 3; l < S; ++l) EXPECT_EQ(out[l], 100 + l - 3);
-}
-
-TEST_P(GroupAlgorithms, ReduceOverGroupSumsAllLanes) {
-  const int S = GetParam();
-  StandaloneSubGroup ctx(S);
-  Varying<double> x;
-  for (int l = 0; l < S; ++l) x[l] = l + 1;
-  EXPECT_DOUBLE_EQ(reduce_over_group(ctx.sg, x), S * (S + 1) / 2.0);
-}
-
-TEST_P(GroupAlgorithms, MaskedReduceSkipsInactiveLanes) {
-  const int S = GetParam();
-  StandaloneSubGroup ctx(S);
-  Varying<double> x;
-  Varying<bool> active;
-  for (int l = 0; l < S; ++l) {
-    x[l] = 10.0;
-    active[l] = (l % 2 == 0);
-  }
-  EXPECT_DOUBLE_EQ(reduce_over_group_masked(ctx.sg, x, active), 10.0 * (S / 2));
 }
 
 // --- Half-warp partner schedule properties (correctness backbone, §5.3) ---
@@ -154,55 +92,53 @@ TEST_P(GroupAlgorithms, SchedulesCoverSamePairSets) {
   EXPECT_EQ(xor_pairs, fly_pairs);
 }
 
+// An exchange round of the harness reads the partner at partner_lane in
+// place and charges the variant's primitive with charge_exchange.
+
 TEST_P(GroupAlgorithms, ExchangeSelectMatchesXorSchedule) {
   const int S = GetParam();
   StandaloneSubGroup ctx(S);
-  const auto x = iota_lanes(S);
   for (int r = 0; r < S / 2; ++r) {
-    Varying<int> out;
-    exchange_select(ctx.sg, x, r, out);
-    for (int l = 0; l < S; ++l) ASSERT_EQ(out[l], 100 + xor_partner(l, r, S));
+    for (int l = 0; l < S; ++l) {
+      ASSERT_EQ(partner_lane(CommVariant::kSelect, l, r, S), xor_partner(l, r, S));
+    }
+    charge_exchange(ctx.sg, CommVariant::kSelect, sizeof(int));
   }
+  EXPECT_EQ(ctx.counters.select_ops, static_cast<std::uint64_t>(S / 2));
+  EXPECT_EQ(ctx.counters.select_words, static_cast<std::uint64_t>(S / 2) * S);
 }
 
 TEST_P(GroupAlgorithms, ExchangeVisaMatchesButterflySchedule) {
   const int S = GetParam();
   StandaloneSubGroup ctx(S);
-  const auto x = iota_lanes(S);
   for (int r = 0; r < S / 2; ++r) {
-    Varying<int> out;
-    exchange_visa(ctx.sg, x, r, out);
-    for (int l = 0; l < S; ++l) ASSERT_EQ(out[l], 100 + butterfly_partner(l, r, S));
+    for (int l = 0; l < S; ++l) {
+      ASSERT_EQ(partner_lane(CommVariant::kVISA, l, r, S), butterfly_partner(l, r, S));
+    }
+    charge_exchange(ctx.sg, CommVariant::kVISA, sizeof(int));
   }
   EXPECT_GT(ctx.counters.butterfly_words, 0u);
   EXPECT_EQ(ctx.counters.select_ops, 0u);
 }
 
 TEST_P(GroupAlgorithms, LocalMemoryExchangesMatchSelect) {
+  // Both local-memory variants pair lanes as Select does, so the pair
+  // harness reads the same partner for all three; only the charges differ.
   const int S = GetParam();
-  struct Obj {
-    float a, b, c;  // 12 bytes: three 32-bit components
-  };
-  StandaloneSubGroup ctx(S, sizeof(Obj) * kMaxLanes);
-  Varying<Obj> x;
-  for (int l = 0; l < S; ++l) x[l] = {float(l), float(10 * l), float(l * l)};
+  StandaloneSubGroup ctx(S);
   for (int r = 0; r < S / 2; ++r) {
-    Varying<Obj> via32, viaobj;
-    exchange_local32(ctx.sg, x, r, via32);
-    exchange_local_object(ctx.sg, x, r, viaobj);
     for (int l = 0; l < S; ++l) {
-      const int p = xor_partner(l, r, S);
-      ASSERT_EQ(via32[l].a, float(p));
-      ASSERT_EQ(via32[l].b, float(10 * p));
-      ASSERT_EQ(via32[l].c, float(p * p));
-      ASSERT_EQ(viaobj[l].a, via32[l].a);
-      ASSERT_EQ(viaobj[l].b, via32[l].b);
-      ASSERT_EQ(viaobj[l].c, via32[l].c);
+      const int p = partner_lane(CommVariant::kSelect, l, r, S);
+      ASSERT_EQ(partner_lane(CommVariant::kMemory32, l, r, S), p);
+      ASSERT_EQ(partner_lane(CommVariant::kMemoryObject, l, r, S), p);
     }
+    charge_exchange(ctx.sg, CommVariant::kMemory32, 12);  // three 32-bit words
+    charge_exchange(ctx.sg, CommVariant::kMemoryObject, 12);
   }
   // 32-bit path: one barrier per word; object path: one barrier per exchange.
   EXPECT_EQ(ctx.counters.local32_barriers, static_cast<std::uint64_t>(S / 2) * 3);
   EXPECT_EQ(ctx.counters.localobj_barriers, static_cast<std::uint64_t>(S / 2));
+  EXPECT_EQ(ctx.counters.select_ops, 0u);
 }
 
 TEST(GroupAlgorithmsCounters, SelectCountsWordsForCompositeTypes) {
@@ -210,10 +146,8 @@ TEST(GroupAlgorithmsCounters, SelectCountsWordsForCompositeTypes) {
   struct Obj {
     float v[5];  // 20 bytes = 5 words
   };
-  Varying<Obj> x;
-  Varying<std::int32_t> src;
-  for (int l = 0; l < 32; ++l) src[l] = l;
-  (void)select_from_group(ctx.sg, x, src);
+  charge_exchange(ctx.sg, CommVariant::kSelect, sizeof(Obj));
+  EXPECT_EQ(ctx.counters.select_ops, 1u);
   EXPECT_EQ(ctx.counters.select_words, 32u * 5u);
 }
 

@@ -1,20 +1,16 @@
 #pragma once
 
 // Shared helper for xsycl unit tests: builds a standalone SubGroup with its
-// own local arena and counters, outside of any queue launch.
-
-#include <vector>
+// own counters, outside of any queue launch.
 
 #include "xsycl/sub_group.hpp"
 
 namespace hacc::xsycl::testing {
 
 struct StandaloneSubGroup {
-  explicit StandaloneSubGroup(int size, std::size_t local_bytes = 4096)
-      : arena(local_bytes), sg(size, /*index=*/0, std::span(arena.data(), arena.size()), counters) {}
+  explicit StandaloneSubGroup(int size) : sg(size, /*index=*/0, counters) {}
 
   OpCounters counters;
-  std::vector<std::byte> arena;
   SubGroup sg;
 };
 

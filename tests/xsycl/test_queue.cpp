@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "xsycl/group_algorithms.hpp"
-
 namespace hacc::xsycl {
 namespace {
 
@@ -16,7 +14,6 @@ namespace {
 // accumulates lane counts.
 struct MarkKernel {
   std::string name() const { return "mark"; }
-  std::size_t local_bytes_per_sg(int) const { return 0; }
 
   void operator()(SubGroup& sg) const {
     hits[sg.index()].fetch_add(1, std::memory_order_relaxed);
@@ -50,36 +47,6 @@ TEST(Queue, RaggedLastWorkGroupHandled) {
   std::atomic<long> lanes{0};
   q.submit(MarkKernel{hits.data(), &lanes}, n, {.sub_group_size = 16, .sg_per_wg = 4});
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
-}
-
-struct LocalMemKernel {
-  std::string name() const { return "localmem"; }
-  std::size_t local_bytes_per_sg(int sg_size) const {
-    return sizeof(float) * static_cast<std::size_t>(sg_size);
-  }
-
-  void operator()(SubGroup& sg) const {
-    // Exchange lane ids through local memory and verify the partner mapping;
-    // sub-groups in the same work-group must not interfere.
-    Varying<float> mine;
-    for (int l = 0; l < sg.size(); ++l) mine[l] = float(sg.index() * 100 + l);
-    Varying<float> theirs;
-    exchange_local_object(sg, mine, 1, theirs);
-    for (int l = 0; l < sg.size(); ++l) {
-      const float expect = float(sg.index() * 100 + xor_partner(l, 1, sg.size()));
-      if (theirs[l] != expect) errors->fetch_add(1);
-    }
-  }
-
-  std::atomic<int>* errors;
-};
-
-TEST(Queue, LocalArenaSlicesDoNotOverlapAcrossSubGroups) {
-  util::ThreadPool pool(4);
-  Queue q(pool);
-  std::atomic<int> errors{0};
-  q.submit(LocalMemKernel{&errors}, 512, {.sub_group_size = 32, .sg_per_wg = 8});
-  EXPECT_EQ(errors.load(), 0);
 }
 
 TEST(Queue, TimersRecordLaunches) {

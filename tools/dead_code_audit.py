@@ -16,16 +16,24 @@ executables (`hacc_run`, `hacc_crash_sweep`, the benches and the examples).
 Instantiations of `std::`/`__gnu_cxx` templates are skipped: their mangled
 names do not start in `hacc::`.
 
-Each listed function must match an entry of tools/dead_code_allowlist.txt,
-`<glob on the demangled name> | <reason>`; a public physics output, a test
-oracle or an accessor that only tests observe is allowed with its reason.
-Like hacc_lint's allowlist, an entry that matches no listed function is
-stale and an error, so an entry cannot outlive its cause.
+`nm` cannot see a template or inline function that no library translation
+unit instantiates: it emits no symbol at all.  A second pass, on the source
+text, covers those.  Every function a header under `src/` defines at
+namespace scope (an inline, constexpr or template function; a member
+defined out of its class is skipped) must be named somewhere in `src/`,
+`bench/`, `examples/` or `perfbench/` beyond its own definitions, with
+comments and string literals stripped.  The pass matches names, not
+overloads: a same-named function elsewhere hides an unreferenced one, so it
+finds fewer than it might, never a false positive.  A class template that
+only tests instantiate still needs a grep for its callers.
 
-What `nm` cannot see: a template or inline function that no library
-translation unit instantiates emits no symbol at all, so this audit cannot
-find it.  A class template that only tests instantiate, as
-`xsycl::atomic_ref` was, needs a grep for its callers instead.
+Each listed function must match an entry of tools/dead_code_allowlist.txt,
+`<glob on the name> | <reason>`, where the name is demangled for the `nm`
+pass (`hacc::io::File::File(hacc::io::File&&)`) and namespace-qualified for
+the header pass (`hacc::fmm::p2m`); a public physics output, a test oracle
+or an accessor that only tests observe is allowed with its reason.  Like
+hacc_lint's allowlist, an entry that matches no listed function is stale
+and an error, so an entry cannot outlive its cause.
 
 Usage:
   python3 tools/dead_code_audit.py
@@ -41,6 +49,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 COMPILE_FLAGS = "-O0 -fno-inline -ffunction-sections -fdata-sections"
@@ -88,6 +97,112 @@ def unreached(library_nm: list[str], binary_nm: list[str]) -> set[str]:
     for text in binary_nm:
         reached |= parse_nm(text)
     return defined - reached
+
+
+# Directories whose C++ sources count as callers of a header function.
+CALLER_DIRS = ("src", "bench", "examples", "perfbench")
+CXX_SUFFIXES = {".hpp", ".cpp", ".h", ".cc", ".inc"}
+# A comment, a string literal or a character literal (stripped), and the
+# identifiers of the text that is left.
+COMMENT_OR_LITERAL = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'", re.S)
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+# Words that make a braced declaration something other than a function.
+NOT_A_FUNCTION = {"class", "struct", "union", "enum", "concept", "namespace", "operator"}
+
+
+def strip_code(text: str) -> str:
+    """`text` without comments, literals and preprocessor lines.
+
+    A comment becomes a space; a literal keeps its quotes, empty.
+    """
+    def blank(m: re.Match[str]) -> str:
+        tok = m.group(0)
+        return tok[0] * 2 if tok[0] in "\"'" else " "
+    code = COMMENT_OR_LITERAL.sub(blank, text)
+    return "\n".join("" if line.lstrip().startswith("#") else line
+                     for line in code.splitlines())
+
+
+def skip_template_headers(decl: str) -> str:
+    """`decl` after its leading `template <...>` headers."""
+    decl = decl.lstrip()
+    while decl.startswith("template"):
+        open_at = decl.find("<")
+        depth = 0
+        for i in range(open_at, len(decl)):
+            depth += {"<": 1, ">": -1}.get(decl[i], 0)
+            if depth == 0:
+                decl = decl[i + 1:].lstrip()
+                break
+        else:
+            return ""
+    return decl
+
+
+def function_name(decl: str) -> str | None:
+    """The name a namespace-scope definition `decl` (the text before its
+    `{`) defines, or None when it is not a free function."""
+    decl = skip_template_headers(decl)
+    paren = decl.find("(")
+    if paren <= 0:
+        return None
+    head = decl[:paren]
+    if "=" in head or NOT_A_FUNCTION & set(IDENTIFIER.findall(head)):
+        return None
+    m = re.search(r"([\w:~]+)\s*$", head)
+    if m is None or "::" in m.group(1):
+        return None  # a member defined out of its class, or no name
+    return m.group(1)
+
+
+def header_functions(text: str) -> list[str]:
+    """Namespace-qualified names of the functions a header defines at
+    namespace scope (the text outside every namespace included)."""
+    code = strip_code(text)
+    names: list[str] = []
+    scopes: list[str | None] = []  # a namespace's name, or None for any other brace
+    start = 0  # where the current namespace-scope declaration began
+    for i, ch in enumerate(code):
+        if ch not in "{};":
+            continue
+        at_namespace_scope = all(s is not None for s in scopes)
+        decl = code[start:i]
+        if ch == "{":
+            ns = re.fullmatch(r"\s*(?:inline\s+)?namespace\s*([\w:]*)\s*", decl)
+            if at_namespace_scope and ns is not None:
+                scopes.append(ns.group(1) or "(anonymous)")
+            else:
+                if at_namespace_scope:
+                    name = function_name(decl)
+                    if name is not None:
+                        names.append("::".join([s for s in scopes if s] + [name]))
+                scopes.append(None)
+        elif ch == "}" and scopes:
+            scopes.pop()
+        if all(s is not None for s in scopes):
+            start = i + 1
+    return names
+
+
+def unreferenced(headers: list[str], callers: list[str]) -> list[str]:
+    """Functions the `headers` define whose name occurs in `callers`
+    (comments and literals stripped) no more often than the headers define
+    it."""
+    defined = [q for text in headers for q in header_functions(text)]
+    definitions = Counter(q.rsplit("::", 1)[-1] for q in defined)
+    uses = Counter(w for text in callers for w in IDENTIFIER.findall(strip_code(text)))
+    return sorted({q for q in defined
+                   if uses[q.rsplit("::", 1)[-1]] <= definitions[q.rsplit("::", 1)[-1]]})
+
+
+def header_pass() -> list[str]:
+    """unreferenced() over the `src/` headers and the callers' sources."""
+    callers = [p for d in CALLER_DIRS for p in sorted((REPO_ROOT / d).rglob("*"))
+               if p.suffix in CXX_SUFFIXES and p.is_file()]
+    return unreferenced(
+        [p.read_text(encoding="utf-8") for p in sorted((REPO_ROOT / "src").rglob("*.hpp"))],
+        [p.read_text(encoding="utf-8") for p in callers])
 
 
 def demangle(names: list[str]) -> list[str]:
@@ -185,13 +300,15 @@ def main() -> int:
         return 2
 
     dead = unreached([nm(p) for p in libraries], [nm(p) for p in binaries])
+    unnamed = header_pass()
     entries, findings = load_allowlist(ALLOWLIST)
-    findings += check(demangle(sorted(dead)), entries, ALLOWLIST.name)
+    findings += check(demangle(sorted(dead)) + unnamed, entries, ALLOWLIST.name)
     for f in findings:
         print(f)
     print(f"dead_code_audit: {len(binaries)} binaries, {len(libraries)} libraries, "
-          f"{len(dead)} unreached function(s), {len(entries)} allowlist "
-          f"entries, {len(findings)} finding(s)", file=sys.stderr)
+          f"{len(dead)} unreached function(s), {len(unnamed)} unreferenced header "
+          f"function(s), {len(entries)} allowlist entries, {len(findings)} finding(s)",
+          file=sys.stderr)
     return 1 if findings else 0
 
 

@@ -130,5 +130,69 @@ class Allowlist(unittest.TestCase):
         self.assertEqual(findings, ["unreached: hacc::demo::Box::Box()"])
 
 
+# A header with one function of each kind the header pass must find or
+# skip, and the sources that call some of them.
+HEADER = """#pragma once
+#include <string>  // { an include is no scope
+
+namespace stdx = std;
+
+namespace hacc::demo {
+
+// unused_in_comment() { is not code
+inline int used(int x) { return x + 1; }
+inline int unused() { return 0; }
+template <typename T>
+constexpr T twice(T x) { return x + x; }
+inline const char* braces() { return "}{"; }
+template <typename T>
+concept Small = requires(T t) { { t.size() } -> std::same_as<int>; };
+struct Box {
+  int size() const { return 1; }
+  int area() const;
+};
+inline int Box::area() const { return 2; }
+inline constexpr int kTable[] = {1, 2};
+inline auto lambda = [](int x) { return x; };
+enum class Mode { kA, kB };
+bool declared_only(int);
+
+namespace {
+inline int hidden() { return 3; }
+}  // namespace
+
+}  // namespace hacc::demo
+"""
+
+CALLER = """#include "demo.hpp"
+// unused(); twice(1); a comment names them, it does not call them
+int main() { const char* s = "hidden() braces()"; return hacc::demo::used(1) + braces()[0]; }
+"""
+
+
+class HeaderPass(unittest.TestCase):
+    def test_finds_namespace_scope_functions(self):
+        self.assertEqual(audit.header_functions(HEADER),
+                         ["hacc::demo::used", "hacc::demo::unused", "hacc::demo::twice",
+                          "hacc::demo::braces", "hacc::demo::(anonymous)::hidden"])
+
+    def test_unreferenced_needs_a_use_beyond_the_definition(self):
+        self.assertEqual(audit.unreferenced([HEADER], [HEADER, CALLER]),
+                         ["hacc::demo::(anonymous)::hidden", "hacc::demo::twice",
+                          "hacc::demo::unused"])
+
+    def test_an_overload_needs_a_use_beyond_both_definitions(self):
+        header = "namespace hacc {\ninline int f(int) { return 0; }\n" \
+                 "inline int f(double) { return 1; }\n}\n"
+        self.assertEqual(audit.unreferenced([header], [header]),
+                         ["hacc::f"])
+        caller = "int g() { return f(1); }"
+        self.assertEqual(audit.unreferenced([header], [header, caller]), [])
+
+    def test_header_names_take_allowlist_entries(self):
+        findings = audit.check(["hacc::demo::twice"], [("hacc::demo::twice", 1)])
+        self.assertEqual(findings, [])
+
+
 if __name__ == "__main__":
     unittest.main()
