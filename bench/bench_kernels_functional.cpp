@@ -88,6 +88,7 @@ void register_benchmarks() {
     for (const auto v : xsycl::kAllVariants) {
       benchmark::RegisterBenchmark("BM_Kernel", BM_Kernel)
           ->Args({k, static_cast<long>(v), 32})
+          ->UseRealTime()
           ->Unit(benchmark::kMillisecond);
     }
   }
@@ -95,6 +96,7 @@ void register_benchmarks() {
   for (const int sg : {16, 32, 64}) {
     benchmark::RegisterBenchmark("BM_Kernel_sg_sweep", BM_Kernel)
         ->Args({3, static_cast<long>(xsycl::CommVariant::kSelect), sg})
+        ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
   }
 }

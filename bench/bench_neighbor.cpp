@@ -1,7 +1,8 @@
 // Neighbor-machinery benchmarks for the interaction-domain subsystem:
 // tree build vs Verlet-skin reuse cost, streamed pair-traversal throughput,
-// and a skin sweep over a drifting particle set showing how the rebuild
-// policy cuts the per-step tree + pairs phase.  The summary times each
+// a skin sweep over a drifting particle set showing how the rebuild
+// policy cuts the per-step tree + pairs phase, and the cost of one call of
+// the pair harness's four-lane bounds cull.  The summary times each
 // point over kReps repetitions (min / median / max) and emits
 // BENCH_neighbor.json (path override: HACC_BENCH_NEIGHBOR_JSON) next to
 // BENCH_pm.json / BENCH_run.json so every CI run leaves a comparable record.
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +19,8 @@
 
 #include "bench_common.hpp"
 #include "domain/domain.hpp"
+#include "sph/acceleration.hpp"
+#include "sph/half_warp.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -127,7 +131,8 @@ BENCHMARK(BM_PairStream)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 // Timed repetitions per measured point.
 constexpr int kReps = 7;
 
-// The spread of one point's repetitions, in milliseconds.
+// The spread of one point's repetitions, in milliseconds (nanoseconds for
+// the cull's per-call cost).
 struct Spread {
   double min_ms = 0.0;
   double median_ms = 0.0;
@@ -143,10 +148,77 @@ Spread time_reps(F once) {
   return {ms.front(), ms[kReps / 2], ms.back()};
 }
 
-// Writes `"<name>_min_ms": ..., "<name>_median_ms": ..., "<name>_max_ms": ...`.
-void write_spread(std::FILE* f, const char* name, const Spread& s) {
-  std::fprintf(f, "\"%s_min_ms\": %.4f, \"%s_median_ms\": %.4f, \"%s_max_ms\": %.4f", name,
-               s.min_ms, name, s.median_ms, name, s.max_ms);
+// Writes `"<name>_min_<unit>": ..., "<name>_median_<unit>": ..., "<name>_max_<unit>": ...`.
+void write_spread(std::FILE* f, const char* name, const Spread& s, const char* unit = "ms") {
+  std::fprintf(f, "\"%s_min_%s\": %.4f, \"%s_median_%s\": %.4f, \"%s_max_%s\": %.4f", name,
+               unit, s.min_ms, name, unit, s.median_ms, name, unit, s.max_ms);
+}
+
+// ---- Four-lane bounds cull ----
+// Half-tiles drawn like hydro-paper's (box 25, 16^3 gas particles: spacing
+// 1.5625, h in [0.5, 2] h0 with h0 = 1.3 spacings, sub-group 32): 16 lanes
+// jittered over a 3 x 3 x 2-spacing block, and four own lanes of another
+// tile up to two leaf widths away, wrapped into the box.
+
+constexpr float kCullBox = 25.f;
+
+struct CullCase {
+  sph::HalfTileBounds other;
+  sph::LanePositions4 own;
+};
+
+std::vector<CullCase> cull_cases(int n) {
+  const util::CounterRng rng(29);
+  std::uint64_t counter = 0;
+  const auto u = [&] { return rng.uniform(counter++); };
+  const double dx = kCullBox / 16.0;
+  const double h0 = sph::kEta * dx;
+  const auto wrap = [](double c) {
+    const auto w = static_cast<float>(c - kCullBox * std::floor(c / kCullBox));
+    return w < kCullBox ? w : 0.f;
+  };
+  std::vector<CullCase> cases(static_cast<std::size_t>(n));
+  for (CullCase& cc : cases) {
+    const double c[3] = {kCullBox * u(), kCullBox * u(), kCullBox * u()};
+    sph::HydroState tile[16]{};
+    for (sph::HydroState& s : tile) {
+      s.px = wrap(c[0] + 3.0 * dx * (u() - 0.5));
+      s.py = wrap(c[1] + 3.0 * dx * (u() - 0.5));
+      s.pz = wrap(c[2] + 2.0 * dx * (u() - 0.5));
+      s.h = static_cast<float>(h0 * (0.5 + 1.5 * u()));
+      s.valid = 1;
+    }
+    cc.other = sph::half_tile_bounds(tile, 16);
+    const double o[3] = {c[0] + 6.0 * dx * (2.0 * u() - 1.0), c[1] + 6.0 * dx * (2.0 * u() - 1.0),
+                         c[2] + 6.0 * dx * (2.0 * u() - 1.0)};
+    float x[4], y[4], z[4], h[4];
+    for (int k = 0; k < 4; ++k) {
+      x[k] = wrap(o[0] + 3.0 * dx * (u() - 0.5));
+      y[k] = wrap(o[1] + 3.0 * dx * (u() - 0.5));
+      z[k] = wrap(o[2] + 2.0 * dx * (u() - 0.5));
+      h[k] = static_cast<float>(h0 * (0.5 + 1.5 * u()));
+    }
+    const auto load = [](const float* v) { return sph::Floats4(v, sph::stdx::element_aligned); };
+    cc.own = {load(x), load(y), load(z), load(h)};
+  }
+  return cases;
+}
+
+// One pass of the four-lane cull over `cases`, each lane at the pair
+// support radius cull_tile takes for Acceleration; returns the culled lanes.
+unsigned cull_pass(const std::vector<CullCase>& cases) {
+  const sph::AccelerationTraits traits{nullptr, nullptr, nullptr, nullptr, nullptr, kCullBox, {}};
+  unsigned culled = 0;
+  for (const CullCase& cc : cases) {
+    const auto radius_of = [&](float h) {
+      return traits.reach_radius(sph::with_h<sph::HydroState>(h), cc.other.hmax);
+    };
+    const unsigned bits = sph::box_cull4(
+        cc.own, sph::Floats4([&](auto k) { return static_cast<float>(radius_of(cc.own.h[k])); }),
+        cc.other, traits.box, [&](int k) { return radius_of(cc.own.h[k]); });
+    culled += static_cast<unsigned>(std::popcount(bits));
+  }
+  return culled;
 }
 
 struct SweepRecord {
@@ -169,6 +241,8 @@ struct NeighborReport {
   std::uint64_t traversal_pairs = 0;  // leaf pairs one traversal streams
   std::vector<ThreadRecord> thread_sweep;
   std::vector<SweepRecord> sweep;
+  Spread cull_ns;              // one four-lane cull call, in nanoseconds
+  double cull_culled = 0.0;    // share of the lanes it culls
 };
 
 NeighborReport measure_report() {
@@ -260,6 +334,23 @@ NeighborReport measure_report() {
     });
     rep.sweep.push_back(rec);
   }
+
+  {  // four-lane cull: 64 passes over 4096 calls a repetition
+    const std::vector<CullCase> cases = cull_cases(4096);
+    constexpr int kPasses = 64;
+    unsigned culled = 0;
+    const Spread ms = time_reps([&] {
+      const double t0 = util::wtime();
+      for (int pass = 0; pass < kPasses; ++pass) {
+        culled = cull_pass(cases);
+        benchmark::DoNotOptimize(culled);
+      }
+      return util::wtime() - t0;
+    });
+    const double ns_per_ms = 1e6 / (kPasses * static_cast<double>(cases.size()));
+    rep.cull_ns = {ms.min_ms * ns_per_ms, ms.median_ms * ns_per_ms, ms.max_ms * ns_per_ms};
+    rep.cull_culled = culled / (4.0 * static_cast<double>(cases.size()));
+  }
   return rep;
 }
 
@@ -308,7 +399,9 @@ void write_bench_json(const NeighborReport& rep) {
     write_spread(f, "phase", r.phase);
     std::fprintf(f, "}%s\n", i + 1 < rep.sweep.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n  ");
+  write_spread(f, "lane_cull", rep.cull_ns, "ns");
+  std::fprintf(f, ",\n  \"lane_cull_culled_frac\": %.4f\n}\n", rep.cull_culled);
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }
@@ -337,6 +430,9 @@ void print_summary() {
                 r.reuses, r.phase.median_ms, r.phase.min_ms, r.phase.max_ms,
                 baseline > 0.0 ? r.phase.median_ms / baseline : 0.0);
   }
+  std::printf("four-lane cull: %.1f ns a call (min %.1f, max %.1f), culls %.1f%% of lanes\n",
+              rep.cull_ns.median_ms, rep.cull_ns.min_ms, rep.cull_ns.max_ms,
+              100.0 * rep.cull_culled);
   write_bench_json(rep);
 }
 

@@ -1,5 +1,6 @@
 #include "gravity/pm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -59,7 +60,14 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   if (mass_grid_.n() != n) {
     mass_grid_ = mesh::GridD(n);
   } else {
-    mass_grid_.fill(0.0);
+    // Zeroed in x-slabs on the pool: one thread's fill of a 128^3 grid took
+    // half the deposit.
+    double* grid = mass_grid_.data().data();
+    const auto slab = static_cast<std::int64_t>(n) * n;
+    // shared: mass_grid_ (disjoint x-slabs per index).
+    pool_->parallel_for_chunks(n, 1, [&](std::int64_t b, std::int64_t e) {
+      std::fill(grid + b * slab, grid + e * slab, 0.0);
+    });
   }
   depositor_.deposit(mass_grid_, pos, mass, box);
   double t1 = util::wtime();

@@ -122,15 +122,20 @@ namespace hacc::sph {
 //     relative.  The flags hold no counters; the harness charges
 //     charge_commit for every commit, touched or not.
 //   - Bounds cull.  After a tile loads, each lane is tested against the
-//     bounds of the other half (half_tile_bounds / beyond_reach), four lanes
-//     at a time (cull_tile / beyond_reach4) with beyond_reach's double
-//     operations lane for lane, so the same lanes are culled.  A lane whose
-//     position, h or radius is not finite, or whose offset needs
-//     periodic_gap's fmod wrap, takes the scalar test.  A lane that reaches
-//     none of the other half runs no candidate tests; its candidates are
-//     counted arithmetically.  Where the reach is the same both ways (P-P:
-//     r² < r_cut², and r² has the same bits from either side), no lane of
-//     the other half reaches a culled lane either.
+//     bounds of the other half, four lanes at a time (cull_tile /
+//     box_cull4): a float box test on the half's centre and half-width
+//     (half_tile_bounds), whose margin covers its own float rounding on
+//     top of the double test's (beyond_reach), so it culls a subset of the
+//     lanes beyond_reach culls (on the cull tests' scenarios, all but
+//     0.07% of them).  A lane whose position or h is not finite, whose
+//     radius is outside (0, inf), or that lies a box or more from the
+//     centre takes beyond_reach itself.  A lane that reaches none of the
+//     other half runs no candidate tests; its candidates are counted
+//     arithmetically.  The cull only decides which lanes run rounds, so
+//     any sound cull leaves every bit and counter unchanged.  Where the
+//     reach is the same both ways (P-P: r² < r_cut², and r² has the same
+//     bits from either side), no lane of the other half reaches a culled
+//     lane either.
 //   - Lane-major order.  Every exchange variant loops over lanes outside
 //     and rounds inside (vector blocks, below, the other way round),
 //     reading the partner lane in place.  Each lane's sum still receives
@@ -205,6 +210,7 @@ inline float lane_h(const State& s) {
 struct HalfTileBounds {
   util::Vec3d lo{std::numeric_limits<double>::infinity()};
   util::Vec3d hi{-std::numeric_limits<double>::infinity()};
+  util::Vec3f c, w;     // float centre and half-width of [lo, hi] (box_cull4)
   double extent = 0.0;  // largest |coordinate|: scales the rounding margin
   float hmax = 0.f;     // largest h, at least 0
   float hmin = std::numeric_limits<float>::infinity();  // smallest h
@@ -230,6 +236,10 @@ HalfTileBounds half_tile_bounds(const State* lanes, int n) {
     }
     b.hmax = std::max(b.hmax, h);
     b.hmin = std::min(b.hmin, h);
+  }
+  for (int a = 0; a < 3; ++a) {
+    b.c[a] = static_cast<float>(0.5 * (b.lo[a] + b.hi[a]));
+    b.w[a] = static_cast<float>(0.5 * (b.hi[a] - b.lo[a]));
   }
   return b;
 }
@@ -282,53 +292,55 @@ bool beyond_reach(const State& own, const HalfTileBounds& other, double radius,
   return beyond_reach(util::Vec3d{own.px, own.py, own.pz}, lane_h(own), other, radius, box);
 }
 
-using Doubles4 = stdx::fixed_size_simd<double, kBlockLanes>;
-
 // The positions and h of four lanes, as the cull reads them.
 struct LanePositions4 {
   Floats4 x, y, z, h;
 };
 
-// beyond_reach of four lanes against one half-tile: bit k is set where lane
-// k is culled.  Each lane takes beyond_reach's double operations, in its
-// order, so the bits are beyond_reach's.  A lane whose position, h or
-// radius is not finite, whose radius is not positive, or whose offset past
-// other.lo needs periodic_gap's fmod wrap takes the scalar test instead.
-inline unsigned beyond_reach4(const LanePositions4& own, const Doubles4& radius,
-                              const HalfTileBounds& other, double box) {
+// The bounds cull of four lanes against one half-tile, in float: bit k is
+// set where lane k is culled, and beyond_reach then culls it too.  Along
+// each axis the periodic gap from p to [c - w, c + w] is
+// max(min(|p - c|, box - |p - c|) - w, 0) for |p - c| < box.  In float
+// that gap is off by under 2^-22 (box + extent) per axis, 2^-21 over three:
+// half an ulp each of c and w (at most extent), of box, p - c and box - d
+// (at most box) and of d - w.  beyond_reach's margin for the pair's own
+// float r adds 2^-20 (box + extent'), where extent' = max(extent, |p|) is
+// below box + extent: under 2^-18 (box + extent) in all, and the margin
+// takes 2^-17.  The float radius, the squares, the sum and the reach round
+// to a few relative ulps, far inside the factor 1.001.  A lane whose
+// position or h is not finite, whose float radius is outside (0, inf) or
+// whose |p - c| reaches box takes beyond_reach at exact_radius(k), its
+// double radius.
+template <typename ExactRadius>
+unsigned box_cull4(const LanePositions4& own, const Floats4& radius,
+                   const HalfTileBounds& other, double box, ExactRadius exact_radius) {
   if (other.n_valid == 0) return (1u << kBlockLanes) - 1;
   if (!(other.finite && box > 0.0 && std::isfinite(box))) return 0;
-  const auto wide = [](const Floats4& v) { return Doubles4([&](auto k) { return double(v[k]); }); };
-  const Doubles4 p[3] = {wide(own.x), wide(own.y), wide(own.z)};
-  const Doubles4 inf(std::numeric_limits<double>::infinity());
+  const auto fbox = static_cast<float>(box);
+  const Floats4 p[3] = {own.x, own.y, own.z};
   // Lanes for the scalar test; |x| < inf is false for inf and NaN.
-  auto scalar = !(stdx::abs(p[0]) < inf && stdx::abs(p[1]) < inf && stdx::abs(p[2]) < inf &&
-                  stdx::abs(wide(own.h)) < inf && radius > 0.0 && radius < inf);
-  Doubles4 d2(0.0);
-  Doubles4 extent(other.extent);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Mask4 scalar = !(stdx::abs(own.h) < kInf && radius > 0.f && radius < kInf);
+  Floats4 gap2(0.f);
   for (int a = 0; a < 3; ++a) {
-    // periodic_gap, lane by lane.
-    const double w = other.hi[a] - other.lo[a];
-    Doubles4 t = p[a] - other.lo[a];
-    where(t < 0.0, t) = t + box;
-    scalar = scalar || !(t >= 0.0 && t < box);
-    Doubles4 g = t - w;
-    const Doubles4 beyond = box - t;
-    where(beyond < g, g) = beyond;  // std::min(t - w, box - t)
-    where(t <= w, g) = 0.0;
-    if (w >= box) g = 0.0;
-    d2 += g * g;
-    const Doubles4 mag = stdx::abs(p[a]);
-    where(extent < mag, extent) = mag;  // std::max(extent, |p|)
+    Floats4 d = stdx::abs(p[a] - other.c[a]);
+    scalar = scalar || !(d < fbox);
+    d = stdx::min(d, fbox - d);
+    const Floats4 g = stdx::max(d - other.w[a], Floats4(0.f));
+    gap2 += g * g;
   }
-  const Doubles4 reach = (radius + 0x1p-20 * (box + extent)) * (1.0 + 1e-4);
-  const auto culled = d2 > reach * reach;
+  const auto margin = static_cast<float>(0x1p-17 * (box + other.extent));
+  const Floats4 reach = (radius + margin) * 1.001f;
+  const Mask4 culled = gap2 > reach * reach && !scalar;
   unsigned bits = 0;
-  for (int k = 0; k < kBlockLanes; ++k) {
-    const bool c = scalar[k] ? beyond_reach(util::Vec3d{own.x[k], own.y[k], own.z[k]},
-                                            own.h[k], other, radius[k], box)
-                             : bool(culled[k]);
-    bits |= c ? 1u << k : 0u;
+  for (int k = 0; k < kBlockLanes; ++k) bits |= static_cast<unsigned>(bool(culled[k])) << k;
+  if (stdx::any_of(scalar)) {
+    for (int k = 0; k < kBlockLanes; ++k) {
+      if (scalar[k] && beyond_reach(util::Vec3d{own.x[k], own.y[k], own.z[k]}, own.h[k],
+                                    other, exact_radius(k), box)) {
+        bits |= 1u << k;
+      }
+    }
   }
   return bits;
 }
@@ -653,11 +665,18 @@ template <typename Traits, typename Read4>
 bool cull_tile(const Traits& traits, int sg_size, const HalfTileBounds* const half[2],
                bool diagonal, const xsycl::Varying<bool>& active, Read4 read4,
                TileRegisters<Traits>& t) {
+  using State = typename Traits::State;
+  constexpr bool kHasH = requires(State s) { s.h; };
   const int H = sg_size / 2;
   bool any_live = false;
   for (int h = 0; h < 2; ++h) {
     const HalfTileBounds& other = *half[1 - h];
     const auto candidates = static_cast<std::uint64_t>(other.n_valid - (diagonal ? 1 : 0));
+    const auto radius_of = [&](float lane_h) {
+      return traits.reach_radius(with_h<State>(lane_h), other.hmax);
+    };
+    // Without h, every lane's radius is the same.
+    const Floats4 fixed_radius(kHasH ? 0.f : static_cast<float>(radius_of(0.f)));
     for (int l0 = h * H; l0 < (h + 1) * H; l0 += kBlockLanes) {
       const int n = std::min(kBlockLanes, (h + 1) * H - l0);
       bool any_active = false;
@@ -668,10 +687,11 @@ bool cull_tile(const Traits& traits, int sg_size, const HalfTileBounds* const ha
       }
       if (!any_active) continue;
       const LanePositions4 p = read4(l0);
-      const Doubles4 radius([&](auto k) {
-        return traits.reach_radius(with_h<typename Traits::State>(p.h[k]), other.hmax);
-      });
-      const unsigned culled = beyond_reach4(p, radius, other, traits.box);
+      const unsigned culled = box_cull4(
+          p,
+          kHasH ? Floats4([&](auto k) { return static_cast<float>(radius_of(p.h[k])); })
+                : fixed_radius,
+          other, traits.box, [&](int k) { return radius_of(p.h[k]); });
       for (int k = 0; k < n; ++k) {
         if (!active[l0 + k]) continue;
         if (culled & (1u << k)) {

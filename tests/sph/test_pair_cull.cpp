@@ -7,9 +7,11 @@
 // matters, with h spread over three decades plus 0, denormal, negative, inf
 // and NaN, and with occasional NaN positions.  Each of the three radius
 // rules (own support, pair support, P-P cutoff) is checked through the
-// kernels' own Traits.  The four-lane cull must decide as the scalar one
-// does, lane for lane, over the same scenarios and lanes outside the box,
-// non-finite inputs and radii, empty half-tiles and invalid boxes.
+// kernels' own Traits, both for the scalar cull and for the harness's
+// four-lane float cull (cull_tile).  The four-lane cull must cull only
+// lanes the scalar one culls, over the same scenarios and lanes outside the
+// box, non-finite inputs and radii, empty half-tiles and invalid boxes, and
+// keep at most 0.5% of the lanes the scalar one culls.
 //
 // The tile-pair cull must be exact too: whenever tiles_apart skips a pair of
 // random tiles at the radius the harness uses (tile_pair_reach), no member
@@ -23,6 +25,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
@@ -109,7 +112,25 @@ State as_state(const Point& p, std::int32_t idx) {
 struct CullStats {
   int scenarios = 0;
   int culled = 0;
+  int culled4 = 0;  // by the four-lane cull
 };
+
+// Whether the harness's four-lane cull culls `own` against `members`: own
+// in lane 0 of a sub-group of 8, its only active lane.
+template <typename Traits>
+bool tile_culls(const Traits& traits, const typename Traits::State& own,
+                const HalfTileBounds& members) {
+  constexpr int kSg = 8;
+  TileRegisters<Traits> t;
+  xsycl::Varying<bool> active(false);
+  active[0] = true;
+  for (int l = 0; l < kSg; ++l) t.mine[l] = own;
+  const HalfTileBounds own_bounds = half_tile_bounds(&own, 1);
+  const HalfTileBounds* half[2] = {&own_bounds, &members};
+  cull_tile(traits, kSg, half, /*diagonal=*/false, active,
+            [&](int l0) { return lane_positions4(t.mine, l0, l0); }, t);
+  return !t.live[0];
+}
 
 // Checks one radius rule on one scenario: a half-tile of 32 lanes whose
 // first n are valid.
@@ -125,8 +146,11 @@ void check_rule(const Traits& traits, const Point& own_p,
   const HalfTileBounds bounds = half_tile_bounds(lanes.data(), 32);
   ASSERT_EQ(bounds.n_valid, static_cast<int>(members.size()));
   ++stats.scenarios;
-  if (!beyond_reach(own, bounds, traits.reach_radius(own, bounds.hmax), box)) return;
-  ++stats.culled;
+  const bool culled = beyond_reach(own, bounds, traits.reach_radius(own, bounds.hmax), box);
+  const bool culled4 = tile_culls(traits, own, bounds);
+  stats.culled += culled ? 1 : 0;
+  stats.culled4 += culled4 ? 1 : 0;
+  if (!culled && !culled4) return;
   for (std::size_t k = 0; k < members.size(); ++k) {
     // The P-P reach is the same both ways, which block_rounds relies on.
     bool reverse = false;
@@ -134,6 +158,7 @@ void check_rule(const Traits& traits, const Point& own_p,
       reverse = traits.reaches(lanes[k], own);
     }
     ASSERT_FALSE(traits.reaches(own, lanes[k]) || reverse)
+        << (culled4 ? "four-lane " : "scalar ")
         << (reverse ? "member " : "culled lane reaches member ") << k << " of "
         << members.size() << (reverse ? " reaches the culled lane" : "") << ": own ("
         << own_p.x << ", " << own_p.y << ", " << own_p.z << ") h " << own_p.h
@@ -221,6 +246,7 @@ TEST(PairCull, CulledLanesReachNoMember) {
   for (const CullStats* s : {&own_support, &pair_support, &pp}) {
     EXPECT_GT(s->culled, s->scenarios / 10);
     EXPECT_LT(s->culled, s->scenarios * 9 / 10);
+    EXPECT_GT(s->culled4, s->scenarios / 10);
   }
 }
 
@@ -258,10 +284,11 @@ Point draw_lane(Scenarios& rng, const CullScenario& sc, const std::vector<Point>
   return p;
 }
 
-TEST(PairCull, FourLaneCullMatchesScalar) {
+TEST(PairCull, FourLaneCullIsSubsetOfScalar) {
   Scenarios rng(20261020);
   std::vector<Point> earlier;  // own particles of earlier scenarios
   int culled = 0, kept = 0, outside_culled = 0, outside_kept = 0;
+  int kept4 = 0;  // lanes the scalar test culls and the four-lane one keeps
   for (int trial = 0; trial < 50000; ++trial) {
     CullScenario sc = make_scenario(rng);
     if (rng.below(50) == 0) sc.members.clear();  // n_valid == 0
@@ -311,10 +338,13 @@ TEST(PairCull, FourLaneCullMatchesScalar) {
                                    Floats4([&](auto k) { return lanes[k].pz; }),
                                    Floats4([&](auto k) { return lanes[k].h; })};
     const unsigned bits =
-        beyond_reach4(positions, Doubles4([&](auto k) { return radius[k]; }), bounds, box);
+        box_cull4(positions, Floats4([&](auto k) { return static_cast<float>(radius[k]); }),
+                  bounds, box, [&](int k) { return radius[k]; });
     for (int k = 0; k < kBlockLanes; ++k) {
       const bool scalar = beyond_reach(lanes[k], bounds, radius[k], box);
-      ASSERT_EQ((bits >> k & 1u) != 0, scalar)
+      const bool four = (bits >> k & 1u) != 0;
+      kept4 += scalar && !four ? 1 : 0;
+      ASSERT_TRUE(scalar || !four)
           << "trial " << trial << " lane " << k << ": (" << lanes[k].px << ", "
           << lanes[k].py << ", " << lanes[k].pz << ") h " << lanes[k].h << ", radius "
           << radius[k] << ", box " << box << ", " << bounds.n_valid << " members";
@@ -324,6 +354,9 @@ TEST(PairCull, FourLaneCullMatchesScalar) {
     earlier.push_back(sc.own);
     if (earlier.size() > 64) earlier.erase(earlier.begin());
   }
+  // The float margin keeps few of the lanes the scalar test culls.
+  std::printf("four-lane cull keeps %d of %d lanes the scalar cull culls\n", kept4, culled);
+  EXPECT_LE(kept4, culled / 200);
   // Not vacuous: lanes are culled and kept, inside the box and outside it.
   EXPECT_GT(culled, 20000);
   EXPECT_GT(kept, 20000);
